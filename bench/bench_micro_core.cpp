@@ -166,115 +166,6 @@ BM_PairEventPatternReplay(benchmark::State &state)
 }
 BENCHMARK(BM_PairEventPatternReplay);
 
-/**
- * The domain-partitioned pair replay: the same measured BERT+NCF
- * delta distribution, but with the event streams partitioned onto
- * the four simulation domains (control, SA, VU, DMA/HBM) the way
- * the multi-core model shards per-core streams — every hardware
- * domain coupled to the DMA/HBM domain (the shared-bandwidth
- * arbitration point) with a declared lookahead, and a periodic
- * cross-domain ping exercising the outbox/barrier path. Run at
- * --engine-jobs 1/2/4 this measures the conservative windowed
- * engine's scaling; the per-domain checksums are identical for
- * every job count (test_domain_engine proves bit-identity, this
- * bench measures the speedup).
- */
-void
-BM_PairReplayEngineJobs(benchmark::State &state)
-{
-    const auto jobs = static_cast<std::size_t>(state.range(0));
-    // Lookahead chosen from the histogram: the minimum drawn delta
-    // is 512 cycles, so windows of 8192 cycles hold ~10^2 events
-    // per domain and barriers amortize (see docs/PERFORMANCE.md).
-    static constexpr Cycles kLookahead = 8192;
-    static constexpr int kChainsPerDomain = 192;
-    static constexpr std::uint64_t kChainLength = 512;
-    static constexpr std::uint64_t kPingPeriod = 32;
-    static constexpr SimDomain kHwDomains[] = {
-        SimDomain::Control, SimDomain::Sa, SimDomain::Vu};
-
-    struct DomainState
-    {
-        Rng rng{1};
-        std::uint64_t budget = 0;
-        std::uint64_t hops = 0;
-        std::uint64_t pings = 0;
-    };
-
-    std::uint64_t events = 0;
-    std::uint64_t checksum = 0;
-    for (auto _ : state) {
-        Simulator sim;
-        for (SimDomain d : kHwDomains) {
-            sim.couple(d, SimDomain::DmaHbm, kLookahead);
-            sim.couple(SimDomain::DmaHbm, d, kLookahead);
-        }
-        sim.setEngineJobs(jobs);
-
-        std::array<DomainState, kNumSimDomains> domains;
-        for (std::size_t r = 0; r < kNumSimDomains; ++r) {
-            domains[r].rng = Rng(0xC0FFEEu + 0x9E37u * (r + 1));
-            domains[r].budget = kChainsPerDomain * kChainLength;
-        }
-
-        struct Chain
-        {
-            Simulator *sim;
-            DomainState *ds;
-            DomainState *peer; ///< ping sink across the coupling
-            SimDomain domain;
-            SimDomain peer_domain;
-            void
-            operator()() const
-            {
-                if (ds->budget == 0)
-                    return;
-                --ds->budget;
-                const Cycles delta = drawPairDelta(ds->rng);
-                if (++ds->hops % kPingPeriod == 0) {
-                    // Cross-domain message along the declared HBM
-                    // coupling; must respect the lookahead.
-                    DomainState *sink = peer;
-                    const Cycles hop =
-                        delta < kLookahead ? kLookahead : delta;
-                    sim->at(peer_domain, sim->now() + hop,
-                            [sink] { ++sink->pings; });
-                }
-                sim->after(domain, delta, Chain{*this});
-            }
-        };
-
-        for (std::size_t r = 0; r < kNumSimDomains; ++r) {
-            const auto domain = static_cast<SimDomain>(r);
-            // Hardware domains ping DMA/HBM; DMA/HBM pings control.
-            const SimDomain peer = domain == SimDomain::DmaHbm
-                                       ? SimDomain::Control
-                                       : SimDomain::DmaHbm;
-            DomainState &ds = domains[r];
-            DomainState &sink = domains[simDomainRank(peer)];
-            for (int i = 0; i < kChainsPerDomain; ++i)
-                sim.after(domain, drawPairDelta(ds.rng),
-                          Chain{&sim, &ds, &sink, domain, peer});
-        }
-        sim.run();
-        events += sim.eventsRun();
-        // Identical for every job count: per-domain event order is
-        // window-isolated and pings commute (pure counters).
-        for (const DomainState &ds : domains)
-            checksum ^= ds.hops + 0x1000 * ds.pings;
-        checksum ^= sim.now();
-    }
-    benchmark::DoNotOptimize(checksum);
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_PairReplayEngineJobs)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
 void
 BM_PolicyDecision(benchmark::State &state)
 {

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <tuple>
 #include <utility>
-
-#include "analysis/cache.h"
 
 namespace v10::analysis {
 
@@ -182,17 +178,13 @@ runLint(const LintOptions &options)
     if (!files_or.ok())
         return files_or.error();
 
-    // Read raw bytes up front; lexing is deferred so a cache hit
-    // below can skip it for every file.
-    std::vector<std::pair<std::string, std::string>> texts;
-    texts.reserve(files_or.value().size());
+    std::vector<SourceFile> sources;
+    sources.reserve(files_or.value().size());
     for (const auto &[rel, abs] : files_or.value()) {
-        std::ifstream is(abs, std::ios::binary);
-        if (!is)
-            return parseError("cannot open source file", abs);
-        std::ostringstream buf;
-        buf << is.rdbuf();
-        texts.emplace_back(rel, buf.str());
+        auto file_or = SourceFile::load(rel, abs);
+        if (!file_or.ok())
+            return file_or.error();
+        sources.push_back(file_or.take());
     }
 
     Baseline baseline;
@@ -202,36 +194,6 @@ runLint(const LintOptions &options)
         if (!baseline_or.ok())
             return baseline_or.error();
         baseline = baseline_or.take();
-    }
-
-    // Incremental cache: replay an exact content-hash match, else
-    // run cold and refresh the cache for the next run.
-    std::string key;
-    if (!options.cacheDir.empty()) {
-        std::vector<std::pair<std::string, std::uint64_t>> hashes;
-        hashes.reserve(texts.size());
-        for (const auto &[rel, text] : texts)
-            hashes.emplace_back(rel, lintContentHash(text));
-        key = lintCacheKey(hashes, options);
-        LintReport cached;
-        if (loadLintCache(options.cacheDir, key, &cached)) {
-            if (have_baseline)
-                applyBaseline(cached, baseline);
-            return cached;
-        }
-    }
-
-    std::vector<SourceFile> sources;
-    sources.reserve(texts.size());
-    for (const auto &[rel, text] : texts)
-        sources.push_back(SourceFile::fromString(rel, text));
-
-    if (!options.cacheDir.empty()) {
-        LintReport report = lintSources(sources, options, nullptr);
-        storeLintCache(options.cacheDir, key, report);
-        if (have_baseline)
-            applyBaseline(report, baseline);
-        return report;
     }
 
     return lintSources(sources, options,

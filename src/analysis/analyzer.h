@@ -36,10 +36,6 @@ struct LintOptions
 
     /** Baseline file path; empty = no grandfathering. */
     std::string baselinePath;
-
-    /** Cache directory for content-hash incremental runs; empty =
-     * always cold (docs/STATIC_ANALYSIS.md, "Incremental cache"). */
-    std::string cacheDir;
 };
 
 /** Outcome of a lint run. */
@@ -54,9 +50,6 @@ struct LintReport
 
     std::size_t filesScanned = 0;
     std::size_t suppressedInline = 0;
-
-    /** True when the findings were replayed from --cache-dir. */
-    bool cacheHit = false;
 
     std::size_t
     newCount() const

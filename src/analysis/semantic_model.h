@@ -20,8 +20,7 @@
  *
  * Violations are addressed by (file, line) and sorted, so a rule's
  * check() just filters by the file it was handed; re-running over
- * identical sources yields byte-identical findings, which the
- * incremental cache and the warm/cold CI comparison rely on.
+ * identical sources yields byte-identical findings.
  */
 
 #ifndef V10_ANALYSIS_SEMANTIC_MODEL_H

@@ -10,12 +10,6 @@ SourceFile::fromString(std::string relPath, const std::string &text)
 {
     SourceFile f;
     f.path_ = std::move(relPath);
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (unsigned char c : text) {
-        h ^= c;
-        h *= 0x100000001B3ull;
-    }
-    f.content_hash_ = h;
     f.lexed_ = lexSource(text);
     std::string line;
     std::istringstream is(text);

@@ -37,9 +37,6 @@ class SourceFile
     /** Root-relative path with forward slashes. */
     const std::string &path() const { return path_; }
 
-    /** FNV-1a of the raw text; the incremental cache's file key. */
-    std::uint64_t contentHash() const { return content_hash_; }
-
     const std::vector<Token> &tokens() const { return lexed_.tokens; }
 
     /** Verbatim source line (1-based), for finding snippets. */
@@ -56,7 +53,6 @@ class SourceFile
     std::string path_;
     LexedSource lexed_;
     std::vector<std::string> lines_;
-    std::uint64_t content_hash_ = 0;
 };
 
 } // namespace v10::analysis

@@ -38,14 +38,8 @@ FunctionalUnit::begin(WorkloadId workload, OpId op,
     overhead_cycles_ = overheadCycles;
     completion_cb_ = std::move(cb);
 
-    // Completion events carry the pipe's domain tag (SA or VU):
-    // under the domain-partitioned engine each pipe's retire stream
-    // is its own event lane, merged deterministically with the
-    // control plane by (cycle, merge key).
-    const SimDomain domain = kind_ == Kind::SA ? SimDomain::Sa
-                                               : SimDomain::Vu;
     completion_event_ =
-        sim_.after(domain, overheadCycles + computeCycles, [this] {
+        sim_.after(overheadCycles + computeCycles, [this] {
             completion_event_ = kNoEvent;
             CompletionCb cb_copy = std::move(completion_cb_);
             retire(true);

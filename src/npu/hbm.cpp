@@ -78,12 +78,8 @@ HbmModel::scheduleNext()
     const double cycles_needed = min_remaining / share;
     const Cycles delta = std::max<Cycles>(
         1, static_cast<Cycles>(std::ceil(cycles_needed)));
-    // Stream-completion events live in the DMA/HBM domain: shared
-    // bandwidth arbitration is the one sanctioned coupling point
-    // between otherwise independent event lanes (V10_COUPLING_POINT
-    // on the class), so its events carry the DmaHbm tag.
-    pending_event_ = sim_.after(SimDomain::DmaHbm, delta,
-                                [this] { onCompletionEvent(); });
+    pending_event_ =
+        sim_.after(delta, [this] { onCompletionEvent(); });
 }
 
 void

@@ -242,10 +242,7 @@ SchedulerEngine::issueDma(Tenant &tenant, Bytes bytes,
         static_cast<double>(bytes) * decision.inflate);
     if (decision.stallCycles > 0) {
         const bool hang = decision.hang;
-        // Scheduler-plane events are explicitly control-domain: they
-        // read and mutate shared scheduling state, which is exactly
-        // what the domain-partitioned engine must serialize.
-        sim_.after(SimDomain::Control, decision.stallCycles,
+        sim_.after(decision.stallCycles,
                    [this, &tenant, inflated, hang] {
                        if (!tenant.quarantined)
                            startDmaTransfer(tenant, inflated, hang);
@@ -267,9 +264,9 @@ SchedulerEngine::startDmaTransfer(Tenant &tenant, Bytes bytes,
                             ? resilience_.dmaTimeoutCycles
                             : kDefaultDmaTimeout;
         period <<= std::min<std::uint32_t>(tenant.dmaRetries, 16);
-        tenant.dmaTimeout = sim_.after(
-            SimDomain::Control, period,
-            [this, &tenant, bytes] { onDmaTimeout(tenant, bytes); });
+        tenant.dmaTimeout = sim_.after(period, [this, &tenant, bytes] {
+            onDmaTimeout(tenant, bytes);
+        });
         return;
     }
     tenant.dma = core_.hbm().startTransfer(
@@ -382,7 +379,7 @@ SchedulerEngine::scheduleArrival(Tenant &tenant)
         core_.config().freqGHz * 1e9 / tenant.arrivalRps;
     const Cycles delta = std::max<Cycles>(
         1, static_cast<Cycles>(rng_.exponential(mean_cycles)));
-    sim_.after(SimDomain::Control, delta, [this, &tenant] {
+    sim_.after(delta, [this, &tenant] {
         if (tenant.quarantined)
             return;
         tenant.arrivalQueue.push_back(sim_.now());
@@ -418,11 +415,10 @@ SchedulerEngine::maybeBecomeReady(Tenant &tenant)
         // Dispatch gap still draining; wake up when it ends.
         if (!tenant.gapEventPending) {
             tenant.gapEventPending = true;
-            sim_.at(SimDomain::Control, tenant.gapUntil,
-                    [this, &tenant] {
-                        tenant.gapEventPending = false;
-                        maybeBecomeReady(tenant);
-                    });
+            sim_.at(tenant.gapUntil, [this, &tenant] {
+                tenant.gapEventPending = false;
+                maybeBecomeReady(tenant);
+            });
         }
         return;
     }
@@ -728,8 +724,7 @@ SchedulerEngine::armWatchdog()
                                 ? resilience_.watchdogInterval
                                 : kDefaultWatchdogInterval;
     watchdog_last_marks_ = progress_marks_;
-    sim_.after(SimDomain::Control, interval,
-               [this] { onWatchdogTick(); });
+    sim_.after(interval, [this] { onWatchdogTick(); });
 }
 
 void

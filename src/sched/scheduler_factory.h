@@ -79,18 +79,6 @@ struct SchedulerOptions
     /** Optional flight recorder (not owned); keeps the last K
      * scheduler events for the abort diagnostics bundle. */
     FlightRecorder *flightRecorder = nullptr;
-
-    /**
-     * Engine worker-pool size for the domain-partitioned simulator
-     * (--engine-jobs); 0 leaves the kernel in serial merged mode.
-     * Single-core engine runs are bit-identical for every value:
-     * the scheduler couples every hardware domain through shared
-     * state at the HBM arbitration point (zero effective lookahead),
-     * so the conservative engine degenerates to serial execution —
-     * the parallel windows engage for decoupled domain graphs
-     * (multi-core sharding, replay benches).
-     */
-    std::size_t engineJobs = 0;
 };
 
 /**

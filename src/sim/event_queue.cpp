@@ -46,13 +46,6 @@ EventQueue::acquireSlot()
         free_slots_.pop_back();
     } else {
         idx = static_cast<std::uint32_t>(slots_.size());
-        // EventId bits 62-63 carry the Simulator's domain tag, so
-        // the slot index (bits 32-61) must stay below 2^30. A run
-        // would exhaust memory long before holding a billion live
-        // events; the guard turns silent tag corruption into a
-        // diagnosable panic.
-        if (idx >= (std::uint32_t{1} << 30) - 1)
-            V10_PANIC("EventQueue: live-event slot table overflow");
         slots_.push_back(Slot{});
     }
     slots_[idx].armed = true;
@@ -107,15 +100,14 @@ EventQueue::testBit(std::size_t bucket) const
 }
 
 EventId
-EventQueue::scheduleFn(Cycles when, std::uint64_t seq, EventFn fn)
+EventQueue::scheduleFn(Cycles when, EventFn fn)
 {
     const EventId id = acquireSlot();
+    const std::uint64_t seq = next_seq_++;
     if (inWindow(when)) {
         // The 256 KiB bucket slab is allocated on the first ring
-        // insertion: a simulator constructs one queue per touched
-        // domain, and domains that only ever relay far-future
-        // (heap-side) events — or none at all — must not pay a
-        // slab's worth of allocator churn per run.
+        // insertion, so a queue that only ever holds far-future
+        // (heap-side) events, or none at all, never pays for it.
         if (ring_raw_ == nullptr)
             ring_raw_.reset(new unsigned char[kRingBuckets *
                                               sizeof(Bucket)]);
@@ -244,27 +236,6 @@ EventQueue::nextCycle() const
     return heap_when < ring_when ? heap_when : ring_when;
 }
 
-EventQueue::NextKey
-EventQueue::nextKey() const
-{
-    const Cycles heap_when = purgeHeapTop();
-    const Cycles ring_when = firstRingCycle();
-    // Ties go to the heap, matching takeNext(): a heap entry at a
-    // cycle always carries a smaller seq than every ring entry at it
-    // (the ring window only grows forward).
-    if (heap_when <= ring_when) {
-        if (heap_when == kCycleMax)
-            return NextKey{kCycleMax, ~std::uint64_t{0}};
-        return NextKey{heap_when, heap_.front().seq};
-    }
-    // firstRingCycle() purged the head bucket down to a live entry.
-    const auto bucket =
-        static_cast<std::size_t>(ring_when & kRingMask);
-    const Bucket &bk = bucketRef(bucket);
-    const auto &entries = vec_pool_[bk.vec - 1];
-    return NextKey{ring_when, entries[bk.head].seq};
-}
-
 EventQueue::Entry
 EventQueue::takeHeapTop()
 {
@@ -325,7 +296,7 @@ EventQueue::popAndRun()
 }
 
 std::uint64_t
-EventQueue::runCycle(Cycles when, const bool *interrupt)
+EventQueue::runCycle(Cycles when)
 {
     std::uint64_t fired = 0;
     if (when > base_)
@@ -341,8 +312,6 @@ EventQueue::runCycle(Cycles when, const bool *interrupt)
         --live_;
         ++fired;
         entry.fn();
-        if (interrupt != nullptr && *interrupt)
-            return fired;
     }
 
     const auto bucket = static_cast<std::size_t>(when & kRingMask);
@@ -375,8 +344,6 @@ EventQueue::runCycle(Cycles when, const bool *interrupt)
         // `entry` is dead past this point: the callback may append
         // to this bucket and reallocate the entry vector.
         fn();
-        if (interrupt != nullptr && *interrupt)
-            return fired;
     }
     return fired;
 }

@@ -4,7 +4,8 @@
  *
  * Ties at the same cycle fire in insertion order, which makes the
  * simulator deterministic: the scheduler's dispatch decisions at a
- * cycle never depend on queue internals.
+ * cycle never depend on queue internals. A Simulator owns exactly one
+ * queue, so this is also the order across components.
  *
  * Internally this is a hybrid calendar queue. Events landing inside
  * the near-horizon window [base, base + kRingBuckets) — DMA
@@ -74,36 +75,19 @@ class V10_DOMAIN_LOCAL EventQueue
     ~EventQueue();
 
     /**
-     * Schedule @p cb to fire at absolute cycle @p when, ordered by
-     * the queue's own insertion counter.
+     * Schedule @p cb to fire at absolute cycle @p when; ties at one
+     * cycle fire in insertion order.
      * @return a handle usable with cancel().
      */
     template <typename F>
     EventId
     schedule(Cycles when, F &&cb)
     {
-        return scheduleSeq(when, next_seq_++, std::forward<F>(cb));
-    }
-
-    /**
-     * Schedule @p cb at @p when with a caller-supplied sequence
-     * number. The domain-partitioned Simulator stamps one global
-     * (epoch, domain-rank, local) key across all of its per-domain
-     * queues so the cross-queue merge is a total order; standalone
-     * queues should use schedule() instead. Sequence numbers must be
-     * monotonically non-decreasing per queue — the ring/heap tie
-     * rule (heap entries at a cycle predate ring entries at it)
-     * depends on it.
-     */
-    template <typename F>
-    EventId
-    scheduleSeq(Cycles when, std::uint64_t seq, F &&cb)
-    {
         if constexpr (std::is_same_v<std::decay_t<F>, EventFn>)
-            return scheduleFn(when, seq, std::forward<F>(cb));
+            return scheduleFn(when, std::forward<F>(cb));
         else
-            return scheduleFn(
-                when, seq, EventFn(std::forward<F>(cb), arena_));
+            return scheduleFn(when,
+                              EventFn(std::forward<F>(cb), arena_));
     }
 
     /**
@@ -120,21 +104,6 @@ class V10_DOMAIN_LOCAL EventQueue
 
     /** Cycle of the earliest live event; kCycleMax when empty. */
     Cycles nextCycle() const;
-
-    /** Merge key of the earliest live event: its (cycle, seq). */
-    struct NextKey
-    {
-        Cycles when;
-        std::uint64_t seq;
-    };
-
-    /**
-     * Peek the earliest live event's (cycle, seq) without popping —
-     * the multi-queue merge loop compares these keys across domains
-     * to pick the globally next event. Returns
-     * {kCycleMax, ~0ULL} when empty.
-     */
-    NextKey nextKey() const;
 
     /**
      * Pop and run the earliest live event.
@@ -154,15 +123,10 @@ class V10_DOMAIN_LOCAL EventQueue
     /**
      * Drain every event at exactly @p when in (cycle, seq) order,
      * including events scheduled at @p when by the callbacks
-     * themselves. When @p interrupt is non-null it is re-checked
-     * after every fired callback and the drain stops early once it
-     * reads true — the domain-merged run loop uses this to fall back
-     * to per-event interleaving when a callback schedules a
-     * same-cycle event into another domain's queue.
+     * themselves.
      * @return the number of events fired.
      */
-    std::uint64_t runCycle(Cycles when,
-                           const bool *interrupt = nullptr);
+    std::uint64_t runCycle(Cycles when);
 
     /** Drop all pending events. */
     void clear();
@@ -212,7 +176,7 @@ class V10_DOMAIN_LOCAL EventQueue
     /** Min-heap ordering on (when, seq). */
     static bool later(const Entry &a, const Entry &b);
 
-    EventId scheduleFn(Cycles when, std::uint64_t seq, EventFn fn);
+    EventId scheduleFn(Cycles when, EventFn fn);
 
     /** True when @p when belongs in the ring window. */
     bool

@@ -1,39 +1,14 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-
 #include "common/log.h"
-#include "common/parallel_executor.h"
 
 namespace v10 {
 
-Simulator::Simulator()
-{
-    for (auto &row : lookahead_)
-        row.fill(kCycleMax);
-    // The control queue is eager (every run schedules into it); the
-    // hardware-domain queues are built on first use so constructing
-    // a Simulator stays as cheap as the monolithic kernel was.
-    lanes_[simDomainRank(SimDomain::Control)].queue =
-        std::make_unique<EventQueue>();
-}
-
-Simulator::~Simulator() = default;
-
 void
-Simulator::pastPanic(Cycles when, Cycles clock) const
+Simulator::pastPanic(Cycles when) const
 {
     V10_PANIC("Simulator::at: scheduling into the past (", when,
-              " < ", clock, ")");
-}
-
-void
-Simulator::horizonPanic(std::size_t rank, Cycles when) const
-{
-    V10_PANIC("Simulator::at: scheduling behind the ",
-              simDomainName(static_cast<SimDomain>(rank)),
-              " domain's conservative horizon (", when, " < ",
-              lanes_[rank].clock, ")");
+              " < ", now_, ")");
 }
 
 void
@@ -46,79 +21,6 @@ void
 Simulator::intervalPanic() const
 {
     V10_PANIC("Simulator::every: interval must be > 0 cycles");
-}
-
-void
-Simulator::seqOverflowPanic() const
-{
-    V10_PANIC("Simulator: more than 2^32 events in one domain "
-              "window (merge-key local field overflow)");
-}
-
-EventQueue &
-Simulator::makeLane(std::size_t rank)
-{
-    Lane &lane = lanes_[rank];
-    lane.queue = std::make_unique<EventQueue>();
-    if (rank != simDomainRank(SimDomain::Control))
-        multi_domain_ = true;
-    return *lane.queue;
-}
-
-std::uint64_t
-Simulator::bumpEpoch()
-{
-    if (epoch_ >= (std::uint64_t{1} << (64 - kSeqEpochShift)) - 2)
-        V10_PANIC("Simulator: merge-key epoch overflow");
-    return ++epoch_;
-}
-
-EventId
-Simulator::bufferSend(WindowCtx &w, SimDomain target, Cycles when,
-                      EventQueue::EventFn fn)
-{
-    const std::size_t src = w.rank;
-    const std::size_t dst = simDomainRank(target);
-    const Cycles lookahead = lookahead_[src][dst];
-    if (lookahead == kCycleMax)
-        V10_PANIC("Simulator: cross-domain send ",
-                  simDomainName(static_cast<SimDomain>(src)),
-                  " -> ", simDomainName(target),
-                  " along an undeclared coupling edge");
-    if (when < w.clock || when - w.clock < lookahead)
-        V10_PANIC("Simulator: cross-domain send ",
-                  simDomainName(static_cast<SimDomain>(src)),
-                  " -> ", simDomainName(target), " at cycle ", when,
-                  " violates the declared lookahead of ", lookahead,
-                  " (sender clock ", w.clock, ")");
-    w.outbox->push_back(Outgoing{target, when, std::move(fn)});
-    // Buffered sends are fire-and-forget: the event does not exist
-    // until the barrier commits it, so there is no handle to cancel.
-    return kNoEvent;
-}
-
-void
-Simulator::couple(SimDomain src, SimDomain dst, Cycles lookahead)
-{
-    if (src == dst)
-        V10_PANIC("Simulator::couple: self edge on domain ",
-                  simDomainName(src));
-    laneQueue(simDomainRank(src));
-    laneQueue(simDomainRank(dst));
-    Cycles &slot = lookahead_[simDomainRank(src)]
-                             [simDomainRank(dst)];
-    slot = std::min(slot, lookahead);
-    min_lookahead_ = std::min(min_lookahead_, lookahead);
-    has_graph_ = true;
-}
-
-void
-Simulator::setEngineJobs(std::size_t jobs)
-{
-    engine_jobs_ = jobs;
-    if (pool_ != nullptr && pool_->jobs() != std::max<std::size_t>(
-                                                 jobs, 1))
-        pool_.reset();
 }
 
 void
@@ -150,106 +52,13 @@ Simulator::cancelEvery(PeriodicId id)
     }
 }
 
-void
-Simulator::cancel(EventId id)
-{
-    if (id == kNoEvent)
-        return;
-    const auto rank = static_cast<std::size_t>(id >> kDomainShift);
-    WindowCtx *w = activeWindow();
-    if (w != nullptr && rank != w->rank)
-        V10_PANIC("Simulator::cancel: cancelling a ",
-                  simDomainName(static_cast<SimDomain>(rank)),
-                  " event from inside a ",
-                  simDomainName(static_cast<SimDomain>(w->rank)),
-                  " window");
-    EventQueue *q = lanes_[rank].queue.get();
-    if (q != nullptr)
-        q->cancel(id & kIdMask);
-}
-
-bool
-Simulator::idle() const
-{
-    for (const Lane &lane : lanes_) {
-        if (lane.queue != nullptr && !lane.queue->empty())
-            return false;
-    }
-    return true;
-}
-
-std::uint64_t
-Simulator::eventsRun() const
-{
-    std::uint64_t total = events_run_;
-    for (const Lane &lane : lanes_)
-        total += lane.events_run;
-    return total;
-}
-
-std::uint64_t
-Simulator::domainEventsRun(SimDomain domain) const
-{
-    return lanes_[simDomainRank(domain)].events_run;
-}
-
 bool
 Simulator::step()
 {
-    if (!multi_domain_) {
-        // Single-pass peek-and-pop on the control queue — exactly
-        // the monolithic kernel's stepping loop.
-        EventQueue::EventFn fn;
-        const Cycles next = controlQueue().takeNext(fn);
-        if (next == kCycleMax)
-            return false;
-        now_ = next;
-        fn();
-        ++events_run_;
-        return true;
-    }
-    return stepMerged();
-}
-
-bool
-Simulator::stepMerged()
-{
-    // Cheap occupancy census first: most of an engine run has one or
-    // two occupied lanes, and empty() is O(1).
-    EventQueue *only = nullptr;
-    std::size_t occupied = 0;
-    for (Lane &lane : lanes_) {
-        EventQueue *q = lane.queue.get();
-        if (q != nullptr && !q->empty()) {
-            only = q;
-            ++occupied;
-        }
-    }
-    if (occupied == 0)
-        return false;
-    EventQueue *best = only;
-    if (occupied > 1) {
-        // Globally next event by (cycle, merge key).
-        Cycles best_when = kCycleMax;
-        std::uint64_t best_seq = ~std::uint64_t{0};
-        best = nullptr;
-        for (Lane &lane : lanes_) {
-            EventQueue *q = lane.queue.get();
-            if (q == nullptr || q->empty())
-                continue;
-            const EventQueue::NextKey key = q->nextKey();
-            if (key.when < best_when ||
-                (key.when == best_when && key.seq < best_seq)) {
-                best_when = key.when;
-                best_seq = key.seq;
-                best = q;
-            }
-        }
-    }
     EventQueue::EventFn fn;
-    const Cycles next = best->takeNext(fn);
+    const Cycles next = queue_.takeNext(fn);
     if (next == kCycleMax)
-        return false; // unreachable: census saw a live event
+        return false;
     now_ = next;
     fn();
     ++events_run_;
@@ -257,233 +66,28 @@ Simulator::stepMerged()
 }
 
 void
-Simulator::drainCycleInterleaved(Cycles when)
+Simulator::drainThrough(Cycles limit)
 {
     while (true) {
-        EventQueue *best = nullptr;
-        std::uint64_t best_seq = ~std::uint64_t{0};
-        for (Lane &lane : lanes_) {
-            EventQueue *q = lane.queue.get();
-            if (q == nullptr || q->empty())
-                continue;
-            const EventQueue::NextKey key = q->nextKey();
-            if (key.when == when && key.seq < best_seq) {
-                best_seq = key.seq;
-                best = q;
-            }
-        }
-        if (best == nullptr)
+        const Cycles next = queue_.nextCycle();
+        if (next == kCycleMax || next > limit)
             return;
-        EventQueue::EventFn fn;
-        best->takeNext(fn);
-        fn();
-        ++events_run_;
-    }
-}
-
-void
-Simulator::runMerged(Cycles limit)
-{
-    while (true) {
-        Cycles t = kCycleMax;
-        std::size_t first = 0;
-        bool multi = false;
-        for (std::size_t r = 0; r < kNumSimDomains; ++r) {
-            EventQueue *q = lanes_[r].queue.get();
-            if (q == nullptr || q->empty())
-                continue;
-            const Cycles c = q->nextCycle();
-            if (c < t) {
-                t = c;
-                first = r;
-                multi = false;
-            } else if (c == t && t != kCycleMax) {
-                multi = true;
-            }
-        }
-        if (t == kCycleMax || t > limit)
-            return;
-        now_ = t;
-        if (!multi) {
-            // Batched fast path: only one lane holds events at t, so
-            // its runCycle() replays pure (cycle, key) order — unless
-            // a callback schedules a same-cycle event into another
-            // lane (its key is larger than everything drained so
-            // far, so switching to the interleave mid-cycle is still
-            // exact order).
-            cross_same_cycle_ = false;
-            draining_rank_ = first;
-            events_run_ += lanes_[first].queue->runCycle(
-                t, &cross_same_cycle_);
-            draining_rank_ = kNoRank;
-            if (!cross_same_cycle_)
-                continue;
-        }
-        drainCycleInterleaved(t);
-    }
-}
-
-void
-Simulator::runDomainWindow(Lane &lane, std::size_t rank,
-                           Cycles horizon, std::uint64_t epoch)
-{
-    WindowCtx ctx;
-    ctx.sim = this;
-    ctx.rank = rank;
-    ctx.clock = lane.clock;
-    ctx.epoch = epoch;
-    ctx.local = 0;
-    ctx.events = 0;
-    ctx.outbox = &lane.outbox;
-    tls_window_ = &ctx;
-    EventQueue &q = *lane.queue;
-    // Batched per-cycle drain, like the serial run loop. Intra-domain
-    // schedules during the window land in this queue directly (with
-    // this window's epoch, so they sort after all pre-window events);
-    // cross-domain sends were validated against the lookahead and
-    // buffered in the outbox.
-    while (true) {
-        const Cycles c = q.nextCycle();
-        if (c >= horizon)
-            break;
-        ctx.clock = c;
-        ctx.events += q.runCycle(c);
-    }
-    tls_window_ = nullptr;
-    if (ctx.events > 0)
-        lane.last_exec = ctx.clock;
-    lane.events_run += ctx.events;
-}
-
-void
-Simulator::commitOutboxes()
-{
-    // Rank order makes the commit sequence — and therefore the
-    // committed events' merge keys — independent of worker timing.
-    for (Lane &lane : lanes_) {
-        for (Outgoing &msg : lane.outbox) {
-            Lane &dst = lanes_[simDomainRank(msg.target)];
-            dst.queue->scheduleSeq(msg.when, serialSeq(),
-                                   std::move(msg.fn));
-        }
-        lane.outbox.clear();
-    }
-}
-
-void
-Simulator::runWindowed(Cycles limit)
-{
-    if (pool_ == nullptr)
-        pool_ = std::make_unique<ParallelExecutor>(
-            std::max<std::size_t>(engine_jobs_, 1));
-    while (true) {
-        Cycles t = kCycleMax;
-        for (const Lane &lane : lanes_) {
-            if (lane.queue != nullptr && !lane.queue->empty())
-                t = std::min(t, lane.queue->nextCycle());
-        }
-        if (t == kCycleMax || t > limit)
-            return;
-        // Conservative horizon: no domain can receive an event below
-        // t + Lmin, so everything below it is safe to run domain-
-        // isolated. Events at exactly `limit` must still fire.
-        Cycles horizon = t;
-        if (min_lookahead_ > 0)
-            horizon = (min_lookahead_ > kCycleMax - t)
-                          ? kCycleMax
-                          : t + min_lookahead_;
-        if (limit != kCycleMax && horizon > limit)
-            horizon = limit + 1;
-        if (horizon <= t) {
-            // Zero effective lookahead: the theory-honest degenerate
-            // case — conservative synchronization serializes.
-            now_ = t;
-            drainCycleInterleaved(t);
-            continue;
-        }
-        std::size_t active[kNumSimDomains];
-        std::size_t n = 0;
-        for (std::size_t r = 0; r < kNumSimDomains; ++r) {
-            EventQueue *q = lanes_[r].queue.get();
-            if (q != nullptr && !q->empty() &&
-                q->nextCycle() < horizon)
-                active[n++] = r;
-        }
-        ++windows_;
-        const std::uint64_t epoch = bumpEpoch();
-        if (n == 1) {
-            runDomainWindow(lanes_[active[0]], active[0], horizon,
-                            epoch);
-        } else {
-            pool_->forEach(n, [&](std::size_t i) {
-                runDomainWindow(lanes_[active[i]], active[i],
-                                horizon, epoch);
-            });
-        }
-        // Barrier: back to serial keys, commit cross-domain sends in
-        // rank order, advance every lane's conservative horizon.
-        bumpEpoch();
-        serial_local_ = 0;
-        ++barriers_;
-        commitOutboxes();
-        for (Lane &lane : lanes_) {
-            if (lane.queue == nullptr)
-                continue;
-            lane.clock = std::max(lane.clock, horizon);
-            now_ = std::max(now_, lane.last_exec);
-        }
-        if (barrier_fn_)
-            barrier_fn_(horizon);
+        now_ = next;
+        events_run_ += queue_.runCycle(next);
     }
 }
 
 Cycles
 Simulator::run()
 {
-    if (windowedEligible()) {
-        runWindowed(kCycleMax);
-        return now_;
-    }
-    if (!multi_domain_) {
-        // Monolithic fast path: exactly the pre-domain run loop. A
-        // callback may touch a hardware domain for the first time
-        // mid-run (makeLane flips multi_domain_); re-check between
-        // cycle batches and fall through to the merged loop so the
-        // new lane's events are not orphaned.
-        EventQueue &q = controlQueue();
-        while (!multi_domain_) {
-            const Cycles next = q.nextCycle();
-            if (next == kCycleMax)
-                return now_;
-            now_ = next;
-            events_run_ += q.runCycle(next);
-        }
-    }
-    runMerged(kCycleMax);
+    drainThrough(kCycleMax);
     return now_;
 }
 
 Cycles
 Simulator::runUntil(Cycles limit)
 {
-    if (windowedEligible()) {
-        runWindowed(limit);
-    } else if (!multi_domain_) {
-        EventQueue &q = controlQueue();
-        while (!multi_domain_) {
-            const Cycles next = q.nextCycle();
-            if (next == kCycleMax || next > limit)
-                break;
-            now_ = next;
-            events_run_ += q.runCycle(next);
-        }
-        // A callback created a hardware lane mid-run: hand the
-        // remaining events (all lanes) to the merged loop.
-        if (multi_domain_)
-            runMerged(limit);
-    } else {
-        runMerged(limit);
-    }
+    drainThrough(limit);
     if (now_ < limit)
         now_ = limit;
     return now_;

@@ -1,45 +1,22 @@
 /**
  * @file
- * The simulation kernel: per-domain clocks and event queues merged
- * into one deterministic timeline, with the run loop used by every
- * experiment. Components schedule callbacks at absolute or relative
- * cycles into a simulation domain (SA, VU, DMA/HBM, control); the
- * kernel advances the clock to each event in global order.
- *
- * Ordering model. Every scheduled event carries a 64-bit merge key
- * (epoch << 34) | (domain-rank << 32) | local. In serial contexts
- * (setup code, the merged run loops, barrier commits) keys come from
- * one shared counter, so the cross-queue merge by (cycle, key)
- * reproduces the exact (cycle, insertion-seq) order the monolithic
- * queue had — bit-identical schedules, stats, and traces. Inside a
- * parallel window each domain stamps its own (epoch, rank, local)
- * block deterministically, independent of thread interleaving.
- *
- * Parallel windows. couple(src, dst, L) declares that events may
- * cross src -> dst only with >= L cycles of latency (the lookahead).
- * With a declared graph and setEngineJobs(N), run() advances in
- * conservative windows [T, T + Lmin): every domain with events below
- * the horizon drains them on a worker pool, cross-domain sends are
- * buffered in per-domain outboxes, and the barrier commits them in
- * domain-rank order — so results are identical for any job count,
- * including jobs=1. A zero or undeclared lookahead degenerates to
- * the serial merged loop: that is the honest conservative answer for
- * the single-core engine, whose domains couple through shared
- * scheduler state at the HBM arbitration point every cycle (see
- * docs/ARCHITECTURE.md, "Domain-partitioned engine").
+ * The simulation kernel: one clock and one event queue, with the run
+ * loop used by every experiment. Components (functional units, the
+ * HBM model, the schedulers, samplers) schedule callbacks at absolute
+ * or relative cycles; the kernel advances the clock to each event in
+ * (cycle, insertion sequence) order, so same-cycle events fire in the
+ * order they were scheduled and every run is deterministic.
  *
  * Scheduling is allocation-free for the common small closure: at() /
- * after() / every() wrap the callback in the target queue's
- * SmallFn-based EventFn directly. run() and runUntil() drain all
- * events of a cycle in one batched pass; the per-event order is
- * identical to single-stepping, so results are bit-identical either
- * way.
+ * after() / every() wrap the callback in the queue's SmallFn-based
+ * EventFn directly. run() and runUntil() drain all events of a cycle
+ * in one batched pass; the per-event order is identical to
+ * single-stepping, so results are bit-identical either way.
  */
 
 #ifndef V10_SIM_SIMULATOR_H
 #define V10_SIM_SIMULATOR_H
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -47,113 +24,50 @@
 
 #include "common/annotations.h"
 #include "common/types.h"
-#include "sim/domain.h"
 #include "sim/event_queue.h"
 
 namespace v10 {
 
-class ParallelExecutor;
-
 /**
- * Discrete-event simulation kernel with one event queue per
- * SimDomain.
- *
- * Deterministic by construction: serial contexts replay the legacy
- * monolithic order exactly, and parallel windows are confined to one
- * domain per worker with barrier-ordered cross-domain commits, so a
- * run's output never depends on the engine job count.
+ * Discrete-event simulation kernel over one EventQueue ordered by
+ * (cycle, insertion sequence).
  */
-class Simulator
+class V10_DOMAIN_LOCAL Simulator
 {
   public:
-    Simulator();
+    Simulator() = default;
 
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
-    ~Simulator();
+    /** Current simulated cycle. */
+    Cycles now() const { return now_; }
 
-    /**
-     * Current simulated cycle: the executing domain's clock inside a
-     * parallel window, the global clock otherwise.
-     */
-    Cycles
-    now() const
-    {
-        const WindowCtx *w = tls_window_;
-        return (w != nullptr && w->sim == this) ? w->clock : now_;
-    }
-
-    /** Schedule @p cb at absolute cycle @p when into @p domain. */
-    template <typename F>
-    EventId
-    at(SimDomain domain, Cycles when, F &&cb)
-    {
-        const std::size_t rank = simDomainRank(domain);
-        WindowCtx *w = activeWindow();
-        if (w != nullptr) {
-            if (rank == w->rank) {
-                if (when < w->clock)
-                    pastPanic(when, w->clock);
-                return tagId(rank,
-                             lanes_[rank].queue->scheduleSeq(
-                                 when, windowSeq(*w),
-                                 std::forward<F>(cb)));
-            }
-            // Cross-domain send from inside a parallel window:
-            // buffered in the outbox, committed at the barrier. The
-            // closure is built arena-less because it crosses threads
-            // (the target domain destroys it).
-            return bufferSend(*w, domain, when,
-                              EventQueue::EventFn(
-                                  std::forward<F>(cb)));
-        }
-        if (when < now_)
-            pastPanic(when, now_);
-        EventQueue &q = laneQueue(rank);
-        if (when < lanes_[rank].clock)
-            horizonPanic(rank, when);
-        if (draining_rank_ != kNoRank && rank != draining_rank_ &&
-            when == now_)
-            cross_same_cycle_ = true;
-        return tagId(rank, q.scheduleSeq(when, serialSeq(),
-                                         std::forward<F>(cb)));
-    }
-
-    /** Schedule @p cb at absolute cycle @p when (control domain). */
+    /** Schedule @p cb at absolute cycle @p when (>= now()). */
     template <typename F>
     EventId
     at(Cycles when, F &&cb)
     {
-        return at(SimDomain::Control, when, std::forward<F>(cb));
+        if (when < now_)
+            pastPanic(when);
+        return queue_.schedule(when, std::forward<F>(cb));
     }
 
-    /** Schedule @p cb @p delta cycles from now into @p domain. */
-    template <typename F>
-    EventId
-    after(SimDomain domain, Cycles delta, F &&cb)
-    {
-        const Cycles base = now();
-        if (delta > kCycleMax - base)
-            overflowPanic();
-        return at(domain, base + delta, std::forward<F>(cb));
-    }
-
-    /** Schedule @p cb @p delta cycles from now (control domain). */
+    /** Schedule @p cb @p delta cycles from now. */
     template <typename F>
     EventId
     after(Cycles delta, F &&cb)
     {
-        return after(SimDomain::Control, delta,
-                     std::forward<F>(cb));
+        if (delta > kCycleMax - now_)
+            overflowPanic();
+        return queue_.schedule(now_ + delta, std::forward<F>(cb));
     }
 
     /**
      * Fire @p cb every @p interval cycles (> 0), starting one
-     * interval from now, until cancelEvery(). Periodics live in the
-     * control domain. The callback is stored once; each tick re-arms
-     * with a tiny inline closure, so periodic sampling is
-     * allocation-free.
+     * interval from now, until cancelEvery(). The callback is stored
+     * once; each tick re-arms with a tiny inline closure, so periodic
+     * sampling is allocation-free.
      * @return a handle usable with cancelEvery().
      */
     template <typename F>
@@ -165,8 +79,7 @@ class Simulator
         periodics_.push_back(std::make_unique<Periodic>());
         Periodic &p = *periodics_.back();
         p.interval = interval;
-        p.fn = EventQueue::EventFn(std::forward<F>(cb),
-                                   controlQueue().arena());
+        p.fn = EventQueue::EventFn(std::forward<F>(cb), queue_.arena());
         p.active = true;
         const auto id =
             static_cast<PeriodicId>(periodics_.size());
@@ -179,54 +92,15 @@ class Simulator
     /** Stop a periodic event (no-op on kNoPeriodic / done ids). */
     void cancelEvery(PeriodicId id);
 
-    /**
-     * Cancel a pending event (no-op if already fired). The id routes
-     * to the owning domain's queue; inside a parallel window only
-     * own-domain events may be cancelled.
-     */
-    void cancel(EventId id);
+    /** Cancel a pending event (no-op if already fired). */
+    void cancel(EventId id) { queue_.cancel(id); }
 
-    /**
-     * Declare a coupling edge: events may travel @p src -> @p dst
-     * only with at least @p lookahead cycles of latency. The minimum
-     * lookahead over all declared edges is the conservative window
-     * width; until a graph is declared, cross-domain scheduling is
-     * unrestricted and runs serially merged. Redeclaring an edge
-     * keeps the smaller lookahead.
-     */
-    void couple(SimDomain src, SimDomain dst, Cycles lookahead);
-
-    /**
-     * Engine worker-pool size for parallel windows. 0 (the default)
-     * disables windowing: runs use the serial merged loop. With
-     * jobs >= 1 AND a declared coupling graph, run()/runUntil()
-     * advance in conservative windows on a pool of @p jobs threads;
-     * output is identical for every value of @p jobs.
-     */
-    void setEngineJobs(std::size_t jobs);
-
-    /** Configured engine job count (0 = serial merged). */
-    std::size_t engineJobs() const { return engine_jobs_; }
-
-    /**
-     * Serial hook run at each parallel-window barrier with the
-     * window horizon — the seam where shared-HBM arbitration state
-     * reconciles between windows in the multi-core model.
-     */
-    template <typename F>
-    void
-    onWindowBarrier(F &&fn)
-    {
-        barrier_fn_ = BarrierFn(std::forward<F>(fn));
-    }
-
-    /** Run until the event queues drain. @return the final cycle. */
+    /** Run until the event queue drains. @return the final cycle. */
     Cycles run();
 
     /**
-     * Run until the queues drain or @p stop returns true (checked
-     * after each event). Always serial merged order — per-event stop
-     * predicates are inherently sequential.
+     * Run until the queue drains or @p stop returns true (checked
+     * after each event).
      * @return the final cycle.
      */
     template <typename Stop>
@@ -241,99 +115,25 @@ class Simulator
     }
 
     /**
-     * Run until the clock reaches @p limit or the queues drain.
-     * Events at exactly @p limit still fire.
+     * Run until the clock reaches @p limit or the queue drains.
+     * Events at exactly @p limit still fire; the clock ends at
+     * @p limit even when the queue drained earlier.
      */
     Cycles runUntil(Cycles limit);
 
     /**
-     * Fire exactly one event (globally next by (cycle, key)).
-     * @return true if an event fired, false if the queues are empty.
+     * Fire exactly one event (the next by (cycle, insertion seq)).
+     * @return true if an event fired, false if the queue is empty.
      */
     bool step();
 
-    /** True when no events are pending in any domain. */
-    bool idle() const;
+    /** True when no events are pending. */
+    bool idle() const { return queue_.empty(); }
 
-    /** Number of events executed so far (all domains). */
-    std::uint64_t eventsRun() const;
-
-    /**
-     * Events executed by @p domain inside parallel windows. Serial
-     * merged execution attributes to the global count only.
-     */
-    std::uint64_t domainEventsRun(SimDomain domain) const;
-
-    /** Parallel windows executed so far (lookahead amortization
-     * probe: windows() << eventsRun() means barriers amortize). */
-    std::uint64_t windows() const { return windows_; }
-
-    /** Window barriers executed so far. */
-    std::uint64_t barriers() const { return barriers_; }
-
-    /** Minimum declared coupling lookahead; kCycleMax when no graph
-     * has been declared. */
-    Cycles minLookahead() const { return min_lookahead_; }
-
-    /** Access the control-domain queue (tests and advanced
-     * components; pre-domain callers see the legacy behavior). */
-    EventQueue &queue() { return controlQueue(); }
-
-    /** Access one domain's queue, constructing it on first use. */
-    EventQueue &
-    queue(SimDomain domain)
-    {
-        return laneQueue(simDomainRank(domain));
-    }
+    /** Number of events executed so far. */
+    std::uint64_t eventsRun() const { return events_run_; }
 
   private:
-    /** Serial barrier-hook callback. */
-    using BarrierFn = SmallFn<void(Cycles)>;
-
-    /** A cross-domain message buffered during a parallel window. */
-    struct Outgoing
-    {
-        SimDomain target;
-        Cycles when;
-        EventQueue::EventFn fn;
-    };
-
-    /**
-     * One domain's execution lane. During a parallel window each
-     * lane is owned by exactly one worker thread: the worker drains
-     * `queue` up to the horizon and appends cross-domain sends to
-     * `outbox`; the barrier (serial) commits outboxes in rank order
-     * and advances `clock`. Outside windows all lanes are touched
-     * only by the (single-threaded) merged loops.
-     */
-    struct Lane
-    {
-        std::unique_ptr<EventQueue> queue;
-        /** Conservative horizon: events below it already ran. */
-        Cycles clock = 0;
-        /** Cycle of the lane's last executed event. */
-        Cycles last_exec = 0;
-        /** Events executed inside parallel windows. */
-        std::uint64_t events_run = 0;
-        std::vector<Outgoing> outbox;
-    };
-
-    /**
-     * Per-worker execution context of one parallel window; lives on
-     * the worker's stack and is published through tls_window_ so
-     * at()/after()/now() resolve against the executing domain.
-     */
-    struct WindowCtx
-    {
-        Simulator *sim;
-        std::size_t rank;
-        Cycles clock;
-        std::uint64_t epoch;
-        std::uint64_t local;
-        std::uint64_t events;
-        std::vector<Outgoing> *outbox;
-    };
-
     /** One every() registration; stable address (callbacks may
      * register further periodics while one is firing). */
     struct Periodic
@@ -344,159 +144,21 @@ class Simulator
         bool active = false;
     };
 
-    /** EventId bits carrying the owning domain's rank. */
-    static constexpr unsigned kDomainShift = 62;
-    static constexpr EventId kIdMask =
-        (EventId{1} << kDomainShift) - 1;
-
-    /** Sentinel for "no merged-loop drain in progress". */
-    static constexpr std::size_t kNoRank = kNumSimDomains;
-
-    /** Merge-key layout: (epoch << 34) | (rank << 32) | local. */
-    static constexpr unsigned kSeqEpochShift = 34;
-    static constexpr unsigned kSeqRankShift = 32;
-    static constexpr std::uint64_t kSeqLocalMax =
-        (std::uint64_t{1} << kSeqRankShift) - 1;
-
-    static EventId
-    tagId(std::size_t rank, EventId raw)
-    {
-        return raw | (static_cast<EventId>(rank) << kDomainShift);
-    }
-
-    [[noreturn]] void pastPanic(Cycles when, Cycles clock) const;
-    [[noreturn]] void horizonPanic(std::size_t rank,
-                                   Cycles when) const;
+    [[noreturn]] void pastPanic(Cycles when) const;
     [[noreturn]] void overflowPanic() const;
     [[noreturn]] void intervalPanic() const;
-    [[noreturn]] void seqOverflowPanic() const;
 
-    /** The executing window context, iff it belongs to this sim. */
-    WindowCtx *
-    activeWindow() const
-    {
-        WindowCtx *w = tls_window_;
-        return (w != nullptr && w->sim == this) ? w : nullptr;
-    }
-
-    EventQueue &
-    controlQueue()
-    {
-        return *lanes_[simDomainRank(SimDomain::Control)].queue;
-    }
-
-    /** Domain @p rank's queue, constructing it on first use. */
-    EventQueue &
-    laneQueue(std::size_t rank)
-    {
-        EventQueue *q = lanes_[rank].queue.get();
-        if (q == nullptr)
-            return makeLane(rank);
-        return *q;
-    }
-
-    EventQueue &makeLane(std::size_t rank);
-
-    /** Next serial-context merge key (shared across all queues). */
-    std::uint64_t
-    serialSeq()
-    {
-        if (serial_local_ > kSeqLocalMax) {
-            bumpEpoch();
-            serial_local_ = 0;
-        }
-        return (epoch_ << kSeqEpochShift) | serial_local_++;
-    }
-
-    /** Next merge key for @p w's domain inside its window. */
-    std::uint64_t
-    windowSeq(WindowCtx &w)
-    {
-        if (w.local > kSeqLocalMax)
-            seqOverflowPanic();
-        return (w.epoch << kSeqEpochShift) |
-               (static_cast<std::uint64_t>(w.rank)
-                << kSeqRankShift) |
-               w.local++;
-    }
-
-    std::uint64_t bumpEpoch();
-
-    EventId bufferSend(WindowCtx &w, SimDomain target, Cycles when,
-                       EventQueue::EventFn fn);
+    /** Fire every event at cycles <= @p limit, one batched cycle
+     * at a time. */
+    void drainThrough(Cycles limit);
 
     /** Run one periodic tick, then re-arm. */
     void firePeriodic(std::size_t index);
 
-    /** True when run()/runUntil() should use parallel windows. */
-    bool
-    windowedEligible() const
-    {
-        return engine_jobs_ >= 1 && has_graph_;
-    }
-
-    /** Serial merged run loop over all occupied lanes. */
-    void runMerged(Cycles limit);
-
-    /** Per-event merged pop; false when all queues are empty. */
-    bool stepMerged();
-
-    /** Drain every event at cycle @p when across all lanes in
-     * global (cycle, key) order. */
-    void drainCycleInterleaved(Cycles when);
-
-    /** Conservative windowed run loop (parallel engine). */
-    void runWindowed(Cycles limit);
-
-    /** Drain one lane up to @p horizon on the calling thread. */
-    void runDomainWindow(Lane &lane, std::size_t rank,
-                         Cycles horizon, std::uint64_t epoch);
-
-    /** Commit buffered cross-domain sends in rank order. */
-    void commitOutboxes();
-
-    // Per-worker window context (null outside parallel windows).
-    // Thread-local by construction: each worker publishes only its
-    // own stack frame here, so there is no cross-thread access.
-    inline static thread_local WindowCtx *tls_window_ = nullptr;
-
-    // Partitioned across worker threads during parallel windows —
-    // one lane per worker, no lane touched by two threads; barriers
-    // and serial loops access all lanes single-threaded.
-    std::array<Lane, kNumSimDomains> lanes_ V10_SHARED_STATE;
-
-    /** lookahead_[src][dst]: declared min latency; kCycleMax = no
-     * edge (cross-domain sends forbidden inside windows). */
-    std::array<std::array<Cycles, kNumSimDomains>, kNumSimDomains>
-        lookahead_ V10_DOMAIN_LOCAL;
-
-    std::vector<std::unique_ptr<Periodic>> periodics_
-        V10_DOMAIN_LOCAL;
-
-    std::unique_ptr<ParallelExecutor> pool_ V10_DOMAIN_LOCAL;
-
-    BarrierFn barrier_fn_ V10_DOMAIN_LOCAL;
-
-    Cycles now_ V10_DOMAIN_LOCAL = 0;
-    std::uint64_t events_run_ V10_DOMAIN_LOCAL = 0;
-
-    std::uint64_t epoch_ V10_DOMAIN_LOCAL = 0;
-    std::uint64_t serial_local_ V10_DOMAIN_LOCAL = 0;
-
-    Cycles min_lookahead_ V10_DOMAIN_LOCAL = kCycleMax;
-    std::size_t engine_jobs_ V10_DOMAIN_LOCAL = 0;
-    bool has_graph_ V10_DOMAIN_LOCAL = false;
-    bool multi_domain_ V10_DOMAIN_LOCAL = false;
-
-    /** Lane being batch-drained by the merged loop (else kNoRank);
-     * a same-cycle schedule into another lane sets
-     * cross_same_cycle_ so the loop falls back to the per-event
-     * interleave for the rest of the cycle. */
-    std::size_t draining_rank_ V10_DOMAIN_LOCAL = kNoRank;
-    bool cross_same_cycle_ V10_DOMAIN_LOCAL = false;
-
-    std::uint64_t windows_ V10_DOMAIN_LOCAL = 0;
-    std::uint64_t barriers_ V10_DOMAIN_LOCAL = 0;
+    EventQueue queue_;
+    std::vector<std::unique_ptr<Periodic>> periodics_;
+    Cycles now_ = 0;
+    std::uint64_t events_run_ = 0;
 };
 
 } // namespace v10

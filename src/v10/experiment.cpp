@@ -99,12 +99,6 @@ ExperimentRunner::run(SchedulerKind kind,
     }
 
     Simulator sim;
-    // Domain-partitioned engine: the worker-pool size only selects
-    // the execution strategy, never the result (the engine's domains
-    // couple through shared scheduler state, so the conservative
-    // kernel runs them serially merged — bit-identical at any jobs).
-    if (options.engineJobs > 0)
-        sim.setEngineJobs(options.engineJobs);
     NpuCore core(sim, config_,
                  static_cast<std::uint32_t>(tenants.size()),
                  reservesSaContexts(kind));

@@ -57,10 +57,6 @@ class MultiTenantNpu
     /** Override the preemption-timer period (0 = Table 5 value). */
     void setTimeSlice(Cycles cycles) { options_.sliceOverride = cycles; }
 
-    /** Engine worker-pool size for the domain-partitioned simulator
-     * (0 = serial merged); never changes results, only strategy. */
-    void setEngineJobs(std::size_t jobs) { options_.engineJobs = jobs; }
-
     /** Hardware configuration in use. */
     const NpuConfig &config() const { return runner_.config(); }
 

@@ -60,10 +60,8 @@ writeEvaluationReport(std::ostream &os, const ReportOptions &options)
     };
     SweepRunner sweep(runner, options.jobs);
     const auto &kinds = allSchedulerKinds();
-    SchedulerOptions cell_base;
-    cell_base.engineJobs = options.engineJobs;
-    std::vector<RunStats> grid = sweep.runPairs(
-        evaluationPairs(), kinds, options.requests, cell_base);
+    std::vector<RunStats> grid =
+        sweep.runPairs(evaluationPairs(), kinds, options.requests);
     std::vector<PairData> pairs;
     std::size_t cell = 0;
     for (const auto &[a, b] : evaluationPairs()) {

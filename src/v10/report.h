@@ -28,11 +28,6 @@ struct ReportOptions
      * for any value; see SweepRunner). */
     std::size_t jobs = 1;
 
-    /** In-run engine worker-pool size (--engine-jobs; 0 = serial
-     * merged). Like `jobs`, the report is byte-identical for any
-     * value — it only selects the kernel's execution strategy. */
-    std::size_t engineJobs = 0;
-
     /** When non-empty, also dump the full pair × design grid as a
      * structured JSON document at this path ("--stats-json"). */
     std::string statsJsonPath;

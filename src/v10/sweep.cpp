@@ -71,8 +71,7 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
 std::vector<SweepCell>
 SweepRunner::pairGrid(
     const std::vector<std::pair<std::string, std::string>> &pairs,
-    const std::vector<SchedulerKind> &kinds, std::uint64_t requests,
-    const SchedulerOptions &base)
+    const std::vector<SchedulerKind> &kinds, std::uint64_t requests)
 {
     std::vector<SweepCell> cells;
     cells.reserve(pairs.size() * kinds.size());
@@ -83,7 +82,6 @@ SweepRunner::pairGrid(
             cell.tenants = {TenantRequest{a, 0, 1.0},
                             TenantRequest{b, 0, 1.0}};
             cell.requests = requests;
-            cell.options = base;
             cell.label =
                 a + "+" + b + "/" + schedulerKindName(kind);
             cells.push_back(std::move(cell));
@@ -95,10 +93,9 @@ SweepRunner::pairGrid(
 std::vector<RunStats>
 SweepRunner::runPairs(
     const std::vector<std::pair<std::string, std::string>> &pairs,
-    const std::vector<SchedulerKind> &kinds, std::uint64_t requests,
-    const SchedulerOptions &base)
+    const std::vector<SchedulerKind> &kinds, std::uint64_t requests)
 {
-    return run(pairGrid(pairs, kinds, requests, base));
+    return run(pairGrid(pairs, kinds, requests));
 }
 
 } // namespace v10

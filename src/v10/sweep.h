@@ -80,17 +80,14 @@ class SweepRunner
     runPairs(const std::vector<std::pair<std::string, std::string>>
                  &pairs,
              const std::vector<SchedulerKind> &kinds,
-             std::uint64_t requests,
-             const SchedulerOptions &base = SchedulerOptions{});
+             std::uint64_t requests);
 
-    /** Build the cells runPairs() executes (exposed for tests);
-     * every cell inherits @p base (per-run engine knobs). */
+    /** Build the cells runPairs() executes (exposed for tests). */
     static std::vector<SweepCell> pairGrid(
         const std::vector<std::pair<std::string, std::string>>
             &pairs,
         const std::vector<SchedulerKind> &kinds,
-        std::uint64_t requests,
-        const SchedulerOptions &base = SchedulerOptions{});
+        std::uint64_t requests);
 
   private:
     ExperimentRunner &runner_;

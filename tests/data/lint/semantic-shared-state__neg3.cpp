@@ -1,20 +1,19 @@
-// fixture-path: src/sim/lane_stats.h
+// fixture-path: src/sim/tick_stats.h
 // fixture-expect: 0
-// The annotated twin of pos4: the lane counter written from a
-// domain-scheduled event callback carries V10_SHARED_STATE, so the
-// domain-partitioned engine's ownership contract is explicit.
+// The annotated twin of pos4: the tick counter written from a
+// periodic every() callback carries V10_SHARED_STATE, so its
+// ownership contract is explicit.
 
-class LaneStats
+class TickStats
 {
   public:
     void
     arm()
     {
-        sim_.at(SimDomain::DmaHbm, 64,
-                [this] { drained_ = drained_ + 1; });
+        sim_.every(64, [this] { ticks_ = ticks_ + 1; });
     }
 
   private:
     Simulator sim_;
-    long drained_ V10_SHARED_STATE = 0;
+    long ticks_ V10_SHARED_STATE = 0;
 };

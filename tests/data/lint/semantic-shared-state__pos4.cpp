@@ -1,23 +1,21 @@
-// fixture-path: src/sim/lane_stats.h
+// fixture-path: src/sim/tick_stats.h
 // fixture-expect: 1
-// A domain-partitioned engine lane leaking unannotated mutable
-// state: the per-lane counter is written from an event callback
-// scheduled into a specific SimDomain, so during parallel windows
-// the write happens on a worker thread — without a V10_SHARED_STATE
-// or V10_DOMAIN_LOCAL annotation the refactor cannot prove which
-// thread owns it.
+// A periodic sampler leaking unannotated mutable state: the tick
+// counter is written from a callback registered with every(), which
+// is an event entry point like at()/after(). Without a
+// V10_SHARED_STATE or V10_DOMAIN_LOCAL annotation nothing states
+// which simulation owns the counter.
 
-class LaneStats
+class TickStats
 {
   public:
     void
     arm()
     {
-        sim_.at(SimDomain::DmaHbm, 64,
-                [this] { drained_ = drained_ + 1; });
+        sim_.every(64, [this] { ticks_ = ticks_ + 1; });
     }
 
   private:
     Simulator sim_;
-    long drained_ = 0;
+    long ticks_ = 0;
 };

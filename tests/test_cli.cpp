@@ -21,12 +21,13 @@ namespace {
 #error "V10SIM_PATH must be defined by the build"
 #endif
 
-/** Run the CLI and capture stdout (stderr discarded). */
+/** Run the CLI and capture stdout; stderr is discarded unless
+ * @p with_stderr merges it into the captured text. */
 std::pair<int, std::string>
-runCli(const std::string &args)
+runCli(const std::string &args, bool with_stderr = false)
 {
-    const std::string cmd =
-        std::string(V10SIM_PATH) + " " + args + " 2>/dev/null";
+    const std::string cmd = std::string(V10SIM_PATH) + " " + args +
+                            (with_stderr ? " 2>&1" : " 2>/dev/null");
     FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr);
     std::string out;
@@ -156,68 +157,40 @@ TEST(Cli, UsageErrorsExitWithCode2)
               2);
 }
 
-TEST(Cli, EngineJobsFlagParsesStrictly)
+TEST(Cli, UnknownFlagsAreUsageErrors)
 {
-    // --engine-jobs takes a positive integer or 'auto'; zero,
-    // negatives, trailing garbage, and empty values are usage
-    // errors (exit 2), not silent fallbacks to serial. Note 0 is
-    // NOT a synonym for auto here, unlike --jobs: serial is the
-    // default, so asking for "0 engine jobs" is a mistake.
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs 0")
-                  .first,
-              2);
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs -3")
-                  .first,
-              2);
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs 4x")
-                  .first,
-              2);
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs")
-                  .first,
-              2);
-    EXPECT_EQ(runCli("report --engine-jobs 0").first, 2);
-    // Positive controls: explicit job counts and 'auto' run fine.
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs 2")
-                  .first,
-              0);
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs auto")
-                  .first,
-              0);
+    // Each subcommand accepts a fixed flag set: a misspelled or
+    // retired flag exits 2 and names the flag, instead of being
+    // silently ignored while the run uses its default.
+    const auto [rc, out] = runCli(
+        "run --models MNST,NCF --reqests 9 --no-such-flag 7", true);
+    EXPECT_EQ(rc, 2);
+    EXPECT_NE(out.find("--reqests"), std::string::npos) << out;
+    // A flag valid for one command is still unknown to another.
+    EXPECT_EQ(runCli("zoo --models MNST").first, 2);
+    EXPECT_EQ(runCli("validate --requests 2").first, 2);
 }
 
-TEST(Cli, EngineJobsRunsAreByteIdentical)
+TEST(Cli, EngineJobsFlagParsesStrictly)
 {
-    // The domain-partitioned engine is deterministic by
-    // construction: the same run emits byte-identical stats JSON
-    // for any --engine-jobs value, faults included.
-    const std::string base =
-        "run --models MNST,NCF --requests 4 "
-        "--faults runaway:rate=0.2:mag=4 --fault-seed 11 "
-        "--stats-json ";
-    std::string ref;
-    for (const char *jobs : {"1", "2", "4", "8"}) {
-        const std::string path = ::testing::TempDir() +
-                                 "/cli_ej_" + jobs + ".json";
-        const auto [rc, out] = runCli(base + path +
-                                      " --engine-jobs " + jobs);
-        EXPECT_EQ(rc, 0) << out;
-        const std::string got = stripWallSeconds(readFile(path));
-        if (ref.empty())
-            ref = got;
-        else
-            EXPECT_EQ(got, ref) << "--engine-jobs " << jobs;
+    // --engine-jobs is retired (the simulator has one serial event
+    // queue). Scripts that still pass it must fail loudly: every
+    // form, including the values that used to be accepted, is a
+    // usage error (exit 2) that names the flag.
+    const auto [rc_report, out_report] =
+        runCli("report --engine-jobs 2", true);
+    EXPECT_EQ(rc_report, 2);
+    EXPECT_NE(out_report.find("--engine-jobs"), std::string::npos)
+        << out_report;
+    for (const char *value : {"0", "-3", "4x", "", "2", "auto"}) {
+        const auto [rc, out] = runCli(
+            std::string("run --models MNST,NCF --requests 2 "
+                        "--engine-jobs ") + value,
+            true);
+        EXPECT_EQ(rc, 2) << "value '" << value << "'";
+        EXPECT_NE(out.find("--engine-jobs"), std::string::npos)
+            << out;
     }
-    // ...and identical to the default serial run.
-    const std::string path =
-        ::testing::TempDir() + "/cli_ej_serial.json";
-    EXPECT_EQ(runCli(base + path).first, 0);
-    EXPECT_EQ(stripWallSeconds(readFile(path)), ref);
 }
 
 TEST(Cli, FaultRunCompletesAndReportsInjections)
@@ -301,6 +274,44 @@ TEST(Cli, ValidateRejectsEveryCorpusTrace)
     EXPECT_EQ(runCli("validate --trace /nonexistent/t.txt").first,
               2);
     EXPECT_EQ(runCli("validate").first, 2);
+}
+
+/** A committed golden output under tests/data/golden/. A mismatch
+ * fails with gtest's line diff of the two documents. */
+std::string
+golden(const std::string &name)
+{
+    return readFile(std::string(V10_TEST_DATA_DIR) + "/golden/" + name);
+}
+
+TEST(Cli, ReportMatchesGolden)
+{
+    // The whole paper reproduction, byte for byte: report.md and the
+    // grid stats JSON (minus its wall-clock line) must not move
+    // unless a change means to move them.
+    const std::string md = ::testing::TempDir() + "/cli_golden.md";
+    const std::string json =
+        ::testing::TempDir() + "/cli_golden_stats.json";
+    ASSERT_EQ(
+        runCli("report --out " + md + " --stats-json " + json).first,
+        0);
+    EXPECT_EQ(readFile(md), golden("report.md"));
+    EXPECT_EQ(stripWallSeconds(readFile(json)),
+              golden("report_stats.json"));
+}
+
+TEST(Cli, FaultRunStatsJsonMatchesGolden)
+{
+    const std::string json =
+        ::testing::TempDir() + "/cli_golden_faults.json";
+    ASSERT_EQ(runCli("run --models MNST,NCF --requests 6 "
+                     "--faults runaway:rate=0.2:mag=4 --fault-seed 11 "
+                     "--stats-json " +
+                     json)
+                  .first,
+              0);
+    EXPECT_EQ(stripWallSeconds(readFile(json)),
+              golden("run_faults_stats.json"));
 }
 
 TEST(Cli, RunStatsJsonHasSchemaAndAgreesWithItself)

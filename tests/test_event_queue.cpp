@@ -170,8 +170,10 @@ TEST(EventQueue, SameCycleFifoAcrossRingHeapBoundary)
     // Scheduled while kFar is beyond the window: overflow heap.
     q.schedule(kFar, [&] { order.push_back(1); });
     q.schedule(kFar, [&] { order.push_back(2); });
-    // Advancing past this event pulls kFar into the ring window.
-    q.schedule(8192, [&] { order.push_back(0); });
+    // Advancing past this event pulls kFar into the ring window
+    // (kFar - base < kRingBuckets once base reaches it).
+    q.schedule(kFar - EventQueue::kRingBuckets + 1,
+               [&] { order.push_back(0); });
     q.popAndRun();
     // Same cycle again, now ring-resident: must fire AFTER the heap
     // entries (they were inserted first).

@@ -500,81 +500,6 @@ TEST(LintSarif, ReportShapeIsValid)
                     ->has("v10lintFindingHash/v1"));
 }
 
-/** Scratch repo layout for the cache tests. */
-class LintCache : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        root_ = fs::temp_directory_path() / "v10lint_cache_test";
-        fs::remove_all(root_);
-        fs::create_directories(root_ / "src" / "npu");
-        writeSource("#include <cstdlib>\n"
-                    "void f() { abort(); }\n");
-        options_.root = root_.string();
-        options_.paths = {"src"};
-        options_.cacheDir = (root_ / "cache").string();
-    }
-
-    void
-    TearDown() override
-    {
-        fs::remove_all(root_);
-    }
-
-    void
-    writeSource(const std::string &text)
-    {
-        std::ofstream os(root_ / "src" / "npu" / "x.cpp",
-                         std::ios::binary | std::ios::trunc);
-        os << text;
-    }
-
-    fs::path root_;
-    LintOptions options_;
-};
-
-TEST_F(LintCache, WarmRunReplaysByteIdenticalFindings)
-{
-    auto cold_or = runLint(options_);
-    ASSERT_TRUE(cold_or.ok()) << cold_or.error().toString();
-    EXPECT_FALSE(cold_or.value().cacheHit);
-    EXPECT_EQ(cold_or.value().newCount(), 1u);
-
-    auto warm_or = runLint(options_);
-    ASSERT_TRUE(warm_or.ok()) << warm_or.error().toString();
-    EXPECT_TRUE(warm_or.value().cacheHit);
-
-    std::ostringstream cold, warm;
-    writeTextReport(cold_or.value(), cold);
-    writeTextReport(warm_or.value(), warm);
-    EXPECT_EQ(cold.str(), warm.str());
-}
-
-TEST_F(LintCache, ContentChangeInvalidatesTheCache)
-{
-    ASSERT_TRUE(runLint(options_).ok());
-    writeSource("#include <cstdlib>\n"
-                "void f() { abort(); }\n"
-                "void g() { abort(); }\n");
-    auto rerun_or = runLint(options_);
-    ASSERT_TRUE(rerun_or.ok()) << rerun_or.error().toString();
-    EXPECT_FALSE(rerun_or.value().cacheHit);
-    EXPECT_EQ(rerun_or.value().newCount(), 2u);
-}
-
-TEST_F(LintCache, RuleFilterIsPartOfTheCacheKey)
-{
-    ASSERT_TRUE(runLint(options_).ok());
-    LintOptions narrowed = options_;
-    narrowed.ruleFilter = {"determinism-random"};
-    auto narrow_or = runLint(narrowed);
-    ASSERT_TRUE(narrow_or.ok()) << narrow_or.error().toString();
-    EXPECT_FALSE(narrow_or.value().cacheHit);
-    EXPECT_EQ(narrow_or.value().newCount(), 0u);
-}
-
 TEST(LintRunner, WholeRepoIsClean)
 {
     // The acceptance bar: the committed tree lints clean against

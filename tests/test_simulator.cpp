@@ -1,11 +1,20 @@
 /**
  * @file
  * Unit tests for the simulation kernel: clock advancement, absolute
- * and relative scheduling, bounded runs, and stop predicates.
+ * and relative scheduling, bounded runs, stop predicates, and the
+ * (cycle, insertion sequence) order that same-cycle events from
+ * different components fire in.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "npu/hbm.h"
+#include "npu/systolic_array.h"
+#include "npu/vector_unit.h"
 #include "sim/simulator.h"
 
 namespace v10 {
@@ -223,6 +232,137 @@ TEST(Simulator, BatchedRunMatchesStepping)
     }
     EXPECT_EQ(batched_order, stepped_order);
     EXPECT_EQ(batched.eventsRun(), stepped.eventsRun());
+}
+
+TEST(Simulator, SameCycleEventsFireInInsertionOrderAcrossComponents)
+{
+    // An SA retire, a VU retire, an HBM stream completion and two
+    // control callbacks all land on cycle 100. They fire in the order
+    // they were scheduled, whichever component scheduled them.
+    Simulator sim;
+    SystolicArray sa(sim, 0, 128);
+    VectorUnit vu(sim, 0, 1024, 2);
+    HbmModel hbm(sim, 1.0);
+    std::vector<std::string> order;
+    sim.at(100, [&] { order.push_back("control-1"); });
+    vu.begin(0, 1, 100, 0,
+             [&](FunctionalUnit &) { order.push_back("vu"); });
+    hbm.startTransfer(100, [&] { order.push_back("hbm"); });
+    sa.begin(1, 2, 60, 40,
+             [&](FunctionalUnit &) { order.push_back("sa"); });
+    sim.at(100, [&] { order.push_back("control-2"); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "control-1", "vu", "hbm", "sa", "control-2"}));
+    EXPECT_EQ(sim.now(), 100u);
+    EXPECT_EQ(sim.eventsRun(), 5u);
+}
+
+TEST(Simulator, SameCycleScheduleFromCallbackFiresLast)
+{
+    // A callback scheduling at the current cycle appends behind
+    // everything already pending at that cycle.
+    Simulator sim;
+    std::vector<int> order;
+    sim.at(10, [&] {
+        order.push_back(1);
+        sim.at(10, [&] { order.push_back(4); });
+    });
+    sim.at(10, [&] { order.push_back(2); });
+    sim.at(10, [&] { order.push_back(3); });
+    sim.at(4, [&] { order.push_back(0); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(Simulator, StepMatchesRunOnRandomProgram)
+{
+    // Single-stepping and the batched run loop execute the identical
+    // sequence, with many same-cycle ties and deltas on both sides
+    // of the queue's near-horizon ring.
+    const auto program = [](Simulator &sim, std::vector<int> &order) {
+        Rng rng(7);
+        for (int i = 0; i < 64; ++i) {
+            const auto when = static_cast<Cycles>(
+                i % 3 == 0 ? rng.next() % 50
+                           : rng.next() % (2 * EventQueue::kRingBuckets));
+            sim.at(when, [&sim, &order, i] {
+                order.push_back(i);
+                if (i % 8 == 0)
+                    sim.after(0, [&order, i] { order.push_back(-i); });
+            });
+        }
+    };
+    std::vector<int> stepped;
+    {
+        Simulator sim;
+        program(sim, stepped);
+        while (sim.step()) {
+        }
+    }
+    std::vector<int> ran;
+    {
+        Simulator sim;
+        program(sim, ran);
+        sim.run();
+    }
+    EXPECT_EQ(stepped, ran);
+    EXPECT_EQ(ran.size(), 72u);
+}
+
+TEST(Simulator, RunUntilMovesClockToLimitBetweenEvents)
+{
+    Simulator sim;
+    int fired = 0;
+    sim.at(10, [&] { ++fired; });
+    sim.at(40, [&] { ++fired; });
+    sim.runUntil(25);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(sim.now(), 25u);
+    sim.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(sim.now(), 40u);
+}
+
+TEST(Simulator, CancelDropsOnlyTheCancelledEvents)
+{
+    Simulator sim;
+    std::vector<int> fired;
+    const EventId a = sim.at(20, [&] { fired.push_back(1); });
+    sim.at(20, [&] { fired.push_back(2); });
+    const EventId c = sim.at(20, [&] { fired.push_back(3); });
+    sim.at(30, [&] { fired.push_back(4); });
+    sim.cancel(a);
+    sim.cancel(c);
+    sim.cancel(c);        // double cancel: harmless
+    sim.cancel(kNoEvent); // no event: harmless
+    sim.run();
+    EXPECT_EQ(fired, (std::vector<int>{2, 4}));
+    EXPECT_EQ(sim.eventsRun(), 2u);
+    sim.cancel(a); // already fired slot: harmless
+    EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulator, PeriodicsTickUnderRunUntilWithOtherTraffic)
+{
+    Simulator sim;
+    std::vector<Cycles> ticks;
+    sim.every(50, [&] { ticks.push_back(sim.now()); });
+    struct Hop
+    {
+        Simulator *sim;
+        int left;
+        void
+        operator()() const
+        {
+            if (left > 0)
+                sim->after(30, Hop{sim, left - 1});
+        }
+    };
+    sim.at(10, Hop{&sim, 12});
+    sim.runUntil(220);
+    EXPECT_EQ(ticks, (std::vector<Cycles>{50, 100, 150, 200}));
+    EXPECT_EQ(sim.now(), 220u);
 }
 
 } // namespace

@@ -2,7 +2,6 @@
 """Compare a fresh bench --perf-json dump against a committed baseline.
 
 Usage: compare_bench.py BASELINE.json CURRENT.json [--tolerance 0.25]
-           [--speedup NUM:DEN:MIN]...
 
 Fails (exit 1) when any benchmark present in the baseline is missing
 from the current run, or reports events/sec more than the tolerance
@@ -14,11 +13,6 @@ Every gated row prints its full delta: events/sec ratio, wall-time
 delta, and peak-RSS delta when both sides carry the counter. RSS is
 reported but never gates (allocator and kernel noise across runners
 dwarfs real regressions).
-
---speedup NUM:DEN:MIN asserts a ratio between two benches of the
-CURRENT run: events/sec of NUM must be at least MIN times events/sec
-of DEN. This is how CI gates the parallel engine (jobs-4 vs jobs-1)
-on a multi-core runner without trusting cross-machine baselines.
 
 Benches without an events/sec counter (0 in the baseline) are
 reported but never gate, as are new benches: wall-clock across
@@ -79,38 +73,6 @@ def compare_rows(base, cur, tolerance):
             yield f"          ok {line}", None
 
 
-def check_speedups(cur, specs):
-    """Yield (line, failure-or-None) per --speedup NUM:DEN:MIN."""
-    for spec in specs:
-        try:
-            num_name, den_name, min_ratio = spec.rsplit(":", 2)
-            min_ratio = float(min_ratio)
-        except ValueError:
-            sys.exit(f"--speedup: malformed spec {spec!r} "
-                     "(want NUM:DEN:MIN)")
-        num = cur.get(num_name)
-        den = cur.get(den_name)
-        if num is None or den is None:
-            missing = num_name if num is None else den_name
-            yield (f"  MISSING {missing}",
-                   f"--speedup {spec}: bench {missing!r} missing "
-                   "from current run")
-            continue
-        n_eps = num.get("events_per_sec", 0.0)
-        d_eps = den.get("events_per_sec", 0.0)
-        if d_eps <= 0.0:
-            yield (f"  skip speedup {spec}: no events/sec in "
-                   f"{den_name}", None)
-            continue
-        ratio = n_eps / d_eps
-        line = (f"speedup {num_name} / {den_name} = {ratio:.2f}x "
-                f"(required >= {min_ratio:.2f}x)")
-        if ratio < min_ratio:
-            yield f"  TOO SLOW {line}", line
-        else:
-            yield f"        ok {line}", None
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("baseline")
@@ -119,10 +81,6 @@ def main():
                         help="allowed fractional events/sec drop "
                              "(baseline rows may override with a "
                              "'tolerance' field)")
-    parser.add_argument("--speedup", action="append", default=[],
-                        metavar="NUM:DEN:MIN",
-                        help="require current-run events/sec of NUM "
-                             "to be >= MIN x that of DEN")
     args = parser.parse_args()
 
     base = load(args.baseline)
@@ -135,10 +93,6 @@ def main():
             failures.append(failure)
     for name in sorted(set(cur) - set(base)):
         print(f"  new bench (not gated): {name}")
-    for line, failure in check_speedups(cur, args.speedup):
-        print(line)
-        if failure:
-            failures.append(failure)
 
     if failures:
         print("\nperf-smoke FAILED:")

@@ -59,9 +59,6 @@ usage(std::FILE *to)
         "stdout\n"
         "  --sarif FILE      also write a SARIF 2.1.0 report to "
         "FILE\n"
-        "  --cache-dir DIR   content-hash incremental cache: replay "
-        "findings when\n"
-        "                    no scanned file changed\n"
         "  --error-on-new    exit 1 when new findings exist (the "
         "default; kept for CI clarity)\n"
         "  --list-rules      print the rule catalog and exit\n");
@@ -139,8 +136,6 @@ main(int argc, char **argv)
             out_path = value(i, "--out");
         } else if (arg == "--sarif") {
             sarif_path = value(i, "--sarif");
-        } else if (arg == "--cache-dir") {
-            options.cacheDir = value(i, "--cache-dir");
         } else if (arg == "--error-on-new") {
             // The default; accepted so CI invocations self-document.
         } else if (!arg.empty() && arg[0] == '-') {

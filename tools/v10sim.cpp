@@ -9,11 +9,16 @@
  *              [--priorities 0.7,0.3] [--rps 30,120] [--requests 25]
  *              [--slice 32768] [--sas 1 --vus 1] [--vmem-mb 32]
  *   v10sim advise --models BERT,NCF,RsNt,DLRM [--cores 4]
+ *   v10sim serve [--tenants 100] [--cores 16] [--duration secs]
  *   v10sim trace --model DLRM [--batch 32] [--out trace.txt]
+ *   v10sim gen-traces [--out dir]
+ *   v10sim report [--out report.md] [--jobs N|auto]
  *   v10sim validate --trace trace.txt [--fault-plan plan.json]
  *
- * Exit codes: 0 success, 1 runtime failure (including a gracefully
- * aborted simulation), 2 usage or parse error.
+ * Each subcommand accepts a fixed set of flags (see commands());
+ * --log-level is accepted everywhere. Exit codes: 0 success, 1
+ * runtime failure (including a gracefully aborted simulation), 2
+ * usage or parse error, an unknown flag included.
  */
 
 #include <algorithm>
@@ -25,6 +30,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -73,8 +79,15 @@ struct Args
 {
     std::map<std::string, std::string> kv;
 
+    /**
+     * Parse argv[first..] as --key value pairs. A flag outside
+     * @p accepted (and other than --log-level, which every command
+     * takes) is a usage error naming the flag, so a misspelled
+     * option never silently falls back to its default.
+     */
     static Args
-    parse(int argc, char **argv, int first)
+    parse(int argc, char **argv, int first, const std::string &cmd,
+          const std::set<std::string> &accepted)
     {
         Args args;
         for (int i = first; i < argc; ++i) {
@@ -82,6 +95,8 @@ struct Args
             if (!startsWith(key, "--"))
                 usageError("expected --option, got '", key, "'");
             key = key.substr(2);
+            if (key != "log-level" && accepted.count(key) == 0)
+                usageError(cmd, ": unknown flag --", key);
             if (i + 1 >= argc)
                 usageError("--", key, " needs a value");
             args.kv[key] = argv[++i];
@@ -162,29 +177,6 @@ struct Args
         return has("jobs") ? ParallelExecutor::parseJobs(
                                  get("jobs", "1"))
                            : 1;
-    }
-
-    /**
-     * --engine-jobs N | auto (default 0 = serial merged engine).
-     * Strict like every other numeric flag: zero, negatives, and
-     * trailing garbage are usage errors (exit 2). Unlike --jobs
-     * (sweep fan-out), this sizes the in-run domain worker pool, so
-     * 0 is not "auto" — it means the windowed engine is off.
-     */
-    std::size_t
-    engineJobs() const
-    {
-        if (!has("engine-jobs"))
-            return 0;
-        const std::string raw = get("engine-jobs", "");
-        if (raw == "auto")
-            return ParallelExecutor::hardwareJobs();
-        const auto v = parseUint64(raw);
-        if (!v || *v == 0)
-            usageError("--engine-jobs expects a positive integer "
-                       "or 'auto', got '",
-                       raw, "'");
-        return static_cast<std::size_t>(*v);
     }
 };
 
@@ -487,7 +479,6 @@ cmdRun(const Args &args)
         resilienceFromArgs(args, plan);
 
     MultiTenantNpu npu(configFromArgs(args), kind);
-    npu.setEngineJobs(args.engineJobs());
     for (std::size_t i = 0; i < models.size(); ++i) {
         const double prio =
             i < priorities.size()
@@ -558,7 +549,6 @@ cmdRun(const Args &args)
         so.requestTracer = tracer.get();
         so.attribution = attribution.get();
         so.flightRecorder = flight.get();
-        so.engineJobs = args.engineJobs();
         stats = runner.run(kind, tenants, requests, 2, so);
         if (tracer)
             writeTraceOut(args, *tracer);
@@ -655,7 +645,6 @@ cmdReport(const Args &args)
     options.config = configFromArgs(args);
     options.requests = args.getUint("requests", "25");
     options.jobs = args.jobs();
-    options.engineJobs = args.engineJobs();
     options.statsJsonPath = args.get("stats-json", "");
     const std::string out = args.get("out", "report.md");
     std::printf("running the headline evaluation (%llu requests "
@@ -1120,7 +1109,7 @@ usage()
         "             [--stats-json out.json] [--sample-interval "
         "cycles] [--samples-csv out.csv]\n"
         "             [--trace-out spans.jsonl] [--trace-sample "
-        "1/N] [--engine-jobs N|auto]\n"
+        "1/N]\n"
         "  v10sim advise --models BERT,NCF,RsNt,DLRM [--cores 4] "
         "[--jobs N] [--stats-json out.json]\n"
         "  v10sim serve [--tenants 100] [--cores 16] "
@@ -1151,13 +1140,13 @@ usage()
         "  v10sim trace --model DLRM [--batch 32] [--out file]\n"
         "  v10sim gen-traces [--out dir]   (all Table 4 traces)\n"
         "  v10sim report [--out report.md] [--requests N] "
-        "[--jobs N|auto] [--engine-jobs N|auto] "
-        "[--stats-json out.json]\n"
+        "[--jobs N|auto] [--stats-json out.json]\n"
         "  v10sim validate --trace file [--fault-plan plan.json] "
         "[--faults spec]\n\n"
         "Global options:\n"
         "  --log-level silent|warn|info|debug   stderr verbosity "
-        "(default warn)\n\n"
+        "(default warn)\n"
+        "A flag the command does not use is a usage error.\n\n"
         "Fault injection / degradation (run only, see "
         "docs/ROBUSTNESS.md):\n"
         "  --faults kind:rate=R[:mag=M][:tenant=T][:after=C]"
@@ -1191,6 +1180,72 @@ usage()
         "results are\nbit-identical for any value (default 1).\n");
 }
 
+/** Hardware-configuration flags (configFromArgs). */
+const std::set<std::string> kConfigFlags = {"sas", "vus", "vmem-mb",
+                                            "slice"};
+
+/** Request-tracing flags (tracerFromArgs). */
+const std::set<std::string> kTraceFlags = {"trace-out",
+                                           "trace-sample"};
+
+/** One subcommand: its handler and the flags it accepts. */
+struct Command
+{
+    const char *name;
+    int (*run)(const Args &);
+    std::set<std::string> flags;
+};
+
+std::set<std::string>
+flagUnion(std::initializer_list<std::set<std::string>> groups)
+{
+    std::set<std::string> all;
+    for (const auto &g : groups)
+        all.insert(g.begin(), g.end());
+    return all;
+}
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        {"zoo", [](const Args &) { return cmdZoo(); }, {}},
+        {"profile", cmdProfile,
+         flagUnion({kConfigFlags, {"model", "batch"}})},
+        {"run", cmdRun,
+         flagUnion({kConfigFlags, kTraceFlags,
+                    {"models", "priorities", "rps", "requests",
+                     "scheduler", "timeline", "stats-json",
+                     "sample-interval", "samples-csv", "detail",
+                     "faults", "fault-plan", "fault-seed", "watchdog",
+                     "cycle-budget", "quarantine", "max-dma-retries",
+                     "diag-dir"}})},
+        {"advise", cmdAdvise, {"models", "cores", "jobs", "stats-json"}},
+        {"serve", cmdServe,
+         flagUnion(
+             {kConfigFlags, kTraceFlags,
+              {"cores", "duration", "seed", "queue-cap", "jobs",
+               "timeline", "queue-sample-ticks", "policy", "service",
+               "cv", "tenants", "arrivals", "slo", "models",
+               "service-us", "rps", "util", "amplitude", "period",
+               "on", "off", "stats-json", "detail", "churn",
+               "churn-plan", "antagonist", "antagonist-plan",
+               "admission", "admit-headroom", "admit-decrease",
+               "admit-increase", "admit-floor", "admit-burst",
+               "detect-hi", "detect-lo", "strikes-throttle",
+               "strikes-isolate", "strikes-evict", "throttle-factor",
+               "recovery-epochs", "faults", "fault-plan"}})},
+        {"trace", cmdTrace,
+         flagUnion({kConfigFlags, {"model", "batch", "out"}})},
+        {"gen-traces", cmdGenTraces, flagUnion({kConfigFlags, {"out"}})},
+        {"report", cmdReport,
+         flagUnion({kConfigFlags,
+                    {"out", "requests", "jobs", "stats-json"}})},
+        {"validate", cmdValidate, {"trace", "fault-plan", "faults"}},
+    };
+    return table;
+}
+
 } // namespace
 
 int
@@ -1201,7 +1256,14 @@ main(int argc, char **argv)
         return kExitUsage;
     }
     const std::string cmd = argv[1];
-    const Args args = Args::parse(argc, argv, 2);
+    const auto it =
+        std::find_if(commands().begin(), commands().end(),
+                     [&](const Command &c) { return cmd == c.name; });
+    if (it == commands().end()) {
+        usage();
+        return kExitUsage;
+    }
+    const Args args = Args::parse(argc, argv, 2, cmd, it->flags);
     if (args.has("log-level")) {
         const auto level =
             tryLogLevelFromName(args.get("log-level", ""));
@@ -1211,24 +1273,5 @@ main(int argc, char **argv)
                        "' (expected silent|warn|info|debug)");
         setLogLevel(*level);
     }
-    if (cmd == "zoo")
-        return cmdZoo();
-    if (cmd == "profile")
-        return cmdProfile(args);
-    if (cmd == "run")
-        return cmdRun(args);
-    if (cmd == "advise")
-        return cmdAdvise(args);
-    if (cmd == "serve")
-        return cmdServe(args);
-    if (cmd == "trace")
-        return cmdTrace(args);
-    if (cmd == "gen-traces")
-        return cmdGenTraces(args);
-    if (cmd == "report")
-        return cmdReport(args);
-    if (cmd == "validate")
-        return cmdValidate(args);
-    usage();
-    return kExitUsage;
+    return it->run(args);
 }
