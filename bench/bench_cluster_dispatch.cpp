@@ -27,11 +27,18 @@ main(int argc, char **argv)
     cfg.numCores = 10;
     cfg.requests = opts.quick ? 4 : opts.requests;
     NpuCluster cluster(cfg);
+    const auto fail = [](const ParseError &error) {
+        std::fprintf(stderr, "bench_cluster_dispatch: %s\n",
+                     error.toString().c_str());
+        return kExitUsage;
+    };
     for (const char *m : {"BERT", "NCF", "RsNt", "DLRM", "RNRS",
-                          "SMask", "TFMR", "RtNt", "ENet", "MNST"})
-        cluster.addWorkload(m);
-
-    cluster.trainAdvisor(opts.quick ? 4 : 6);
+                          "SMask", "TFMR", "RtNt", "ENet", "MNST"}) {
+        if (Status s = cluster.addWorkload(m); !s)
+            return fail(s.error());
+    }
+    if (Status s = cluster.trainAdvisor(opts.quick ? 4 : 6); !s)
+        return fail(s.error());
 
     TextTable table({"dispatch", "cores", "fleet STP",
                      "STP per core", "mean SA util"});
@@ -43,7 +50,11 @@ main(int argc, char **argv)
     for (DispatchPolicy policy :
          {DispatchPolicy::NoSharing, DispatchPolicy::RandomPairing,
           DispatchPolicy::ClusteredPairing}) {
-        const ClusterResult r = cluster.dispatchAndRun(policy, 7);
+        const Result<ClusterResult> placed =
+            cluster.dispatchAndRun(policy, 7);
+        if (!placed)
+            return fail(placed.error());
+        const ClusterResult &r = placed.value();
         const double per_core =
             r.fleetStp / static_cast<double>(r.coresUsed);
         if (opts.csv) {

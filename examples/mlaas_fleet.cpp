@@ -10,6 +10,18 @@
 
 #include "v10/npu_cluster.h"
 
+namespace {
+
+/** Report a pipeline error and pick the usage exit code. */
+int
+fail(const v10::ParseError &error)
+{
+    std::fprintf(stderr, "mlaas_fleet: %s\n", error.toString().c_str());
+    return v10::kExitUsage;
+}
+
+} // namespace
+
 int
 main()
 {
@@ -20,16 +32,23 @@ main()
     cfg.requests = 8;
     NpuCluster fleet(cfg);
     for (const char *m : {"BERT", "NCF", "RsNt", "DLRM", "RNRS",
-                          "SMask", "TFMR", "RtNt", "ENet", "MNST"})
-        fleet.addWorkload(m);
+                          "SMask", "TFMR", "RtNt", "ENet", "MNST"}) {
+        if (Status s = fleet.addWorkload(m); !s)
+            return fail(s.error());
+    }
 
     std::printf("Training the collocation advisor on the pool "
                 "(offline, Fig. 14)...\n\n");
-    fleet.trainAdvisor();
+    if (Status s = fleet.trainAdvisor(); !s)
+        return fail(s.error());
 
     for (DispatchPolicy policy : {DispatchPolicy::NoSharing,
                                   DispatchPolicy::ClusteredPairing}) {
-        const ClusterResult r = fleet.dispatchAndRun(policy);
+        const Result<ClusterResult> placed =
+            fleet.dispatchAndRun(policy);
+        if (!placed)
+            return fail(placed.error());
+        const ClusterResult &r = placed.value();
         std::printf("%s: %zu cores, fleet throughput %.2f "
                     "dedicated-core units\n",
                     dispatchPolicyName(policy), r.coresUsed,

@@ -65,7 +65,7 @@ main(int argc, char **argv)
     saveTraceFile(path, TraceHeader{wl.profile().abbrev, wl.batch()},
                   trace);
     std::printf("\nfull trace written to %s (replayable via "
-                "loadTraceFile)\n",
+                "Workload::fromTraceFile)\n",
                 path.c_str());
     return 0;
 }

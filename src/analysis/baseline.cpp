@@ -69,10 +69,12 @@ Baseline::load(const std::string &path)
     std::ostringstream buf;
     buf << is.rdbuf();
 
-    JsonValue doc;
-    std::string err;
-    if (!JsonValue::parse(buf.str(), &doc, &err))
-        return parseError("malformed baseline JSON: " + err, path);
+    const Result<JsonValue> parsed = JsonValue::parse(buf.str());
+    if (!parsed)
+        return parseError("malformed baseline JSON: " +
+                              parsed.error().message,
+                          path);
+    const JsonValue &doc = parsed.value();
     const JsonValue *entries = doc.find("entries");
     if (entries == nullptr || !entries->isArray())
         return parseError("baseline has no 'entries' array", path);

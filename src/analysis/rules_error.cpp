@@ -21,11 +21,10 @@ using detail::tokenIs;
 
 /**
  * Ban process-killing calls in library code. panic()/V10_PANIC stay
- * legal: they mark simulator bugs (broken invariants), not user
- * errors, and gem5-style panic semantics are part of the design. The
- * sanctioned bridges live in exempted files: fatal() itself in
- * src/common/log.*, and the orDie()/valueOrDie() legacy adapters in
- * src/common/result.h.
+ * legal: they mark simulator bugs (broken invariants and violated
+ * preconditions), not user errors, and gem5-style panic semantics
+ * are part of the design. Only fatal() itself, in src/common/log.*,
+ * is exempt; there is no Status-to-fatal bridge.
  */
 class NoFatalRule : public Rule
 {
@@ -45,8 +44,7 @@ class NoFatalRule : public Rule
     {
         static const PathFilter filter{
             {"src/"},
-            {"src/common/log.h", "src/common/log.cpp",
-             "src/common/result.h"}};
+            {"src/common/log.h", "src/common/log.cpp"}};
         return filter;
     }
 

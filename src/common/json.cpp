@@ -423,34 +423,17 @@ struct Parser
 
 } // namespace
 
-bool
-JsonValue::parse(const std::string &text, JsonValue *out,
-                 std::string *error)
+Result<JsonValue>
+JsonValue::parse(const std::string &text)
 {
-    Parser p{text};
-    *out = JsonValue{};
-    if (!p.parseValue(out)) {
-        if (error)
-            *error = p.error;
-        return false;
-    }
-    p.skipWs();
-    if (p.pos != text.size()) {
-        if (error)
-            *error = "trailing garbage at offset " +
-                     std::to_string(p.pos);
-        return false;
-    }
-    return true;
-}
-
-JsonValue
-JsonValue::parseOrDie(const std::string &text, const std::string &what)
-{
+    Parser p{text, 0, {}};
     JsonValue out;
-    std::string err;
-    if (!parse(text, &out, &err))
-        fatal(what, ": malformed JSON: ", err);
+    if (!p.parseValue(&out))
+        return parseError(p.error);
+    p.skipWs();
+    if (p.pos != text.size())
+        return parseError("trailing garbage at offset " +
+                          std::to_string(p.pos));
     return out;
 }
 

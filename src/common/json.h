@@ -20,6 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/result.h"
+
 namespace v10 {
 
 /** Escape a string for embedding inside JSON double quotes. */
@@ -104,16 +106,10 @@ class JsonValue
     std::vector<std::pair<std::string, JsonValue>> object;
 
     /**
-     * Parse @p text into @p out.
-     * @return true on success; on failure fills @p error (when
-     *         non-null) with a position-annotated message.
+     * Parse @p text as one JSON document. A failure's ParseError
+     * message carries the byte offset of the problem.
      */
-    static bool parse(const std::string &text, JsonValue *out,
-                      std::string *error = nullptr);
-
-    /** parse() that fatal()s on malformed input (CLI validation). */
-    static JsonValue parseOrDie(const std::string &text,
-                                const std::string &what);
+    static Result<JsonValue> parse(const std::string &text);
 
     /** Object member lookup; nullptr when absent or not an object. */
     const JsonValue *find(const std::string &key) const;

@@ -65,18 +65,8 @@ logLevel()
         g_level.load(std::memory_order_relaxed));
 }
 
-LogLevel
-logLevelFromName(const std::string &name)
-{
-    const std::optional<LogLevel> level = tryLogLevelFromName(name);
-    if (!level)
-        fatal("unknown log level '", name,
-              "' (expected silent|warn|info|debug)");
-    return *level;
-}
-
 std::optional<LogLevel>
-tryLogLevelFromName(const std::string &name)
+logLevelFromName(const std::string &name)
 {
     if (name == "silent")
         return LogLevel::Silent;

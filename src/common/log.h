@@ -28,11 +28,8 @@ void setLogLevel(LogLevel level);
 /** Current global verbosity. Thread-safe. */
 LogLevel logLevel();
 
-/** Parse "silent" | "warn" | "info" | "debug"; fatal() if unknown. */
-LogLevel logLevelFromName(const std::string &name);
-
-/** Recoverable variant of logLevelFromName(): nullopt if unknown. */
-std::optional<LogLevel> tryLogLevelFromName(const std::string &name);
+/** Parse "silent" | "warn" | "info" | "debug"; nullopt if unknown. */
+std::optional<LogLevel> logLevelFromName(const std::string &name);
 
 /** Printable name of a verbosity level. */
 const char *logLevelName(LogLevel level);

@@ -14,6 +14,7 @@
 #define V10_COMMON_RESULT_H
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -93,64 +94,50 @@ template <typename T>
 class [[nodiscard]] Result
 {
   public:
-    /* implicit */ Result(T value)
-        : has_value_(true), value_(std::move(value))
+    /* implicit */ Result(T value) : value_(std::move(value)) {}
+
+    /* implicit */ Result(ParseError error) : error_(std::move(error))
     {
     }
 
-    /* implicit */ Result(ParseError error)
-        : has_value_(false), error_(std::move(error))
-    {
-    }
-
-    bool ok() const { return has_value_; }
-    explicit operator bool() const { return has_value_; }
+    bool ok() const { return value_.has_value(); }
+    explicit operator bool() const { return ok(); }
 
     const T &
     value() const
     {
-        if (!has_value_)
+        if (!ok())
             panic("Result::value() on error: ", error_.toString());
-        return value_;
+        return *value_;
     }
 
     T &
     value()
     {
-        if (!has_value_)
+        if (!ok())
             panic("Result::value() on error: ", error_.toString());
-        return value_;
+        return *value_;
     }
 
     /** Move the value out (for expensive payloads like traces). */
     T
     take()
     {
-        if (!has_value_)
+        if (!ok())
             panic("Result::take() on error: ", error_.toString());
-        return std::move(value_);
+        return std::move(*value_);
     }
 
     const ParseError &
     error() const
     {
-        if (has_value_)
+        if (ok())
             panic("Result::error() on a success value");
         return error_;
     }
 
-    /** value() or fatal() with the diagnostic (legacy call sites). */
-    T
-    valueOrDie()
-    {
-        if (!has_value_)
-            fatal(error_.toString());
-        return std::move(value_);
-    }
-
   private:
-    bool has_value_;
-    T value_{};
+    std::optional<T> value_;
     ParseError error_{};
 };
 
@@ -179,14 +166,6 @@ class [[nodiscard]] Status
         if (ok_)
             panic("Status::error() on a success status");
         return error_;
-    }
-
-    /** fatal() with the diagnostic unless ok (legacy call sites). */
-    void
-    orDie() const
-    {
-        if (!ok_)
-            fatal(error_.toString());
     }
 
   private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/log.h"
 
@@ -136,56 +135,6 @@ SampleSet::reset()
     samples_.clear();
     sorted_.clear();
     dirty_ = false;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0)
-{
-    if (bins == 0 || hi <= lo)
-        fatal("Histogram: need bins > 0 and hi > lo");
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
-        auto idx = static_cast<std::size_t>((x - lo_) / width_);
-        if (idx >= counts_.size())
-            idx = counts_.size() - 1;
-        ++counts_[idx];
-    }
-}
-
-std::size_t
-Histogram::binCount(std::size_t i) const
-{
-    return i < counts_.size() ? counts_[i] : 0;
-}
-
-double
-Histogram::binLo(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-std::string
-Histogram::summary() const
-{
-    std::ostringstream os;
-    os << "hist[" << lo_ << "," << hi_ << ") n=" << total_
-       << " under=" << underflow_ << " over=" << overflow_ << " bins=";
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        if (i)
-            os << ',';
-        os << counts_[i];
-    }
-    return os.str();
 }
 
 LogHistogram::LogHistogram(std::size_t subBuckets) : sub_(subBuckets)

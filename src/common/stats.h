@@ -2,7 +2,7 @@
  * @file
  * Lightweight statistics primitives used by the metrics layer and the
  * bench harness: streaming moments, percentile estimation over stored
- * samples, and fixed-bin histograms.
+ * samples, and log-bucketed histograms.
  */
 
 #ifndef V10_COMMON_STATS_H
@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace v10 {
@@ -107,53 +106,6 @@ class SampleSet
     std::vector<double> samples_;
     mutable std::vector<double> sorted_;
     mutable bool dirty_ = false;
-};
-
-/**
- * Fixed-width-bin histogram over [lo, hi) with under/overflow bins.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo lower edge of the first regular bin
-     * @param hi upper edge of the last regular bin
-     * @param bins number of regular bins (> 0)
-     */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /** Add one sample. */
-    void add(double x);
-
-    /** Count in regular bin i. */
-    std::size_t binCount(std::size_t i) const;
-
-    /** Samples below lo. */
-    std::size_t underflow() const { return underflow_; }
-
-    /** Samples at or above hi. */
-    std::size_t overflow() const { return overflow_; }
-
-    /** Total samples added. */
-    std::size_t total() const { return total_; }
-
-    /** Number of regular bins. */
-    std::size_t bins() const { return counts_.size(); }
-
-    /** Lower edge of bin i. */
-    double binLo(std::size_t i) const;
-
-    /** Render a compact single-line summary, for logs. */
-    std::string summary() const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::size_t> counts_;
-    std::size_t underflow_ = 0;
-    std::size_t overflow_ = 0;
-    std::size_t total_ = 0;
 };
 
 /**

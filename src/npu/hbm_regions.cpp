@@ -25,7 +25,7 @@ HbmRegionAllocator::allocate(const std::string &owner, Bytes size)
         fatal("HbmRegionAllocator: zero-sized region for ", owner);
     if (!fits(size))
         fatal("HbmRegionAllocator: ", owner, " needs ",
-              formatBytes(size), " but only ",
+              formatBytes(size), ", which does not fit: only ",
               formatBytes(freeBytes()), " of ",
               formatBytes(capacity_), " HBM remain");
     HbmRegion region;

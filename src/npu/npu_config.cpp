@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/log.h"
 #include "common/string_util.h"
 
 namespace v10 {
@@ -40,15 +39,6 @@ NpuConfig::check() const
         return bad("prefetch depth must be positive",
                    "dmaPrefetchDepth");
     return Status::ok();
-}
-
-void
-NpuConfig::validate() const
-{
-    const Status ok = check();
-    if (!ok)
-        fatal("NpuConfig: ", ok.error().message, " (field '",
-              ok.error().token, "')");
 }
 
 double

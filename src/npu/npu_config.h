@@ -20,7 +20,7 @@ namespace v10 {
 
 /**
  * Static hardware parameters of one simulated NPU core. Plain
- * aggregate; validate() must pass before the core is built.
+ * aggregate; check() must pass before the core is built.
  */
 struct NpuConfig
 {
@@ -82,9 +82,6 @@ struct NpuConfig
      * cleanly instead of crashing.
      */
     Status check() const;
-
-    /** check() that fatal()s — legacy construction-time guard. */
-    void validate() const;
 
     /** Peak SA throughput in FLOPs per cycle (all SAs). */
     double peakSaFlopsPerCycle() const;

@@ -1,5 +1,7 @@
 #include "npu/npu_core.h"
 
+#include "common/log.h"
+
 namespace v10 {
 
 NpuCore::NpuCore(Simulator &sim, const NpuConfig &config,
@@ -12,10 +14,8 @@ NpuCore::NpuCore(Simulator &sim, const NpuConfig &config,
                 : 0),
       hbm_regions_(config.hbmBytes)
 {
-    // NpuConfig::validate() is void (fatals internally); the name
-    // collides with Status-returning validate() APIs elsewhere.
-    // v10lint: allow(error-discarded-result)
-    config_.validate();
+    if (Status s = config_.check(); !s)
+        V10_PANIC(s.error().toString());
     for (FuId i = 0; i < config_.numSa; ++i)
         sas_.push_back(
             std::make_unique<SystolicArray>(sim_, i, config_.saDim));

@@ -30,7 +30,8 @@ class V10_DOMAIN_LOCAL NpuCore
   public:
     /**
      * @param sim simulation kernel (not owned)
-     * @param config validated hardware parameters
+     * @param config hardware parameters; precondition: check()
+     *        passes (panics otherwise)
      * @param tenants number of collocated workloads (vmem split)
      * @param reserveSaContexts reserve per-tenant vmem for SA
      *        preemption contexts (true for V10-Full)

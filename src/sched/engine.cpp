@@ -7,7 +7,6 @@
 #include "common/json.h"
 #include "common/log.h"
 #include "common/result.h"
-#include "common/string_util.h"
 #include "trace/attribution.h"
 #include "trace/flight_recorder.h"
 #include "trace/request_tracer.h"
@@ -49,32 +48,6 @@ QuarantineLadder::check() const
     return Status::ok();
 }
 
-Status
-SchedulerEngine::validateSpecs(const std::vector<TenantSpec> &tenants)
-{
-    if (tenants.empty())
-        return parseError("SchedulerEngine: need at least one tenant");
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-        const TenantSpec &spec = tenants[i];
-        const std::string tenant = "tenant " + std::to_string(i);
-        if (spec.workload == nullptr)
-            return parseError(
-                "SchedulerEngine: " + tenant + " has no workload");
-        if (spec.workload->trace().ops.size() < 2)
-            return parseError("SchedulerEngine: trace of " +
-                                  spec.workload->label() +
-                                  " too short",
-                              "", 0, tenant);
-        if (spec.priority <= 0.0)
-            return parseError("SchedulerEngine: non-positive priority",
-                              "", 0, tenant);
-        if (spec.arrivalRps < 0.0)
-            return parseError("SchedulerEngine: negative arrival rate",
-                              "", 0, tenant);
-    }
-    return Status::ok();
-}
-
 SchedulerEngine::SchedulerEngine(Simulator &sim, NpuCore &core,
                                  std::vector<TenantSpec> tenants,
                                  std::uint64_t seed)
@@ -82,11 +55,25 @@ SchedulerEngine::SchedulerEngine(Simulator &sim, NpuCore &core,
       latency_(static_cast<std::uint32_t>(tenants.size())),
       seed_(seed)
 {
-    validateSpecs(tenants).orDie();
-
+    // Tenant specs come from program code (the experiment layer
+    // validates user input with validateSweepCell() first), so a bad
+    // spec here is a caller bug.
+    if (tenants.empty())
+        V10_PANIC("SchedulerEngine: need at least one tenant");
     tenants_.reserve(tenants.size());
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const TenantSpec &spec = tenants[i];
+        if (spec.workload == nullptr)
+            V10_PANIC("SchedulerEngine: tenant ", i, " has no workload");
+        if (spec.workload->trace().ops.size() < 2)
+            V10_PANIC("SchedulerEngine: trace of ",
+                      spec.workload->label(), " too short");
+        if (spec.priority <= 0.0)
+            V10_PANIC("SchedulerEngine: non-positive priority for "
+                      "tenant ", i);
+        if (spec.arrivalRps < 0.0)
+            V10_PANIC("SchedulerEngine: negative arrival rate for "
+                      "tenant ", i);
         Tenant t;
         t.wl = spec.workload;
         t.id = static_cast<WorkloadId>(i);
@@ -99,22 +86,12 @@ SchedulerEngine::SchedulerEngine(Simulator &sim, NpuCore &core,
     // fails when the device cannot hold the pool.
     for (auto &t : tenants_) {
         const Bytes footprint = t.wl->memFootprint();
-        if (core_.hbmRegions().fits(footprint)) {
+        if (core_.config().enforceHbmFit ||
+            core_.hbmRegions().fits(footprint))
             core_.hbmRegions().allocate(t.wl->label(), footprint);
-        } else if (core_.config().enforceHbmFit) {
-            Status(parseError("SchedulerEngine: " + t.wl->label() +
-                              " (" + formatBytes(footprint) +
-                              ") does not fit the remaining HBM — " +
-                              formatBytes(
-                                  core_.hbmRegions().freeBytes()) +
-                              " of " +
-                              formatBytes(core_.config().hbmBytes) +
-                              " free"))
-                .orDie();
-        } else {
+        else
             warn("HBM oversubscribed by ", t.wl->label(),
                  " (capacity check disabled)");
-        }
     }
 
     for (auto &sa : core_.sas())
@@ -979,9 +956,7 @@ SchedulerEngine::run(std::uint64_t targetRequests,
                      std::uint64_t warmupRequests)
 {
     if (targetRequests == 0)
-        Status(parseError(
-                   "SchedulerEngine::run: need targetRequests > 0"))
-            .orDie();
+        V10_PANIC("SchedulerEngine::run: need targetRequests > 0");
     warmup_requests_ = warmupRequests;
     stop_requests_ = targetRequests;
     stopping_ = false;

@@ -147,7 +147,10 @@ class V10_DOMAIN_LOCAL SchedulerEngine
     /**
      * @param sim simulation kernel
      * @param core hardware assembly
-     * @param tenants tenant deployment specs (workloads not owned)
+     * @param tenants tenant deployment specs (workloads not owned);
+     *        precondition: non-empty, every workload non-null with at
+     *        least two operators, priority > 0, arrivalRps >= 0
+     *        (panics otherwise)
      * @param seed engine-level RNG seed (PMT context-switch draw)
      */
     SchedulerEngine(Simulator &sim, NpuCore &core,
@@ -159,26 +162,14 @@ class V10_DOMAIN_LOCAL SchedulerEngine
     SchedulerEngine(const SchedulerEngine &) = delete;
     SchedulerEngine &operator=(const SchedulerEngine &) = delete;
 
-    /**
-     * Recoverable validation of a tenant deployment: empty tenant
-     * lists, null/too-short workloads, non-positive priorities, and
-     * negative arrival rates are reported as a ParseError instead
-     * of killing the process. Callers that construct engines from
-     * untrusted input (CLI, sweep cells) should validate first; the
-     * constructor enforces the same checks through the legacy
-     * orDie() bridge.
-     */
-    static Status validateSpecs(
-        const std::vector<TenantSpec> &tenants);
-
     /** Display name ("PMT", "V10-Full", ...). */
     virtual const char *name() const = 0;
 
     /**
      * Run until every tenant has completed @p targetRequests
-     * measured requests. The first @p warmupRequests requests per
-     * tenant are excluded from every statistic (steady-state
-     * measurement, §5.1).
+     * measured requests (precondition: > 0). The first
+     * @p warmupRequests requests per tenant are excluded from every
+     * statistic (steady-state measurement, §5.1).
      */
     RunStats run(std::uint64_t targetRequests,
                  std::uint64_t warmupRequests = 2);

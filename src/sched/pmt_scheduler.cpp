@@ -6,24 +6,17 @@
 
 namespace v10 {
 
-Status
-PmtScheduler::validateOptions(const Options &options)
-{
-    if (options.taskSlice == 0)
-        return parseError("PmtScheduler: zero task slice");
-    if (options.ctxSwitchMinUs < 0.0 ||
-        options.ctxSwitchMaxUs < options.ctxSwitchMinUs)
-        return parseError("PmtScheduler: bad context-switch bounds");
-    return Status::ok();
-}
-
 PmtScheduler::PmtScheduler(Simulator &sim, NpuCore &core,
                            std::vector<TenantSpec> tenants,
                            Options options, std::uint64_t seed)
     : SchedulerEngine(sim, core, std::move(tenants), seed),
       options_(options)
 {
-    validateOptions(options_).orDie();
+    if (options_.taskSlice == 0)
+        V10_PANIC("PmtScheduler: zero task slice");
+    if (options_.ctxSwitchMinUs < 0.0 ||
+        options_.ctxSwitchMaxUs < options_.ctxSwitchMinUs)
+        V10_PANIC("PmtScheduler: bad context-switch bounds");
     for (const auto &t : this->tenants())
         priority_sum_ += t.priority;
 }

@@ -39,10 +39,8 @@ class V10_DOMAIN_LOCAL PmtScheduler : public SchedulerEngine
         double ctxSwitchMaxUs = 40.0;
     };
 
-    /** Recoverable options validation; the constructor enforces the
-     * same checks through the legacy orDie() bridge. */
-    static Status validateOptions(const Options &options);
-
+    /** Precondition: taskSlice > 0 and 0 <= ctxSwitchMinUs <=
+     * ctxSwitchMaxUs (panics otherwise). */
     PmtScheduler(Simulator &sim, NpuCore &core,
                  std::vector<TenantSpec> tenants, Options options,
                  std::uint64_t seed = 1);

@@ -6,28 +6,19 @@
 
 namespace v10 {
 
-Status
-PremaScheduler::validateOptions(const Options &options)
-{
-    if (options.checkpointPeriod == 0)
-        return parseError("PremaScheduler: zero checkpoint period");
-    if (options.tokenThreshold <= 0.0)
-        return parseError(
-            "PremaScheduler: token threshold must be positive");
-    if (options.ctxSwitchMinUs < 0.0 ||
-        options.ctxSwitchMaxUs < options.ctxSwitchMinUs)
-        return parseError(
-            "PremaScheduler: bad context-switch bounds");
-    return Status::ok();
-}
-
 PremaScheduler::PremaScheduler(Simulator &sim, NpuCore &core,
                                std::vector<TenantSpec> tenants,
                                Options options, std::uint64_t seed)
     : SchedulerEngine(sim, core, std::move(tenants), seed),
       options_(options), tokens_(this->tenants().size(), 0.0)
 {
-    validateOptions(options_).orDie();
+    if (options_.checkpointPeriod == 0)
+        V10_PANIC("PremaScheduler: zero checkpoint period");
+    if (options_.tokenThreshold <= 0.0)
+        V10_PANIC("PremaScheduler: token threshold must be positive");
+    if (options_.ctxSwitchMinUs < 0.0 ||
+        options_.ctxSwitchMaxUs < options_.ctxSwitchMinUs)
+        V10_PANIC("PremaScheduler: bad context-switch bounds");
 }
 
 PremaScheduler::PremaScheduler(Simulator &sim, NpuCore &core,

@@ -1,7 +1,6 @@
 #include "sched/scheduler_factory.h"
 
 #include "common/log.h"
-#include "common/result.h"
 
 namespace v10 {
 
@@ -30,19 +29,8 @@ schedulerKindName(SchedulerKind kind)
     panic("schedulerKindName: bad kind");
 }
 
-SchedulerKind
-schedulerKindFromName(const std::string &name)
-{
-    const std::optional<SchedulerKind> kind =
-        trySchedulerKindFromName(name);
-    if (!kind)
-        Status(parseError("schedulerKindFromName: unknown "
-                          "scheduler '" + name + "'")).orDie();
-    return *kind;
-}
-
 std::optional<SchedulerKind>
-trySchedulerKindFromName(const std::string &name)
+schedulerKindFromName(const std::string &name)
 {
     for (SchedulerKind kind :
          {SchedulerKind::Pmt, SchedulerKind::V10Base,
@@ -62,7 +50,8 @@ makeScheduler(SchedulerKind kind, Simulator &sim, NpuCore &core,
     switch (kind) {
       case SchedulerKind::Pmt:
         return std::make_unique<PmtScheduler>(
-            sim, core, std::move(tenants), options.pmt, options.seed);
+            sim, core, std::move(tenants), PmtScheduler::Options{},
+            options.seed);
       case SchedulerKind::V10Base:
         return std::make_unique<OperatorScheduler>(
             sim, core, std::move(tenants),

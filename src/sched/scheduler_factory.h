@@ -33,21 +33,15 @@ const std::vector<SchedulerKind> &allSchedulerKinds();
 /** Display name ("PMT", "V10-Base", ...). */
 const char *schedulerKindName(SchedulerKind kind);
 
-/** Parse a display name back to a kind; fatal() if unknown. */
-SchedulerKind schedulerKindFromName(const std::string &name);
-
-/** Recoverable variant: nullopt if unknown (CLI validation). */
+/** Parse a display name back to a kind; nullopt if unknown. */
 std::optional<SchedulerKind>
-trySchedulerKindFromName(const std::string &name);
+schedulerKindFromName(const std::string &name);
 
 /** Per-run scheduler options. */
 struct SchedulerOptions
 {
     /** V10 preemption-timer period; 0 = config default (Fig. 23). */
     Cycles sliceOverride = 0;
-
-    /** PMT baseline knobs. */
-    PmtScheduler::Options pmt{};
 
     /** Engine RNG seed. */
     std::uint64_t seed = 1;

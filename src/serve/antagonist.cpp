@@ -186,11 +186,12 @@ Result<AntagonistPlan>
 AntagonistPlan::fromJson(const std::string &text,
                          const std::string &source)
 {
-    JsonValue doc;
-    std::string error;
-    if (!JsonValue::parse(text, &doc, &error))
-        return parseError("malformed antagonist-plan JSON: " + error,
+    const Result<JsonValue> parsed = JsonValue::parse(text);
+    if (!parsed)
+        return parseError("malformed antagonist-plan JSON: " +
+                              parsed.error().message,
                           source);
+    const JsonValue &doc = parsed.value();
     if (!doc.isObject())
         return parseError("antagonist plan must be a JSON object",
                           source);

@@ -86,7 +86,8 @@ ArrivalSpec::check(const std::string &what) const
 ArrivalProcess::ArrivalProcess(ArrivalSpec spec, std::uint64_t seed)
     : spec_(spec), rng_(seed)
 {
-    spec_.check().orDie();
+    if (Status s = spec_.check(); !s)
+        V10_PANIC("ArrivalProcess: ", s.error().toString());
 }
 
 std::vector<double>

@@ -128,11 +128,12 @@ ChurnPlan::parse(const std::string &spec, const std::string &source)
 Result<ChurnPlan>
 ChurnPlan::fromJson(const std::string &text, const std::string &source)
 {
-    JsonValue doc;
-    std::string error;
-    if (!JsonValue::parse(text, &doc, &error))
-        return parseError("malformed churn-plan JSON: " + error,
+    const Result<JsonValue> parsed = JsonValue::parse(text);
+    if (!parsed)
+        return parseError("malformed churn-plan JSON: " +
+                              parsed.error().message,
                           source);
+    const JsonValue &doc = parsed.value();
     if (!doc.isObject())
         return parseError("churn plan must be a JSON object", source);
     const JsonValue *events = doc.find("churn");

@@ -619,11 +619,11 @@ ClusterManager::placeAdvisor()
                 distinct.push_back(t.model);
         }
         for (const std::string &model : distinct) {
-            if (Status s = cluster->tryAddWorkload(model); !s)
+            if (Status s = cluster->addWorkload(model); !s)
                 return s.error();
         }
-        if (Status s = cluster->tryTrainAdvisor(
-                config_.advisorProfileRequests);
+        if (Status s =
+                cluster->trainAdvisor(config_.advisorProfileRequests);
             !s)
             return s.error();
         advisor_fleet_ = std::move(cluster);
@@ -637,8 +637,10 @@ ClusterManager::placeAdvisor()
         auto it = gains.find(key);
         if (it == gains.end())
             it = gains
-                     .emplace(key, advisor_fleet_->predictedGain(
-                                       key.first, key.second))
+                     .emplace(key, advisor_fleet_
+                                       ->predictedGain(key.first,
+                                                       key.second)
+                                       .value())
                      .first;
         return it->second;
     };
@@ -787,9 +789,10 @@ ClusterManager::repairCore(
                 if (other == tenant)
                     continue;
                 gain = std::max(
-                    gain, advisor_fleet_->predictedGain(
-                              tenants_[tenant].model,
-                              tenants_[other].model));
+                    gain, advisor_fleet_
+                              ->predictedGain(tenants_[tenant].model,
+                                              tenants_[other].model)
+                              .value());
             }
         }
         const std::size_t count = residents[c].size();

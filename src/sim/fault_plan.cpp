@@ -205,11 +205,12 @@ FaultPlan::parse(const std::string &spec, const std::string &source)
 Result<FaultPlan>
 FaultPlan::fromJson(const std::string &text, const std::string &source)
 {
-    JsonValue doc;
-    std::string error;
-    if (!JsonValue::parse(text, &doc, &error))
-        return parseError("malformed fault-plan JSON: " + error,
+    const Result<JsonValue> parsed = JsonValue::parse(text);
+    if (!parsed)
+        return parseError("malformed fault-plan JSON: " +
+                              parsed.error().message,
                           source);
+    const JsonValue &doc = parsed.value();
     if (!doc.isObject())
         return parseError("fault plan must be a JSON object", source);
 

@@ -9,10 +9,8 @@ namespace v10 {
 ExperimentRunner::ExperimentRunner(NpuConfig config)
     : config_(config)
 {
-    // NpuConfig::validate() is void (fatals internally); the name
-    // collides with Status-returning validate() APIs elsewhere.
-    // v10lint: allow(error-discarded-result)
-    config_.validate();
+    if (Status s = config_.check(); !s)
+        V10_PANIC(s.error().toString());
 }
 
 std::string

@@ -47,7 +47,8 @@ struct TenantRequest
 class ExperimentRunner
 {
   public:
-    /** @param config hardware configuration (validated) */
+    /** @param config hardware configuration; precondition: check()
+     *  passes (panics otherwise) */
     explicit ExperimentRunner(NpuConfig config = NpuConfig{});
 
     /** Default measured requests per tenant per run. */

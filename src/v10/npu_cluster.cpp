@@ -23,20 +23,11 @@ dispatchPolicyName(DispatchPolicy policy)
 NpuCluster::NpuCluster(ClusterConfig config)
     : config_(config), runner_(config.core)
 {
-    if (config_.numCores == 0)
-        fatal("NpuCluster: need at least one core");
-}
-
-void
-NpuCluster::addWorkload(const std::string &model, int batch,
-                        double priority)
-{
-    tryAddWorkload(model, batch, priority).orDie();
 }
 
 Status
-NpuCluster::tryAddWorkload(const std::string &model, int batch,
-                           double priority)
+NpuCluster::addWorkload(const std::string &model, int batch,
+                        double priority)
 {
     if (!hasModel(model))
         return parseError("NpuCluster: unknown model", "", 0,
@@ -60,14 +51,8 @@ NpuCluster::features(const std::string &model, int batch)
     return it->second;
 }
 
-void
-NpuCluster::trainAdvisor(std::uint64_t profileRequests)
-{
-    tryTrainAdvisor(profileRequests).orDie();
-}
-
 Status
-NpuCluster::tryTrainAdvisor(std::uint64_t profileRequests)
+NpuCluster::trainAdvisor(std::uint64_t profileRequests)
 {
     if (pool_.empty())
         return parseError(
@@ -112,16 +97,9 @@ NpuCluster::tryTrainAdvisor(std::uint64_t profileRequests)
     return Status::ok();
 }
 
-double
+Result<double>
 NpuCluster::predictedGain(const std::string &modelA,
                           const std::string &modelB)
-{
-    return tryPredictedGain(modelA, modelB).valueOrDie();
-}
-
-Result<double>
-NpuCluster::tryPredictedGain(const std::string &modelA,
-                             const std::string &modelB)
 {
     if (!advisorTrained())
         return parseError("NpuCluster: advisor not trained", "", 0,
@@ -139,9 +117,6 @@ NpuCluster::tryPredictedGain(const std::string &modelA,
 std::vector<std::vector<std::size_t>>
 NpuCluster::pairClustered()
 {
-    if (!advisorTrained())
-        fatal("NpuCluster: ClusteredPairing requires trainAdvisor()");
-
     // Greedy maximum-gain matching: score every pair, take the best
     // remaining pair while it clears the threshold, then give the
     // leftovers dedicated cores.
@@ -199,15 +174,8 @@ NpuCluster::pairRandom(std::uint64_t seed)
     return groups;
 }
 
-ClusterResult
-NpuCluster::dispatchAndRun(DispatchPolicy policy, std::uint64_t seed)
-{
-    return tryDispatchAndRun(policy, seed).valueOrDie();
-}
-
 Result<ClusterResult>
-NpuCluster::tryDispatchAndRun(DispatchPolicy policy,
-                              std::uint64_t seed)
+NpuCluster::dispatchAndRun(DispatchPolicy policy, std::uint64_t seed)
 {
     if (pool_.empty())
         return parseError("NpuCluster: empty workload pool", "", 0,
@@ -279,17 +247,6 @@ NpuCluster::tryDispatchAndRun(DispatchPolicy policy,
         groups.empty() ? 0.0
                        : sa_sum / static_cast<double>(groups.size());
     return result;
-}
-
-std::vector<std::string>
-NpuCluster::distinctModels() const
-{
-    std::vector<std::string> out;
-    for (const TenantRequest &req : pool_) {
-        if (std::find(out.begin(), out.end(), req.model) == out.end())
-            out.push_back(req.model);
-    }
-    return out;
 }
 
 } // namespace v10

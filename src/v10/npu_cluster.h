@@ -81,13 +81,10 @@ class NpuCluster
   public:
     explicit NpuCluster(ClusterConfig config = ClusterConfig{});
 
-    /** Add a workload to the serving pool; fatal on bad input. */
-    void addWorkload(const std::string &model, int batch = 0,
-                     double priority = 1.0);
-
-    /** Structured-error variant of addWorkload (unknown model). */
-    Status tryAddWorkload(const std::string &model, int batch = 0,
-                          double priority = 1.0);
+    /** Add a workload to the serving pool; an unknown model is a
+     * ParseError. */
+    Status addWorkload(const std::string &model, int batch = 0,
+                       double priority = 1.0);
 
     /** Number of pooled workloads. */
     std::size_t poolSize() const { return pool_.size(); }
@@ -95,54 +92,36 @@ class NpuCluster
     /**
      * Offline training (Fig. 14): profile the pool's distinct
      * workloads, featurize them, and train the clustering
-     * collocator against simulated pair performance. Fatal on an
-     * empty pool.
+     * collocator against simulated pair performance. An empty pool
+     * is a ParseError.
      */
-    void trainAdvisor(std::uint64_t profileRequests = 6);
-
-    /** Structured-error variant of trainAdvisor (empty pool). */
-    Status tryTrainAdvisor(std::uint64_t profileRequests = 6);
+    Status trainAdvisor(std::uint64_t profileRequests = 6);
 
     /** True after trainAdvisor(). */
     bool advisorTrained() const { return advisor_ != nullptr; }
 
     /**
      * Assign the pool to cores under @p policy and simulate every
-     * core. ClusteredPairing requires trainAdvisor() first.
-     * Fatal on an empty pool, missing training, or overflow.
+     * core. An empty pool, ClusteredPairing without trainAdvisor(),
+     * and a fleet smaller than the grouping needs (including a
+     * zero-core fleet) are ParseErrors.
      * @param seed randomization seed (RandomPairing shuffle)
      */
-    ClusterResult dispatchAndRun(DispatchPolicy policy,
-                                 std::uint64_t seed = 1);
+    Result<ClusterResult> dispatchAndRun(DispatchPolicy policy,
+                                         std::uint64_t seed = 1);
 
-    /**
-     * Structured-error variant of dispatchAndRun: an empty pool, an
-     * untrained advisor under ClusteredPairing, and a fleet smaller
-     * than the grouping needs all return a ParseError instead of
-     * killing the process.
-     */
-    Result<ClusterResult> tryDispatchAndRun(DispatchPolicy policy,
-                                            std::uint64_t seed = 1);
-
-    /** The advisor's predicted gain for two pooled workloads;
-     * fatal when the advisor is untrained. */
-    double predictedGain(const std::string &modelA,
-                         const std::string &modelB);
-
-    /** Structured-error variant of predictedGain (untrained
-     * advisor, unknown model). */
-    Result<double> tryPredictedGain(const std::string &modelA,
-                                    const std::string &modelB);
+    /** The advisor's predicted gain for two workloads; an untrained
+     * advisor or an unknown model is a ParseError. */
+    Result<double> predictedGain(const std::string &modelA,
+                                 const std::string &modelB);
 
   private:
-    /** Distinct (model, batch) keys in the pool. */
-    std::vector<std::string> distinctModels() const;
-
     /** Features of a pooled workload (profiled lazily). */
     const WorkloadFeatures &features(const std::string &model,
                                      int batch);
 
-    /** Greedy best-predicted pairing above the threshold. */
+    /** Greedy best-predicted pairing above the threshold (requires a
+     * trained advisor). */
     std::vector<std::vector<std::size_t>> pairClustered();
 
     /** Seeded random pairing. */

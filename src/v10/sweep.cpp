@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/log.h"
 #include "sched/scheduler_factory.h"
 #include "workload/model_zoo.h"
 
@@ -57,10 +58,11 @@ SweepRunner::SweepRunner(ExperimentRunner &runner, std::size_t jobs)
 std::vector<RunStats>
 SweepRunner::run(const std::vector<SweepCell> &cells)
 {
-    // Fail fast with a structured diagnostic before any worker
-    // spawns; an unknown model crashing inside a pool thread would
-    // be much harder to attribute.
-    validateSweepCells(cells).orDie();
+    // Cells are a precondition (callers ingesting user input run
+    // validateSweepCells() first); checking here, before any worker
+    // spawns, keeps a caller bug from surfacing inside a pool thread.
+    if (Status s = validateSweepCells(cells); !s)
+        V10_PANIC("SweepRunner::run: ", s.error().toString());
     return exec_.map<RunStats>(cells.size(), [&](std::size_t i) {
         const SweepCell &cell = cells[i];
         return runner_.run(cell.kind, cell.tenants, cell.requests,

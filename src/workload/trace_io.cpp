@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/log.h"
+#include "workload/model_zoo.h"
 
 namespace v10 {
 
@@ -40,6 +41,7 @@ parseTrace(std::istream &is, TraceHeader &header,
     ++lineno;
     if (!std::getline(is, line))
         return parseError("missing header line", source, lineno);
+    const std::size_t header_line = lineno;
     std::size_t declared_ops = 0;
     {
         std::istringstream hs(line);
@@ -112,6 +114,10 @@ parseTrace(std::istream &is, TraceHeader &header,
                               ", file has " +
                               std::to_string(trace.ops.size()) + ")",
                           source, lineno);
+    // The one semantic check runs last, after the structure is valid.
+    if (!hasModel(header.model))
+        return parseError("unknown model", source, header_line,
+                          header.model);
     return trace;
 }
 
@@ -124,15 +130,6 @@ parseTraceFile(const std::string &path, TraceHeader &header)
     return parseTrace(is, header, path);
 }
 
-RequestTrace
-loadTrace(std::istream &is, TraceHeader &header)
-{
-    Result<RequestTrace> r = parseTrace(is, header);
-    if (!r)
-        fatal("loadTrace: ", r.error().toString());
-    return r.take();
-}
-
 void
 saveTraceFile(const std::string &path, const TraceHeader &header,
               const RequestTrace &trace)
@@ -141,15 +138,6 @@ saveTraceFile(const std::string &path, const TraceHeader &header,
     if (!os)
         fatal("saveTraceFile: cannot open ", path);
     saveTrace(os, header, trace);
-}
-
-RequestTrace
-loadTraceFile(const std::string &path, TraceHeader &header)
-{
-    Result<RequestTrace> r = parseTraceFile(path, header);
-    if (!r)
-        fatal("loadTraceFile: ", r.error().toString());
-    return r.take();
 }
 
 } // namespace v10

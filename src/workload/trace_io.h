@@ -39,8 +39,9 @@ void saveTrace(std::ostream &os, const TraceHeader &header,
  *
  * Strict validation: version magic, header keywords, operator kind,
  * positive compute cycles, dependencies referencing strictly earlier
- * operators, and an operator count matching the header. Errors carry
- * @p source, the 1-based line number, and the offending token.
+ * operators, an operator count matching the header, and a model the
+ * zoo knows. Errors carry @p source, the 1-based line number, and
+ * the offending token.
  *
  * @param is input stream
  * @param header receives the metadata
@@ -56,16 +57,9 @@ Result<RequestTrace> parseTrace(std::istream &is, TraceHeader &header,
 Result<RequestTrace> parseTraceFile(const std::string &path,
                                     TraceHeader &header);
 
-/** Legacy wrapper: parseTrace() that fatal()s on malformed input. */
-RequestTrace loadTrace(std::istream &is, TraceHeader &header);
-
 /** saveTrace() to a file path; fatal() if unwritable. */
 void saveTraceFile(const std::string &path, const TraceHeader &header,
                    const RequestTrace &trace);
-
-/** Legacy wrapper: parseTraceFile() that fatal()s on any error. */
-RequestTrace loadTraceFile(const std::string &path,
-                           TraceHeader &header);
 
 } // namespace v10
 

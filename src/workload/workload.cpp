@@ -33,17 +33,15 @@ Workload::Workload(const ModelProfile &profile, int batch,
         fatal("Workload: empty trace");
 }
 
-Workload
+Result<Workload>
 Workload::fromTraceFile(const std::string &path)
 {
     TraceHeader header;
-    RequestTrace trace = loadTraceFile(path, header);
-    if (!hasModel(header.model))
-        fatal("Workload::fromTraceFile: trace references unknown "
-              "model '",
-              header.model, "'");
+    Result<RequestTrace> trace = parseTraceFile(path, header);
+    if (!trace)
+        return trace.error();
     return Workload(findModel(header.model), header.batch,
-                    std::move(trace));
+                    trace.take());
 }
 
 std::string

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "common/result.h"
 #include "npu/npu_config.h"
 #include "workload/model_profile.h"
 #include "workload/op_graph.h"
@@ -46,8 +47,9 @@ class Workload
     Workload(const ModelProfile &profile, int batch,
              RequestTrace trace);
 
-    /** Load a trace saved by saveTraceFile() and wrap it. */
-    static Workload fromTraceFile(const std::string &path);
+    /** Load a trace saved by saveTraceFile() and wrap it; a missing
+     * or malformed file is a ParseError (see parseTraceFile()). */
+    static Result<Workload> fromTraceFile(const std::string &path);
 
     /** The calibration profile. */
     const ModelProfile &profile() const { return profile_; }

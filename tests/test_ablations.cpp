@@ -135,10 +135,11 @@ TEST(Ablation, ShallowPrefetchStallsSingleTenant)
 
 TEST(Ablation, PrefetchDepthValidated)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     NpuConfig cfg;
     cfg.dmaPrefetchDepth = 0;
-    EXPECT_DEATH(cfg.validate(), "prefetch");
+    const Status s = cfg.check();
+    ASSERT_FALSE(s.isOk());
+    EXPECT_NE(s.error().message.find("prefetch"), std::string::npos);
 }
 
 } // namespace

@@ -155,6 +155,26 @@ TEST(Cli, UsageErrorsExitWithCode2)
                      "--faults runaway:rate=2")
                   .first,
               2);
+    // Tenant mixes, request targets and fleet sizes are input too:
+    // each error exits 2 with a message naming the bad value.
+    const std::pair<std::string, std::string> cases[] = {
+        {"run --models BERT,NCF --priorities 0,1 --requests 2",
+         "priority"},
+        {"run --models BERT,NCF --rps -5,1 --requests 2",
+         "arrival rate"},
+        {"run --models BERT --requests 0", "request target"},
+        {"report --requests 0 --out " + ::testing::TempDir() +
+             "/never.md",
+         "--requests"},
+        {"advise --models BERT,NCF,MNST --cores 0", "fleet has 0"},
+        {"advise --models BERT,NCF,MNST,RNRS --cores 1",
+         "fleet has 1"},
+    };
+    for (const auto &[args, needle] : cases) {
+        const auto [rc, out] = runCli(args, true);
+        EXPECT_EQ(rc, 2) << args;
+        EXPECT_NE(out.find(needle), std::string::npos) << out;
+    }
 }
 
 TEST(Cli, UnknownFlagsAreUsageErrors)
@@ -218,7 +238,7 @@ TEST(Cli, FaultRunStatsJsonIsDeterministic)
     const std::string ja = stripWallSeconds(readFile(a));
     EXPECT_EQ(ja, stripWallSeconds(readFile(b)));
     // And faults actually fired.
-    const JsonValue doc = JsonValue::parseOrDie(ja, "fault stats");
+    const JsonValue doc = JsonValue::parse(ja).value();
     EXPECT_GT(
         doc.find("run")->find("faults_injected")->number, 0.0);
 }
@@ -231,8 +251,8 @@ TEST(Cli, AbortedRunExitsWithCode1AndWritesDiagnostics)
         "--watchdog 10000 --diag-dir " + dir);
     EXPECT_EQ(rc, 1);
     EXPECT_NE(out.find("run aborted"), std::string::npos);
-    const JsonValue doc = JsonValue::parseOrDie(
-        readFile(dir + "/diagnostics.json"), "cli diagnostics");
+    const JsonValue doc =
+        JsonValue::parse(readFile(dir + "/diagnostics.json")).value();
     EXPECT_TRUE(doc.has("reason"));
     EXPECT_TRUE(doc.has("tenants"));
 }
@@ -266,6 +286,7 @@ TEST(Cli, ValidateRejectsEveryCorpusTrace)
         "bad_op_kind.txt",   "zero_cycles.txt",
         "negative_flops.txt", "forward_dep.txt",
         "malformed_deps.txt", "count_mismatch.txt",
+        "unknown_model.txt",
     };
     for (const char *file : corpus)
         EXPECT_EQ(
@@ -323,8 +344,7 @@ TEST(Cli, RunStatsJsonHasSchemaAndAgreesWithItself)
         " --sample-interval 5000");
     ASSERT_EQ(rc, 0);
 
-    const JsonValue doc =
-        JsonValue::parseOrDie(readFile(path), "cli stats json");
+    const JsonValue doc = JsonValue::parse(readFile(path)).value();
     for (const char *k : {"manifest", "run", "registry", "samples"})
         EXPECT_TRUE(doc.has(k)) << k;
     EXPECT_EQ(doc.find("manifest")->find("tool")->str, "v10sim run");
@@ -361,8 +381,7 @@ TEST(Cli, ReportStatsJsonDumpsTheGrid)
         ::testing::TempDir() + "/cli_report.md --stats-json " + path);
     ASSERT_EQ(rc, 0);
 
-    const JsonValue doc =
-        JsonValue::parseOrDie(readFile(path), "report stats json");
+    const JsonValue doc = JsonValue::parse(readFile(path)).value();
     EXPECT_EQ(doc.find("manifest")->find("tool")->str,
               "v10sim report");
     const JsonValue *grid = doc.find("grid");
@@ -408,8 +427,7 @@ TEST(Cli, ServeStatsJsonSchemaAndJobsBitIdentity)
     // Byte-identity across --jobs: same document, byte for byte.
     EXPECT_EQ(a, readFile(parallel));
 
-    const JsonValue doc =
-        JsonValue::parseOrDie(a, "serve stats json");
+    const JsonValue doc = JsonValue::parse(a).value();
     for (const char *k : {"manifest", "serving", "registry"})
         EXPECT_TRUE(doc.has(k)) << k;
     EXPECT_EQ(doc.find("manifest")->find("tool")->str,

@@ -150,7 +150,7 @@ TEST(WorkloadFromTraceFile, RoundTrip)
                   TraceHeader{original.profile().abbrev,
                               original.batch()},
                   original.trace());
-    const Workload loaded = Workload::fromTraceFile(path);
+    const Workload loaded = Workload::fromTraceFile(path).take();
     EXPECT_EQ(loaded.label(), original.label());
     EXPECT_EQ(loaded.computeCycles(), original.computeCycles());
     EXPECT_EQ(loaded.trace().ops.size(),

@@ -339,9 +339,9 @@ TEST(LintReportFormat, JsonSchema)
     std::ostringstream os;
     writeJsonReport(report, os);
 
-    JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(JsonValue::parse(os.str(), &doc, &err)) << err;
+    const Result<JsonValue> parsed = JsonValue::parse(os.str());
+    ASSERT_TRUE(parsed) << parsed.error().toString();
+    const JsonValue &doc = parsed.value();
     ASSERT_TRUE(doc.isObject());
     ASSERT_TRUE(doc.has("tool"));
     ASSERT_TRUE(doc.has("counts"));
@@ -466,9 +466,9 @@ TEST(LintSarif, ReportShapeIsValid)
     std::ostringstream os;
     writeSarifReport(report, os);
 
-    JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(JsonValue::parse(os.str(), &doc, &err)) << err;
+    const Result<JsonValue> parsed = JsonValue::parse(os.str());
+    ASSERT_TRUE(parsed) << parsed.error().toString();
+    const JsonValue &doc = parsed.value();
     EXPECT_EQ(doc.find("version")->str, "2.1.0");
     EXPECT_NE(doc.find("$schema")->str.find("sarif-schema-2.1.0"),
               std::string::npos);

@@ -28,7 +28,7 @@ makePool(std::size_t cores)
     NpuCluster cluster(smallFleet(cores));
     for (const char *m :
          {"BERT", "NCF", "RsNt", "DLRM", "RNRS", "SMask"})
-        cluster.addWorkload(m);
+        EXPECT_TRUE(cluster.addWorkload(m)) << m;
     return cluster;
 }
 
@@ -36,7 +36,7 @@ TEST(NpuCluster, NoSharingUsesOneCorePerWorkload)
 {
     NpuCluster cluster = makePool(6);
     const ClusterResult r =
-        cluster.dispatchAndRun(DispatchPolicy::NoSharing);
+        cluster.dispatchAndRun(DispatchPolicy::NoSharing).value();
     EXPECT_EQ(r.coresUsed, 6u);
     EXPECT_EQ(r.assignment.size(), 6u);
     for (const auto &core : r.assignment)
@@ -49,7 +49,7 @@ TEST(NpuCluster, RandomPairingHalvesCores)
 {
     NpuCluster cluster = makePool(6);
     const ClusterResult r =
-        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 3);
+        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 3).value();
     EXPECT_EQ(r.coresUsed, 3u);
     for (const auto &core : r.assignment)
         EXPECT_EQ(core.size(), 2u);
@@ -60,17 +60,18 @@ TEST(NpuCluster, RandomPairingHalvesCores)
 TEST(NpuCluster, ClusteredPairingBeatsRandomPerCore)
 {
     NpuCluster cluster = makePool(6);
-    cluster.trainAdvisor(4);
+    ASSERT_TRUE(cluster.trainAdvisor(4));
     ASSERT_TRUE(cluster.advisorTrained());
 
     const ClusterResult clustered =
-        cluster.dispatchAndRun(DispatchPolicy::ClusteredPairing);
+        cluster.dispatchAndRun(DispatchPolicy::ClusteredPairing).value();
     // Average random pairing over a few shuffles.
     double random_sum = 0.0;
     double random_cores = 0.0;
     for (std::uint64_t seed : {1u, 2u, 3u}) {
-        const ClusterResult r = cluster.dispatchAndRun(
-            DispatchPolicy::RandomPairing, seed);
+        const ClusterResult r =
+            cluster.dispatchAndRun(DispatchPolicy::RandomPairing, seed)
+                .value();
         random_sum += r.fleetStp;
         random_cores += static_cast<double>(r.coresUsed);
     }
@@ -88,10 +89,10 @@ TEST(NpuCluster, ClusteredPairingRespectsThreshold)
     cfg.collocationThreshold = 1.3;
     NpuCluster cluster(cfg);
     for (const char *m : {"BERT", "RNRS", "TFMR", "RsNt"})
-        cluster.addWorkload(m);
-    cluster.trainAdvisor(4);
+        EXPECT_TRUE(cluster.addWorkload(m)) << m;
+    ASSERT_TRUE(cluster.trainAdvisor(4));
     const ClusterResult r =
-        cluster.dispatchAndRun(DispatchPolicy::ClusteredPairing);
+        cluster.dispatchAndRun(DispatchPolicy::ClusteredPairing).value();
     // All four are SA-bound: the advisor should decline most or all
     // pairings (predicted gain < 1.3x) and use dedicated cores.
     EXPECT_GE(r.coresUsed, 3u);
@@ -100,18 +101,18 @@ TEST(NpuCluster, ClusteredPairingRespectsThreshold)
 TEST(NpuCluster, PredictedGainOrdersPairs)
 {
     NpuCluster cluster = makePool(6);
-    cluster.trainAdvisor(4);
-    EXPECT_GT(cluster.predictedGain("BERT", "DLRM"),
-              cluster.predictedGain("BERT", "RNRS"));
+    ASSERT_TRUE(cluster.trainAdvisor(4));
+    EXPECT_GT(cluster.predictedGain("BERT", "DLRM").value(),
+              cluster.predictedGain("BERT", "RNRS").value());
 }
 
 TEST(NpuCluster, RandomPairingIsSeedDeterministic)
 {
     NpuCluster cluster = makePool(6);
     const ClusterResult a =
-        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 9);
+        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 9).value();
     const ClusterResult b =
-        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 9);
+        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 9).value();
     ASSERT_EQ(a.assignment.size(), b.assignment.size());
     EXPECT_EQ(a.assignment, b.assignment);
     EXPECT_EQ(a.fleetStp, b.fleetStp);
@@ -119,7 +120,7 @@ TEST(NpuCluster, RandomPairingIsSeedDeterministic)
     // A different seed shuffles differently (6 workloads have 15
     // pairings; seeds 9 and 10 diverge in practice).
     const ClusterResult c =
-        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 10);
+        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 10).value();
     EXPECT_NE(a.assignment, c.assignment);
 }
 
@@ -128,9 +129,9 @@ TEST(NpuCluster, RandomPairingOddPoolLeavesOneSingleton)
     ClusterConfig cfg = smallFleet(3);
     NpuCluster cluster(cfg);
     for (const char *m : {"BERT", "NCF", "DLRM", "RsNt", "MNST"})
-        cluster.addWorkload(m);
+        EXPECT_TRUE(cluster.addWorkload(m)) << m;
     const ClusterResult r =
-        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 4);
+        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 4).value();
     EXPECT_EQ(r.coresUsed, 3u);
     std::size_t singletons = 0;
     std::size_t pairs = 0;
@@ -147,9 +148,9 @@ TEST(NpuCluster, RandomPairingOddPoolLeavesOneSingleton)
 TEST(NpuCluster, SingleWorkloadPoolPairsToItselfAlone)
 {
     NpuCluster cluster(smallFleet(2));
-    cluster.addWorkload("NCF");
+    ASSERT_TRUE(cluster.addWorkload("NCF"));
     const ClusterResult r =
-        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 1);
+        cluster.dispatchAndRun(DispatchPolicy::RandomPairing, 1).value();
     EXPECT_EQ(r.coresUsed, 1u);
     ASSERT_EQ(r.assignment.size(), 1u);
     EXPECT_EQ(r.assignment[0].size(), 1u);
@@ -157,39 +158,46 @@ TEST(NpuCluster, SingleWorkloadPoolPairsToItselfAlone)
 
 TEST(NpuClusterStatus, StructuredErrorsInsteadOfDeath)
 {
-    // The try* APIs surface the same misuse as ParseError values,
-    // so embedding callers (the serving manager) can recover.
+    // Misuse surfaces as ParseError values, so embedding callers
+    // (the CLI, the serving manager) can recover.
     NpuCluster empty(smallFleet(2));
     const auto no_pool =
-        empty.tryDispatchAndRun(DispatchPolicy::NoSharing);
+        empty.dispatchAndRun(DispatchPolicy::NoSharing);
     ASSERT_FALSE(no_pool.ok());
     EXPECT_NE(no_pool.error().message.find("empty"),
               std::string::npos);
-    const Status no_train = empty.tryTrainAdvisor();
+    const Status no_train = empty.trainAdvisor();
     ASSERT_FALSE(no_train);
     EXPECT_NE(no_train.error().message.find("adding workloads"),
               std::string::npos);
 
     NpuCluster untrained = makePool(6);
-    const auto clustered = untrained.tryDispatchAndRun(
+    const auto clustered = untrained.dispatchAndRun(
         DispatchPolicy::ClusteredPairing);
     ASSERT_FALSE(clustered.ok());
     EXPECT_NE(clustered.error().message.find("trainAdvisor"),
               std::string::npos);
-    const auto gain = untrained.tryPredictedGain("BERT", "NCF");
+    const auto gain = untrained.predictedGain("BERT", "NCF");
     ASSERT_FALSE(gain.ok());
     EXPECT_NE(gain.error().message.find("not trained"),
               std::string::npos);
 
     NpuCluster small = makePool(2); // 6 workloads, 2 cores
     const auto overflow =
-        small.tryDispatchAndRun(DispatchPolicy::NoSharing);
+        small.dispatchAndRun(DispatchPolicy::NoSharing);
     ASSERT_FALSE(overflow.ok());
     EXPECT_NE(overflow.error().message.find("cores"),
               std::string::npos);
 
+    NpuCluster no_cores = makePool(0);
+    const auto zero =
+        no_cores.dispatchAndRun(DispatchPolicy::NoSharing);
+    ASSERT_FALSE(zero.ok());
+    EXPECT_NE(zero.error().message.find("the fleet has 0"),
+              std::string::npos);
+
     NpuCluster bad(smallFleet(4));
-    const Status unknown = bad.tryAddWorkload("Nope");
+    const Status unknown = bad.addWorkload("Nope");
     ASSERT_FALSE(unknown);
     EXPECT_NE(unknown.error().message.find("unknown"),
               std::string::npos);
@@ -197,31 +205,10 @@ TEST(NpuClusterStatus, StructuredErrorsInsteadOfDeath)
 
     // After the failures above, a valid sequence still works on the
     // same objects — errors leave no broken state behind.
-    ASSERT_TRUE(bad.tryAddWorkload("BERT"));
-    const auto ok = bad.tryDispatchAndRun(DispatchPolicy::NoSharing);
+    ASSERT_TRUE(bad.addWorkload("BERT"));
+    const auto ok = bad.dispatchAndRun(DispatchPolicy::NoSharing);
     ASSERT_TRUE(ok.ok());
     EXPECT_EQ(ok.value().coresUsed, 1u);
-}
-
-TEST(NpuClusterDeath, Misuse)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    NpuCluster empty(smallFleet(2));
-    EXPECT_DEATH(empty.dispatchAndRun(DispatchPolicy::NoSharing),
-                 "empty");
-    EXPECT_DEATH(empty.trainAdvisor(), "adding workloads");
-
-    NpuCluster small = makePool(2); // 6 workloads, 2 cores
-    EXPECT_DEATH(small.dispatchAndRun(DispatchPolicy::NoSharing),
-                 "cores");
-    NpuCluster untrained = makePool(6);
-    EXPECT_DEATH(
-        untrained.dispatchAndRun(DispatchPolicy::ClusteredPairing),
-        "trainAdvisor");
-    EXPECT_DEATH(untrained.predictedGain("BERT", "NCF"),
-                 "not trained");
-    NpuCluster bad(smallFleet(4));
-    EXPECT_DEATH(bad.addWorkload("Nope"), "unknown");
 }
 
 TEST(DispatchPolicy, Names)

@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "npu/npu_config.h"
+#include "v10/experiment.h"
 
 namespace v10 {
 namespace {
@@ -25,7 +26,7 @@ TEST(NpuConfig, Table5Defaults)
     EXPECT_EQ(cfg.hbmBytes, 32_GiB);
     EXPECT_DOUBLE_EQ(cfg.hbmGBps, 330.0);
     EXPECT_EQ(cfg.timeSlice, 32768u);
-    EXPECT_NO_FATAL_FAILURE(cfg.validate());
+    EXPECT_TRUE(cfg.check().isOk());
 }
 
 TEST(NpuConfig, TimeSliceIsRoughly46Microseconds)
@@ -74,7 +75,7 @@ TEST(NpuConfig, ScaledForFusScalesHbm)
     EXPECT_EQ(scaled.numSa, 4u);
     EXPECT_EQ(scaled.numVu, 4u);
     EXPECT_DOUBLE_EQ(scaled.hbmGBps, 4 * 330.0);
-    EXPECT_NO_FATAL_FAILURE(scaled.validate());
+    EXPECT_TRUE(scaled.check().isOk());
 }
 
 TEST(NpuConfig, SummaryMentionsKeyParameters)
@@ -119,22 +120,24 @@ TEST(NpuConfigCheck, StructuredErrorsNameTheField)
 
 TEST(NpuConfigDeath, InvalidConfigsRejected)
 {
+    // A config that fails check() violates the constructor
+    // precondition of the consumers built from it.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     NpuConfig cfg;
     cfg.saDim = 100; // not a multiple of 8
-    EXPECT_DEATH(cfg.validate(), "saDim");
+    EXPECT_DEATH(ExperimentRunner{cfg}, "saDim");
     cfg = NpuConfig{};
     cfg.numSa = 0;
-    EXPECT_DEATH(cfg.validate(), "at least one");
+    EXPECT_DEATH(ExperimentRunner{cfg}, "at least one");
     cfg = NpuConfig{};
     cfg.freqGHz = 0.0;
-    EXPECT_DEATH(cfg.validate(), "frequency");
+    EXPECT_DEATH(ExperimentRunner{cfg}, "frequency");
     cfg = NpuConfig{};
     cfg.hbmGBps = -1.0;
-    EXPECT_DEATH(cfg.validate(), "bandwidth");
+    EXPECT_DEATH(ExperimentRunner{cfg}, "bandwidth");
     cfg = NpuConfig{};
     cfg.timeSlice = 0;
-    EXPECT_DEATH(cfg.validate(), "slice");
+    EXPECT_DEATH(ExperimentRunner{cfg}, "slice");
 }
 
 } // namespace

@@ -115,9 +115,9 @@ TEST(StatRegistry, WriteJsonNestsDottedPaths)
     JsonWriter w(os);
     reg.writeJson(w);
 
-    JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(JsonValue::parse(os.str(), &doc, &err)) << err;
+    const Result<JsonValue> parsed = JsonValue::parse(os.str());
+    ASSERT_TRUE(parsed) << parsed.error().toString();
+    const JsonValue &doc = parsed.value();
     const JsonValue *sa0 = doc.find("core")->find("sa0");
     ASSERT_NE(sa0, nullptr);
     EXPECT_DOUBLE_EQ(sa0->find("busy_cycles")->number, 100.0);
@@ -260,9 +260,9 @@ TEST(Json, WriterParserRoundTrip)
     w.endObject();
     ASSERT_EQ(w.depth(), 0u);
 
-    JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(JsonValue::parse(os.str(), &doc, &err)) << err;
+    const Result<JsonValue> parsed = JsonValue::parse(os.str());
+    ASSERT_TRUE(parsed) << parsed.error().toString();
+    const JsonValue &doc = parsed.value();
     EXPECT_EQ(doc.find("name")->str, "v10 \"sim\"\n");
     EXPECT_DOUBLE_EQ(doc.find("ratio")->number, 1.64);
     EXPECT_TRUE(doc.find("ok")->boolean);
@@ -279,12 +279,11 @@ TEST(Json, NonFiniteDoublesBecomeNull)
 
 TEST(Json, ParserReportsErrors)
 {
-    JsonValue doc;
-    std::string err;
-    EXPECT_FALSE(JsonValue::parse("{\"a\": }", &doc, &err));
-    EXPECT_FALSE(err.empty());
-    EXPECT_FALSE(JsonValue::parse("[1, 2", &doc, &err));
-    EXPECT_FALSE(JsonValue::parse("", &doc, &err));
+    const Result<JsonValue> bad = JsonValue::parse("{\"a\": }");
+    ASSERT_FALSE(bad);
+    EXPECT_FALSE(bad.error().message.empty());
+    EXPECT_FALSE(JsonValue::parse("[1, 2"));
+    EXPECT_FALSE(JsonValue::parse(""));
 }
 
 // --- End to end: registry vs RunStats, bit identity, trace, report.
@@ -380,10 +379,10 @@ struct TraceIndex
     void
     parse(const std::string &text)
     {
-        JsonValue doc;
-        std::string err;
-        ASSERT_TRUE(JsonValue::parse(text, &doc, &err))
-            << "trace parse error: " << err;
+        const Result<JsonValue> parsed = JsonValue::parse(text);
+        ASSERT_TRUE(parsed)
+            << "trace parse error: " << parsed.error().toString();
+        const JsonValue &doc = parsed.value();
         ASSERT_TRUE(doc.isArray()) << "trace is not a JSON array";
         for (const JsonValue &ev : doc.array) {
             const JsonValue *ph = ev.find("ph");
@@ -460,9 +459,9 @@ TEST(Observability, RunReportJsonHasDocumentedSchema)
     std::ostringstream os;
     writeRunReportJson(os, manifest, stats, &reg, &sampler);
 
-    JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(JsonValue::parse(os.str(), &doc, &err)) << err;
+    const Result<JsonValue> parsed = JsonValue::parse(os.str());
+    ASSERT_TRUE(parsed) << parsed.error().toString();
+    const JsonValue &doc = parsed.value();
     for (const char *k : {"manifest", "run", "registry", "samples"})
         EXPECT_TRUE(doc.has(k)) << k;
 

@@ -119,7 +119,7 @@ TEST(RequestTracer, JsonlLinesParseAndDecompose)
     std::size_t lines = 0;
     while (std::getline(in, line)) {
         ++lines;
-        const JsonValue v = JsonValue::parseOrDie(line, "span");
+        const JsonValue v = JsonValue::parse(line).value();
         ASSERT_TRUE(v.has("trace_id"));
         // queue + service == sojourn by construction.
         EXPECT_DOUBLE_EQ(v.find("queue_us")->number +
@@ -140,7 +140,7 @@ TEST(RequestTracer, AsyncSpanEventsAreBalanced)
     os << "[";
     tracer.writeAsyncSpanEvents(os, 1.0, false);
     os << "]";
-    const JsonValue doc = JsonValue::parseOrDie(os.str(), "events");
+    const JsonValue doc = JsonValue::parse(os.str()).value();
     ASSERT_TRUE(doc.isArray());
     // Request + nested service span: two b/e pairs.
     ASSERT_EQ(doc.array.size(), 4u);
@@ -248,7 +248,7 @@ TEST(FlightRecorder, JsonDumpHasTheContractShape)
     std::ostringstream os;
     JsonWriter w(os);
     rec.writeJson(w);
-    const JsonValue doc = JsonValue::parseOrDie(os.str(), "flight");
+    const JsonValue doc = JsonValue::parse(os.str()).value();
     EXPECT_EQ(doc.find("capacity")->number, 8.0);
     EXPECT_EQ(doc.find("dropped")->number, 0.0);
     ASSERT_EQ(doc.find("events")->array.size(), 2u);
@@ -420,8 +420,7 @@ TEST(EngineTrace, AbortDumpsFlightRecorderIntoDiagnostics)
     ASSERT_TRUE(in.is_open());
     std::ostringstream os;
     os << in.rdbuf();
-    const JsonValue doc =
-        JsonValue::parseOrDie(os.str(), "diagnostics");
+    const JsonValue doc = JsonValue::parse(os.str()).value();
     ASSERT_TRUE(doc.has("flight_recorder"));
     const JsonValue *fr = doc.find("flight_recorder");
     ASSERT_TRUE(fr->isObject());

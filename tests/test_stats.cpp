@@ -124,21 +124,6 @@ TEST(SampleSet, SingleSample)
     EXPECT_EQ(s.percentile(100), 7.5);
 }
 
-TEST(Histogram, BinningAndOverflow)
-{
-    Histogram h(0.0, 10.0, 5);
-    for (double x : {-1.0, 0.0, 1.9, 2.0, 9.9, 10.0, 11.0})
-        h.add(x);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.binCount(0), 2u); // 0.0 and 1.9
-    EXPECT_EQ(h.binCount(1), 1u); // 2.0
-    EXPECT_EQ(h.binCount(4), 1u); // 9.9
-    EXPECT_EQ(h.total(), 7u);
-    EXPECT_DOUBLE_EQ(h.binLo(1), 2.0);
-    EXPECT_FALSE(h.summary().empty());
-}
-
 TEST(LogHistogram, EmptyIsZero)
 {
     LogHistogram h;

@@ -29,7 +29,7 @@ TEST(TraceIo, RoundTripPreservesEverything)
     saveTrace(ss, TraceHeader{m.abbrev, 32}, original);
 
     TraceHeader header;
-    const RequestTrace loaded = loadTrace(ss, header);
+    const RequestTrace loaded = parseTrace(ss, header).take();
 
     EXPECT_EQ(header.model, "DLRM");
     EXPECT_EQ(header.batch, 32);
@@ -64,7 +64,7 @@ TEST(TraceIo, FileRoundTrip)
         ::testing::TempDir() + "/v10_trace_test.txt";
     saveTraceFile(path, TraceHeader{m.abbrev, 8}, original);
     TraceHeader header;
-    const RequestTrace loaded = loadTraceFile(path, header);
+    const RequestTrace loaded = parseTraceFile(path, header).take();
     EXPECT_EQ(header.model, "MNST");
     EXPECT_EQ(loaded.ops.size(), original.ops.size());
 }
@@ -81,6 +81,12 @@ TEST(TraceIoParse, ErrorsCarryLineAndToken)
     // toString() renders "source:line: message".
     EXPECT_NE(r.error().toString().find("unit:2"),
               std::string::npos);
+
+    const std::string missing = "/nonexistent/path/trace.txt";
+    const Result<RequestTrace> m = parseTraceFile(missing, header);
+    ASSERT_FALSE(m.ok());
+    EXPECT_EQ(m.error().source, missing);
+    EXPECT_NE(m.error().message.find("cannot open"), std::string::npos);
 }
 
 TEST(TraceIoParse, ForwardDependencyIsRecoverableError)
@@ -125,7 +131,7 @@ TEST(TraceIoParse, CorpusEveryBadTraceRejected)
         ++checked;
     }
     // Keep in sync with tests/data/bad_traces/.
-    EXPECT_GE(checked, 12u);
+    EXPECT_GE(checked, 13u);
 }
 
 TEST(TraceIoParse, GoodTraceStillParsesThroughResultApi)
@@ -139,28 +145,6 @@ TEST(TraceIoParse, GoodTraceStillParsesThroughResultApi)
     const Result<RequestTrace> r = parseTrace(ss, header, "unit");
     ASSERT_TRUE(r.ok()) << r.error().toString();
     EXPECT_EQ(r.value().ops.size(), original.ops.size());
-}
-
-TEST(TraceIoDeath, MalformedInputs)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    TraceHeader header;
-    {
-        std::stringstream ss("not a trace\n");
-        EXPECT_DEATH(loadTrace(ss, header), "magic");
-    }
-    {
-        std::stringstream ss("# v10-trace v1\nbogus header\n");
-        EXPECT_DEATH(loadTrace(ss, header), "header");
-    }
-    {
-        std::stringstream ss(
-            "# v10-trace v1\nmodel X batch 1 ops 1\n"
-            "op 0 XX bad 1 1 1 1 1 deps\n");
-        EXPECT_DEATH(loadTrace(ss, header), "kind");
-    }
-    EXPECT_DEATH(loadTraceFile("/nonexistent/path/trace.txt", header),
-                 "cannot open");
 }
 
 } // namespace

@@ -50,10 +50,11 @@
 #include "trace/flight_recorder.h"
 #include "trace/request_tracer.h"
 #include "trace/trace_context.h"
-#include "v10/multi_tenant_npu.h"
+#include "v10/experiment.h"
 #include "v10/npu_cluster.h"
 #include "v10/profiler.h"
 #include "v10/report.h"
+#include "v10/sweep.h"
 #include "workload/model_zoo.h"
 #include "workload/op_graph.h"
 #include "workload/trace_io.h"
@@ -230,7 +231,7 @@ SchedulerKind
 schedulerFromArgs(const Args &args)
 {
     const std::string name = args.get("scheduler", "V10-Full");
-    const auto kind = trySchedulerKindFromName(name);
+    const auto kind = schedulerKindFromName(name);
     if (!kind)
         usageError("unknown scheduler '", name,
                    "' (expected PMT|V10-Base|V10-Fair|V10-Full|"
@@ -478,15 +479,23 @@ cmdRun(const Args &args)
     const ResilienceOptions resilience =
         resilienceFromArgs(args, plan);
 
-    MultiTenantNpu npu(configFromArgs(args), kind);
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        const double prio =
-            i < priorities.size()
-                ? listDouble(priorities[i], "priorities")
-                : 1.0;
-        npu.addWorkload(models[i], 0, prio);
-    }
+    ExperimentRunner runner(configFromArgs(args));
     const std::uint64_t requests = args.getUint("requests", "25");
+    SweepCell cell;
+    cell.requests = requests;
+    cell.label = "run";
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        TenantRequest req;
+        req.model = models[i];
+        req.priority = i < priorities.size()
+                           ? listDouble(priorities[i], "priorities")
+                           : 1.0;
+        req.arrivalRps =
+            i < rps.size() ? listDouble(rps[i], "rps") : 0.0;
+        cell.tenants.push_back(req);
+    }
+    if (Status s = validateSweepCell(cell, 0); !s)
+        usageError(s.error().toString());
 
     // Optional Chrome-trace timeline of the run.
     std::unique_ptr<TimelineTracer> timeline;
@@ -526,21 +535,7 @@ cmdRun(const Args &args)
     const auto wall_start = std::chrono::steady_clock::now();
     if (!rps.empty() || timeline || registry || sampler || tracer ||
         resilience.enabled()) {
-        // Instrumented, open-loop, or fault-injected run through
-        // the experiment layer.
-        ExperimentRunner runner(configFromArgs(args));
-        std::vector<TenantRequest> tenants;
-        for (std::size_t i = 0; i < models.size(); ++i) {
-            TenantRequest req;
-            req.model = models[i];
-            req.priority =
-                i < priorities.size()
-                    ? listDouble(priorities[i], "priorities")
-                    : 1.0;
-            req.arrivalRps =
-                i < rps.size() ? listDouble(rps[i], "rps") : 0.0;
-            tenants.push_back(req);
-        }
+        // Instrumented, open-loop, or fault-injected run.
         SchedulerOptions so;
         so.timeline = timeline.get();
         so.stats = registry.get();
@@ -549,7 +544,7 @@ cmdRun(const Args &args)
         so.requestTracer = tracer.get();
         so.attribution = attribution.get();
         so.flightRecorder = flight.get();
-        stats = runner.run(kind, tenants, requests, 2, so);
+        stats = runner.run(kind, cell.tenants, requests, 2, so);
         if (tracer)
             writeTraceOut(args, *tracer);
         if (timeline) {
@@ -561,7 +556,7 @@ cmdRun(const Args &args)
                         timeline->preemptionCount(), path.c_str());
         }
     } else {
-        stats = npu.run(requests);
+        stats = runner.run(kind, cell.tenants, requests);
     }
     const double wall_seconds =
         std::chrono::duration<double>(
@@ -572,7 +567,7 @@ cmdRun(const Args &args)
         RunManifest manifest;
         manifest.tool = "v10sim run";
         manifest.scheduler = args.get("scheduler", "V10-Full");
-        manifest.configSummary = npu.config().summary();
+        manifest.configSummary = runner.config().summary();
         for (const auto &w : stats.workloads)
             manifest.workloads.push_back(w.label);
         manifest.requests = requests;
@@ -596,7 +591,7 @@ cmdRun(const Args &args)
 
     std::printf("%s on %s\n\n",
                 args.get("scheduler", "V10-Full").c_str(),
-                npu.config().summary().c_str());
+                runner.config().summary().c_str());
     std::printf("SA %s  VU %s  HBM %s  overlap %s  STP %.2f\n\n",
                 formatPct(stats.saUtil).c_str(),
                 formatPct(stats.vuUtil).c_str(),
@@ -644,6 +639,8 @@ cmdReport(const Args &args)
     ReportOptions options;
     options.config = configFromArgs(args);
     options.requests = args.getUint("requests", "25");
+    if (options.requests == 0)
+        usageError("--requests expects a positive integer, got '0'");
     options.jobs = args.jobs();
     options.statsJsonPath = args.get("stats-json", "");
     const std::string out = args.get("out", "report.md");
@@ -691,14 +688,20 @@ cmdAdvise(const Args &args)
         args.getUint("cores", std::to_string(models.size())));
     cfg.jobs = args.jobs();
     NpuCluster cluster(cfg);
-    for (const auto &m : models)
-        cluster.addWorkload(m);
+    for (const auto &m : models) {
+        if (Status s = cluster.addWorkload(m); !s)
+            usageError(s.error().toString());
+    }
     std::printf("profiling and training the collocation advisor "
                 "(%zu workloads)...\n",
                 models.size());
-    cluster.trainAdvisor();
-    const ClusterResult r =
+    if (Status s = cluster.trainAdvisor(); !s)
+        usageError(s.error().toString());
+    const Result<ClusterResult> placed =
         cluster.dispatchAndRun(DispatchPolicy::ClusteredPairing);
+    if (!placed)
+        usageError(placed.error().toString());
+    const ClusterResult &r = placed.value();
     std::printf("\nrecommended placement (%zu cores, fleet STP "
                 "%.2f):\n",
                 r.coresUsed, r.fleetStp);
@@ -1265,8 +1268,7 @@ main(int argc, char **argv)
     }
     const Args args = Args::parse(argc, argv, 2, cmd, it->flags);
     if (args.has("log-level")) {
-        const auto level =
-            tryLogLevelFromName(args.get("log-level", ""));
+        const auto level = logLevelFromName(args.get("log-level", ""));
         if (!level)
             usageError("unknown log level '",
                        args.get("log-level", ""),
