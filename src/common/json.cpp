@@ -1,6 +1,8 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,8 +12,39 @@
 
 namespace v10 {
 
+namespace {
+
+/** True for characters JSON strings must escape. */
+bool
+needsEscape(char c)
+{
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/** Format @p v as a JSON number token into @p buf. */
+std::string_view
+formatNumber(double v, char (&buf)[40])
+{
+    if (!std::isfinite(v))
+        return "null";
+    // Integers print without an exponent so artifacts stay diffable.
+    // They are exact in an int64, which prints the same digits as
+    // "%.0f" without parsing a format; only -0 needs its sign kept.
+    if (v == std::floor(v) && std::fabs(v) < 1e15) {
+        if (v == 0.0 && std::signbit(v))
+            return "-0";
+        const auto r = std::to_chars(buf, std::end(buf),
+                                     static_cast<std::int64_t>(v));
+        return {buf, static_cast<std::size_t>(r.ptr - buf)};
+    }
+    const int len = std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return {buf, static_cast<std::size_t>(len)};
+}
+
+} // namespace
+
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size() + 2);
@@ -42,17 +75,8 @@ jsonEscape(const std::string &s)
 std::string
 jsonNumber(double v)
 {
-    if (!std::isfinite(v))
-        return "null";
-    // Integers print without an exponent so artifacts stay diffable.
-    if (v == std::floor(v) && std::fabs(v) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        return buf;
-    }
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    return std::string(formatNumber(v, buf));
 }
 
 // ------------------------------------------------------------------
@@ -65,9 +89,10 @@ JsonWriter::JsonWriter(std::ostream &os, int indentWidth)
 }
 
 void
-JsonWriter::raw(const std::string &text)
+JsonWriter::emit()
 {
-    os_ << text;
+    os_.write(out_.data(), static_cast<std::streamsize>(out_.size()));
+    out_.clear();
 }
 
 void
@@ -75,10 +100,19 @@ JsonWriter::newlineIndent()
 {
     if (indent_ <= 0)
         return;
-    os_ << '\n';
-    for (std::size_t i = 0; i < stack_.size(); ++i)
-        for (int s = 0; s < indent_; ++s)
-            os_ << ' ';
+    out_ += '\n';
+    out_.append(stack_.size() * static_cast<std::size_t>(indent_), ' ');
+}
+
+void
+JsonWriter::quoted(std::string_view s)
+{
+    out_ += '"';
+    if (std::any_of(s.begin(), s.end(), needsEscape))
+        out_ += jsonEscape(s);
+    else
+        out_ += s;
+    out_ += '"';
 }
 
 void
@@ -90,7 +124,7 @@ JsonWriter::preValue()
         panic("JsonWriter: value inside an object without a key");
     if (stack_.back() == Scope::Array) {
         if (has_items_.back())
-            os_ << ',';
+            out_ += ',';
         newlineIndent();
         has_items_.back() = true;
     }
@@ -98,29 +132,30 @@ JsonWriter::preValue()
 }
 
 void
-JsonWriter::key(const std::string &k)
+JsonWriter::key(std::string_view k)
 {
     if (stack_.empty() || stack_.back() != Scope::Object)
         panic("JsonWriter: key() outside an object");
     if (key_pending_)
         panic("JsonWriter: key '", k, "' follows a dangling key");
     if (has_items_.back())
-        os_ << ',';
+        out_ += ',';
     newlineIndent();
     has_items_.back() = true;
-    os_ << '"' << jsonEscape(k) << "\":";
-    if (indent_ > 0)
-        os_ << ' ';
+    quoted(k);
+    out_ += indent_ > 0 ? ": " : ":";
     key_pending_ = true;
+    emit();
 }
 
 void
 JsonWriter::beginObject()
 {
     preValue();
-    os_ << '{';
+    out_ += '{';
     stack_.push_back(Scope::Object);
     has_items_.push_back(false);
+    emit();
 }
 
 void
@@ -135,16 +170,18 @@ JsonWriter::endObject()
     has_items_.pop_back();
     if (had)
         newlineIndent();
-    os_ << '}';
+    out_ += '}';
+    emit();
 }
 
 void
 JsonWriter::beginArray()
 {
     preValue();
-    os_ << '[';
+    out_ += '[';
     stack_.push_back(Scope::Array);
     has_items_.push_back(false);
+    emit();
 }
 
 void
@@ -157,62 +194,71 @@ JsonWriter::endArray()
     has_items_.pop_back();
     if (had)
         newlineIndent();
-    os_ << ']';
+    out_ += ']';
+    emit();
 }
 
 void
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     preValue();
-    os_ << '"' << jsonEscape(v) << '"';
+    quoted(v);
+    emit();
 }
 
 void
 JsonWriter::value(const char *v)
 {
-    value(std::string(v));
+    value(std::string_view(v));
 }
 
 void
 JsonWriter::value(double v)
 {
     preValue();
-    os_ << jsonNumber(v);
+    char buf[40];
+    out_ += formatNumber(v, buf);
+    emit();
 }
 
 void
 JsonWriter::value(std::uint64_t v)
 {
     preValue();
-    os_ << v;
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, std::end(buf), v).ptr);
+    emit();
 }
 
 void
 JsonWriter::value(std::int64_t v)
 {
     preValue();
-    os_ << v;
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, std::end(buf), v).ptr);
+    emit();
 }
 
 void
 JsonWriter::value(int v)
 {
-    preValue();
-    os_ << v;
+    value(static_cast<std::int64_t>(v));
 }
 
 void
 JsonWriter::value(bool v)
 {
     preValue();
-    os_ << (v ? "true" : "false");
+    out_ += v ? "true" : "false";
+    emit();
 }
 
 void
 JsonWriter::valueNull()
 {
     preValue();
-    os_ << "null";
+    out_ += "null";
+    emit();
 }
 
 // ------------------------------------------------------------------

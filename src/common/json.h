@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,7 +26,7 @@
 namespace v10 {
 
 /** Escape a string for embedding inside JSON double quotes. */
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
 
 /** Render a double as a JSON number token (null if not finite). */
 std::string jsonNumber(double v);
@@ -51,9 +52,9 @@ class JsonWriter
     void endArray();
 
     /** Object member key; must be followed by a value or begin*(). */
-    void key(const std::string &k);
+    void key(std::string_view k);
 
-    void value(const std::string &v);
+    void value(std::string_view v);
     void value(const char *v);
     void value(double v);
     void value(std::uint64_t v);
@@ -65,7 +66,7 @@ class JsonWriter
     /** Convenience: key() + value(). */
     template <typename T>
     void
-    kv(const std::string &k, T &&v)
+    kv(std::string_view k, T &&v)
     {
         key(k);
         value(std::forward<T>(v));
@@ -77,13 +78,18 @@ class JsonWriter
   private:
     enum class Scope { Object, Array };
 
-    /** Emit separators/indentation before a value or key. */
+    /** Append separators/indentation before a value or key. */
     void preValue();
     void newlineIndent();
-    void raw(const std::string &text);
+    /** Append @p s quoted, escaping only when it needs escaping. */
+    void quoted(std::string_view s);
+    /** Write out_ to the stream and clear it: one write per public
+     *  call. */
+    void emit();
 
     std::ostream &os_;
     int indent_;
+    std::string out_; ///< text of the current call, reused
     std::vector<Scope> stack_;
     std::vector<bool> has_items_;
     bool key_pending_ = false;

@@ -69,65 +69,76 @@ StatRegistry::Distribution::mean() const
 }
 
 StatRegistry::Stat &
-StatRegistry::insert(const std::string &path, Kind kind,
-                     std::string description)
+StatRegistry::insert(std::string path, std::string_view description,
+                     Data data)
 {
     if (frozen_)
         V10_PANIC("StatRegistry: registering '", path,
                   "' on a frozen registry");
     validatePath(path);
-    if (stats_.count(path))
-        V10_PANIC("StatRegistry: duplicate stat path '", path, "'");
-    // A leaf and a subtree cannot share a name: "a.b" conflicts with
-    // "a.b.c" because the JSON rendering needs "a.b" to be either a
-    // value or an object, not both. std::map ordering puts any
-    // conflicting neighbours adjacent to the insertion point.
-    const auto next = stats_.lower_bound(path);
-    if (next != stats_.end() && dotPrefix(path, next->first))
-        V10_PANIC("StatRegistry: path '", path,
-                  "' conflicts with existing subtree '", next->first,
-                  "'");
+    // One lookup finds the slot and both neighbours. Registration
+    // often comes in path order, so the slot after the previous
+    // insert is tried before the tree is searched. A leaf and a
+    // subtree cannot share a name: "a.b" conflicts with "a.b.c"
+    // because the JSON rendering needs "a.b" to be either a value or
+    // an object, not both. '.' sorts below every other path
+    // character, so any conflicting path is adjacent to the slot.
+    auto next = afterLast_;
+    if ((next != stats_.end() && !(path < next->first)) ||
+        (next != stats_.begin() && !(std::prev(next)->first < path)))
+        next = stats_.lower_bound(path);
+    if (next != stats_.end()) {
+        if (next->first == path)
+            V10_PANIC("StatRegistry: duplicate stat path '", path, "'");
+        if (dotPrefix(path, next->first))
+            V10_PANIC("StatRegistry: path '", path,
+                      "' conflicts with existing subtree '",
+                      next->first, "'");
+    }
     if (next != stats_.begin()) {
         const auto &prevPath = std::prev(next)->first;
         if (dotPrefix(prevPath, path))
             V10_PANIC("StatRegistry: path '", path,
                       "' extends existing leaf '", prevPath, "'");
     }
-    Stat &stat = stats_[path];
-    stat.kind = kind;
-    stat.description = std::move(description);
-    return stat;
+    auto desc = descriptions_.find(description);
+    if (desc == descriptions_.end())
+        desc = descriptions_.emplace(description).first;
+    const auto it = stats_.emplace_hint(next, std::move(path),
+                                        Stat{std::move(data), &*desc});
+    afterLast_ = std::next(it);
+    return it->second;
 }
 
 StatRegistry::Counter &
-StatRegistry::addCounter(const std::string &path,
-                         std::string description)
+StatRegistry::addCounter(std::string path, std::string_view description)
 {
-    return insert(path, Kind::Counter, std::move(description)).counter;
+    return std::get<Counter>(
+        insert(std::move(path), description, Counter{}).data);
 }
 
 StatRegistry::Gauge &
-StatRegistry::addGauge(const std::string &path, std::string description)
+StatRegistry::addGauge(std::string path, std::string_view description)
 {
-    return insert(path, Kind::Gauge, std::move(description)).gauge;
+    return std::get<Gauge>(
+        insert(std::move(path), description, Gauge{}).data);
 }
 
 StatRegistry::Distribution &
-StatRegistry::addDistribution(const std::string &path,
-                              std::string description)
+StatRegistry::addDistribution(std::string path,
+                              std::string_view description)
 {
-    return insert(path, Kind::Distribution, std::move(description))
-        .dist;
+    return std::get<Distribution>(
+        insert(std::move(path), description, Distribution{}).data);
 }
 
 void
-StatRegistry::addFormula(const std::string &path, Formula formula,
-                         std::string description)
+StatRegistry::addFormula(std::string path, Formula formula,
+                         std::string_view description)
 {
     if (!formula)
         V10_PANIC("StatRegistry: null formula for '", path, "'");
-    insert(path, Kind::Formula, std::move(description)).formula =
-        std::move(formula);
+    insert(std::move(path), description, std::move(formula));
 }
 
 bool
@@ -137,19 +148,15 @@ StatRegistry::has(const std::string &path) const
 }
 
 double
-StatRegistry::scalarOf(const Stat &stat) const
+StatRegistry::scalarOf(const Stat &stat)
 {
-    switch (stat.kind) {
-    case Kind::Counter:
-        return static_cast<double>(stat.counter.value());
-    case Kind::Gauge:
-        return stat.gauge.value();
-    case Kind::Distribution:
-        return stat.dist.mean();
-    case Kind::Formula:
-        return stat.formula ? stat.formula() : stat.frozen;
-    }
-    return 0.0;
+    if (const auto *c = std::get_if<Counter>(&stat.data))
+        return static_cast<double>(c->value());
+    if (const auto *g = std::get_if<Gauge>(&stat.data))
+        return g->value();
+    if (const auto *d = std::get_if<Distribution>(&stat.data))
+        return d->mean();
+    return std::get<Formula>(stat.data)();
 }
 
 double
@@ -167,7 +174,7 @@ StatRegistry::description(const std::string &path) const
     const auto it = stats_.find(path);
     if (it == stats_.end())
         V10_PANIC("StatRegistry: unknown stat path '", path, "'");
-    return it->second.description;
+    return *it->second.description;
 }
 
 std::vector<std::string>
@@ -186,9 +193,9 @@ StatRegistry::freeze()
     if (frozen_)
         return;
     for (auto &[path, stat] : stats_) {
-        if (stat.kind == Kind::Formula && stat.formula) {
-            stat.frozen = stat.formula();
-            stat.formula = nullptr;
+        if (const auto *f = std::get_if<Formula>(&stat.data)) {
+            const double value = (*f)();
+            stat.data.emplace<Gauge>().set(value);
         }
     }
     frozen_ = true;
@@ -200,13 +207,13 @@ StatRegistry::snapshot() const
     std::vector<std::pair<std::string, double>> out;
     out.reserve(stats_.size());
     for (const auto &[path, stat] : stats_) {
-        if (stat.kind == Kind::Distribution) {
+        if (const auto *d = std::get_if<Distribution>(&stat.data)) {
             out.emplace_back(path + ".count",
-                             static_cast<double>(stat.dist.count()));
-            out.emplace_back(path + ".sum", stat.dist.sum());
-            out.emplace_back(path + ".min", stat.dist.min());
-            out.emplace_back(path + ".max", stat.dist.max());
-            out.emplace_back(path + ".mean", stat.dist.mean());
+                             static_cast<double>(d->count()));
+            out.emplace_back(path + ".sum", d->sum());
+            out.emplace_back(path + ".min", d->min());
+            out.emplace_back(path + ".max", d->max());
+            out.emplace_back(path + ".mean", d->mean());
         } else {
             out.emplace_back(path, scalarOf(stat));
         }
@@ -234,46 +241,52 @@ StatRegistry::textReport() const
 void
 StatRegistry::writeJson(JsonWriter &writer) const
 {
-    // Emit the sorted flat snapshot as a nested object: because the
-    // snapshot is path-sorted and prefix conflicts are rejected at
-    // registration, the tree can be written with a running
-    // open-scope stack (close to the common ancestor, then open the
-    // remaining components).
-    std::vector<std::string> open;
-    writer.beginObject();
-    for (const auto &[path, value] : snapshot()) {
-        std::vector<std::string> parts;
-        std::size_t start = 0;
-        while (true) {
-            const std::size_t dot = path.find('.', start);
-            if (dot == std::string::npos) {
-                parts.push_back(path.substr(start));
-                break;
-            }
-            parts.push_back(path.substr(start, dot - start));
-            start = dot + 1;
-        }
-        const std::string leaf = parts.back();
-        parts.pop_back();
-        std::size_t common = 0;
-        while (common < open.size() && common < parts.size() &&
-               open[common] == parts[common])
-            ++common;
-        while (open.size() > common) {
+    // Walk the sorted map as a nested object. Each subtree is one
+    // contiguous run of paths ('.' sorts first and prefix conflicts
+    // are rejected at registration), so a stack of open scopes
+    // suffices: keep the common ancestor, close the rest, open the
+    // remaining components. The views point into the map's keys. A
+    // distribution is a scope of its own holding its five fields.
+    std::vector<std::string_view> open;
+    const auto closeTo = [&](std::size_t level) {
+        for (; open.size() > level; open.pop_back())
             writer.endObject();
-            open.pop_back();
+    };
+    writer.beginObject();
+    for (const auto &[path, stat] : stats_) {
+        const auto *dist = std::get_if<Distribution>(&stat.data);
+        std::string_view rest = path;
+        std::size_t level = 0;
+        while (true) {
+            const std::size_t dot = rest.find('.');
+            const std::string_view part = rest.substr(0, dot);
+            if (dot == std::string_view::npos && !dist)
+                break;
+            if (level < open.size() && open[level] == part) {
+                ++level;
+            } else {
+                closeTo(level);
+                writer.key(part);
+                writer.beginObject();
+                open.push_back(part);
+                ++level;
+            }
+            if (dot == std::string_view::npos)
+                break;
+            rest.remove_prefix(dot + 1);
         }
-        for (std::size_t i = common; i < parts.size(); ++i) {
-            writer.key(parts[i]);
-            writer.beginObject();
-            open.push_back(parts[i]);
+        closeTo(level);
+        if (dist) {
+            writer.kv("count", static_cast<double>(dist->count()));
+            writer.kv("sum", dist->sum());
+            writer.kv("min", dist->min());
+            writer.kv("max", dist->max());
+            writer.kv("mean", dist->mean());
+        } else {
+            writer.kv(rest, scalarOf(stat));
         }
-        writer.kv(leaf, value);
     }
-    while (!open.empty()) {
-        writer.endObject();
-        open.pop_back();
-    }
+    closeTo(0);
     writer.endObject();
 }
 

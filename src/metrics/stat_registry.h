@@ -22,8 +22,11 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/annotations.h"
@@ -93,16 +96,16 @@ class V10_DOMAIN_LOCAL StatRegistry
      * Register a statistic under @p path (dotted, [A-Za-z0-9_.]).
      * Duplicate or tree-conflicting paths (one path extending
      * another at a dot boundary) panic. Returned references stay
-     * valid for the registry's lifetime.
+     * valid for the registry's lifetime. Equal descriptions share
+     * one stored copy.
      */
-    Counter &addCounter(const std::string &path,
-                        std::string description = "");
-    Gauge &addGauge(const std::string &path,
-                    std::string description = "");
-    Distribution &addDistribution(const std::string &path,
-                                  std::string description = "");
-    void addFormula(const std::string &path, Formula formula,
-                    std::string description = "");
+    Counter &addCounter(std::string path,
+                        std::string_view description = {});
+    Gauge &addGauge(std::string path, std::string_view description = {});
+    Distribution &addDistribution(std::string path,
+                                  std::string_view description = {});
+    void addFormula(std::string path, Formula formula,
+                    std::string_view description = {});
 
     /** True when @p path names a registered statistic. */
     bool has(const std::string &path) const;
@@ -151,29 +154,31 @@ class V10_DOMAIN_LOCAL StatRegistry
     void writeJson(JsonWriter &writer) const;
 
   private:
-    enum class Kind { Counter, Gauge, Distribution, Formula };
+    /** What a stat holds; freeze() turns a Formula into a Gauge
+     * holding its final value. */
+    using Data = std::variant<Counter, Gauge, Distribution, Formula>;
 
     struct Stat
     {
-        Kind kind = Kind::Counter;
-        std::string description;
-        Counter counter;
-        Gauge gauge;
-        Distribution dist;
-        Formula formula;       ///< cleared by freeze()
-        double frozen = 0.0;   ///< formula value after freeze()
+        Data data;
+        const std::string *description = nullptr; ///< in descriptions_
     };
 
     /** Validate the path and claim it in the tree (panics on
      * conflicts); returns the created slot. */
-    Stat &insert(const std::string &path, Kind kind,
-                 std::string description);
+    Stat &insert(std::string path, std::string_view description,
+                 Data data);
 
-    double scalarOf(const Stat &stat) const;
+    static double scalarOf(const Stat &stat);
 
     // std::map keeps paths sorted, and node addresses stable so
     // components can hold Counter/Distribution references.
-    std::map<std::string, Stat> stats_;
+    std::map<std::string, Stat, std::less<>> stats_;
+    /// Slot after the latest insert: where an in-order insert goes.
+    std::map<std::string, Stat, std::less<>>::iterator afterLast_ =
+        stats_.end();
+    // Interned descriptions: a few distinct strings serve many stats.
+    std::set<std::string, std::less<>> descriptions_;
     bool frozen_ = false;
 };
 

@@ -1163,6 +1163,7 @@ ClusterManager::run()
     std::vector<TenantAccum> accum(n);
     SloMonitor monitor(n, config_.durationSec, config_.sloPolicy);
     std::vector<double> prevCharged(n, 0.0);
+    std::vector<double> charged;
 
     ServingReport report;
     std::size_t churnCursor = 0;
@@ -1312,8 +1313,9 @@ ClusterManager::run()
         //    co-runner requests stalled behind it).
         if (needCharges) {
             const double epochUs = epochSec * 1e6;
+            attrib->chargedUsAll(charged);
             for (std::size_t t = 0; t < n; ++t) {
-                const double total = attrib->chargedUs(t);
+                const double total = charged[t];
                 const double score =
                     (total - prevCharged[t]) / epochUs;
                 prevCharged[t] = total;

@@ -1,5 +1,10 @@
 #include "trace/attribution.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <set>
+
 #include "common/log.h"
 #include "metrics/stat_registry.h"
 
@@ -21,28 +26,38 @@ sanitizeStatSegment(const std::string &label)
     return out;
 }
 
+namespace {
+
+/** Copy a victim-major matrix from row stride @p from to @p to. */
+void
+relayout(std::vector<double> &m, std::size_t rows, std::size_t from,
+         std::size_t to)
+{
+    std::vector<double> grown(to * to, 0.0);
+    for (std::size_t v = 0; v < rows; ++v)
+        std::copy_n(m.begin() + static_cast<std::ptrdiff_t>(v * from),
+                    rows,
+                    grown.begin() + static_cast<std::ptrdiff_t>(v * to));
+    m = std::move(grown);
+}
+
+} // namespace
+
 std::size_t
 AttributionCollector::addTenant(WorkloadId id, std::string label)
 {
-    const std::size_t idx = ids_.size();
-    ids_.push_back(id);
+    const std::size_t idx = labels_.size();
+    // The first tenant registered under an id keeps it.
+    dense_.emplace(id, idx);
     labels_.push_back(std::move(label));
-    const std::size_t n = ids_.size();
-    // Grow the victim-major matrices in place.
-    std::vector<double> preempt(n * n, 0.0);
-    std::vector<double> hbm(n * n, 0.0);
-    std::vector<double> wait(n * n, 0.0);
-    for (std::size_t v = 0; v + 1 < n; ++v) {
-        for (std::size_t p = 0; p + 1 < n; ++p) {
-            preempt[v * n + p] = preempt_[v * (n - 1) + p];
-            hbm[v * n + p] = hbm_[v * (n - 1) + p];
-            wait[v * n + p] = wait_[v * (n - 1) + p];
-        }
-    }
-    preempt_ = std::move(preempt);
-    hbm_ = std::move(hbm);
-    wait_ = std::move(wait);
     ctx_.push_back(0.0);
+    if (idx == stride_) {
+        const std::size_t grown = std::max<std::size_t>(4, 2 * stride_);
+        relayout(preempt_, idx, stride_, grown);
+        relayout(hbm_, idx, stride_, grown);
+        relayout(wait_, idx, stride_, grown);
+        stride_ = grown;
+    }
     return idx;
 }
 
@@ -51,10 +66,9 @@ AttributionCollector::indexOf(WorkloadId id) const
 {
     if (id == kNoWorkload)
         return static_cast<std::size_t>(-1);
-    for (std::size_t i = 0; i < ids_.size(); ++i)
-        if (ids_[i] == id)
-            return i;
-    return static_cast<std::size_t>(-1);
+    const auto it = dense_.find(id);
+    return it == dense_.end() ? static_cast<std::size_t>(-1)
+                              : it->second;
 }
 
 void
@@ -67,7 +81,7 @@ AttributionCollector::chargePreemptStall(WorkloadId victim,
     if (v == static_cast<std::size_t>(-1) ||
         p == static_cast<std::size_t>(-1))
         return;
-    preempt_[v * ids_.size() + p] += cycles;
+    preempt_[cell(v, p)] += cycles;
 }
 
 void
@@ -79,7 +93,7 @@ AttributionCollector::chargeQueueWait(WorkloadId victim,
     if (v == static_cast<std::size_t>(-1) ||
         p == static_cast<std::size_t>(-1))
         return;
-    wait_[v * ids_.size() + p] += us;
+    wait_[cell(v, p)] += us;
 }
 
 void
@@ -101,21 +115,21 @@ AttributionCollector::onHbmContention(WorkloadId owner,
     if (v == static_cast<std::size_t>(-1) ||
         p == static_cast<std::size_t>(-1))
         return;
-    hbm_[v * ids_.size() + p] += cycles;
+    hbm_[cell(v, p)] += cycles;
 }
 
 double
 AttributionCollector::preemptStall(std::size_t victim,
                                    std::size_t perp) const
 {
-    return preempt_[victim * ids_.size() + perp];
+    return preempt_[cell(victim, perp)];
 }
 
 double
 AttributionCollector::hbmContention(std::size_t victim,
                                     std::size_t perp) const
 {
-    return hbm_[victim * ids_.size() + perp];
+    return hbm_[cell(victim, perp)];
 }
 
 double
@@ -128,7 +142,7 @@ double
 AttributionCollector::totalPreemptStall(std::size_t victim) const
 {
     double sum = 0.0;
-    for (std::size_t p = 0; p < ids_.size(); ++p)
+    for (std::size_t p = 0; p < labels_.size(); ++p)
         sum += preemptStall(victim, p);
     return sum;
 }
@@ -137,7 +151,7 @@ double
 AttributionCollector::totalHbmContention(std::size_t victim) const
 {
     double sum = 0.0;
-    for (std::size_t p = 0; p < ids_.size(); ++p)
+    for (std::size_t p = 0; p < labels_.size(); ++p)
         sum += hbmContention(victim, p);
     return sum;
 }
@@ -146,14 +160,14 @@ double
 AttributionCollector::queueWait(std::size_t victim,
                                 std::size_t perp) const
 {
-    return wait_[victim * ids_.size() + perp];
+    return wait_[cell(victim, perp)];
 }
 
 double
 AttributionCollector::totalQueueWait(std::size_t victim) const
 {
     double sum = 0.0;
-    for (std::size_t p = 0; p < ids_.size(); ++p)
+    for (std::size_t p = 0; p < labels_.size(); ++p)
         sum += queueWait(victim, p);
     return sum;
 }
@@ -162,7 +176,7 @@ double
 AttributionCollector::chargedUs(std::size_t perp) const
 {
     double sum = 0.0;
-    for (std::size_t v = 0; v < ids_.size(); ++v) {
+    for (std::size_t v = 0; v < labels_.size(); ++v) {
         if (v != perp)
             sum += queueWait(v, perp);
     }
@@ -170,62 +184,92 @@ AttributionCollector::chargedUs(std::size_t perp) const
 }
 
 void
+AttributionCollector::chargedUsAll(std::vector<double> &out) const
+{
+    const std::size_t n = labels_.size();
+    out.assign(n, 0.0);
+    // Victims in ascending order, as chargedUs() adds them.
+    for (std::size_t v = 0; v < n; ++v) {
+        const double *row = &wait_[cell(v, 0)];
+        for (std::size_t p = 0; p < n; ++p) {
+            if (p != v)
+                out[p] += row[p];
+        }
+    }
+}
+
+void
 AttributionCollector::registerStats(StatRegistry &registry) const
 {
-    // Pre-compute slugs, de-duplicating by index: two tenants of the
-    // same workload must not collide in the registry (it panics on
-    // path conflicts).
-    std::vector<std::string> slugs(ids_.size());
-    for (std::size_t i = 0; i < ids_.size(); ++i) {
+    // Pre-compute slugs: two tenants of the same workload must not
+    // collide in the registry (it panics on path conflicts). The
+    // first tenant keeps its slug; a later one whose slug is taken
+    // gets its index appended.
+    const std::size_t n = labels_.size();
+    std::vector<std::string> slugs(n);
+    std::set<std::string> taken;
+    for (std::size_t i = 0; i < n; ++i) {
         std::string slug = sanitizeStatSegment(labels_[i]);
-        for (std::size_t j = 0; j < i; ++j) {
-            if (slugs[j] == slug) {
-                slug += "_" + std::to_string(i);
-                break;
-            }
+        if (taken.count(slug)) {
+            slug += '_';
+            slug += std::to_string(i);
         }
+        taken.insert(slug);
         slugs[i] = std::move(slug);
     }
-    for (std::size_t v = 0; v < ids_.size(); ++v) {
+    // Register in path order, tenants sorted by slug and each
+    // subtree's leaves alphabetically: every insert then lands right
+    // after the previous one, where the registry finds it without a
+    // tree search. Closures capture 32-bit indices so that they fit
+    // std::function's local buffer instead of each taking a heap
+    // allocation.
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return slugs[a] < slugs[b];
+              });
+    std::string from;
+    for (const std::uint32_t v : order) {
         const std::string base =
             "serve.tenant." + slugs[v] + ".attrib";
-        registry.addFormula(
-            base + ".preempt_stall_cycles",
-            [this, v] { return totalPreemptStall(v); },
-            "cycles stalled waiting to resume after preemption");
-        registry.addFormula(
-            base + ".hbm_contention_cycles",
-            [this, v] { return totalHbmContention(v); },
-            "solo-rate DMA cycles lost to bandwidth sharing");
-        registry.addFormula(
-            base + ".ctx_overhead_cycles",
-            [this, v] { return ctxOverhead(v); },
-            "context-switch overhead charged on dispatch");
-        registry.addFormula(
-            base + ".queue_wait_us",
-            [this, v] { return totalQueueWait(v); },
-            "serve-layer waiting charged to co-runners in service");
         registry.addFormula(
             base + ".charged_us",
             [this, v] { return chargedUs(v); },
             "queue-wait us this tenant inflicted on co-runners");
-        for (std::size_t p = 0; p < ids_.size(); ++p) {
+        registry.addFormula(
+            base + ".ctx_overhead_cycles",
+            [this, v] { return ctxOverhead(v); },
+            "context-switch overhead charged on dispatch");
+        for (const std::uint32_t p : order) {
             if (p == v)
                 continue;
-            const std::string from = base + ".from." + slugs[p];
-            registry.addFormula(
-                from + ".preempt_stall_cycles",
-                [this, v, p] { return preemptStall(v, p); },
-                "preemption stall charged to this co-runner");
+            from.assign(base).append(".from.").append(slugs[p]);
             registry.addFormula(
                 from + ".hbm_contention_cycles",
                 [this, v, p] { return hbmContention(v, p); },
                 "HBM contention charged to this co-runner");
             registry.addFormula(
+                from + ".preempt_stall_cycles",
+                [this, v, p] { return preemptStall(v, p); },
+                "preemption stall charged to this co-runner");
+            registry.addFormula(
                 from + ".queue_wait_us",
                 [this, v, p] { return queueWait(v, p); },
                 "serve-layer waiting charged to this co-runner");
         }
+        registry.addFormula(
+            base + ".hbm_contention_cycles",
+            [this, v] { return totalHbmContention(v); },
+            "solo-rate DMA cycles lost to bandwidth sharing");
+        registry.addFormula(
+            base + ".preempt_stall_cycles",
+            [this, v] { return totalPreemptStall(v); },
+            "cycles stalled waiting to resume after preemption");
+        registry.addFormula(
+            base + ".queue_wait_us",
+            [this, v] { return totalQueueWait(v); },
+            "serve-layer waiting charged to co-runners in service");
     }
 }
 

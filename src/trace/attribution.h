@@ -18,6 +18,7 @@
 #define V10_TRACE_ATTRIBUTION_H
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -88,6 +89,12 @@ class AttributionCollector : public HbmContentionObserver
     double chargedUs(std::size_t perp) const;
 
     /**
+     * chargedUs() of every tenant in one victim-major sweep:
+     * @p out[p] == chargedUs(p), summed in the same order.
+     */
+    void chargedUsAll(std::vector<double> &out) const;
+
+    /**
      * Register formulas under
      * `serve.tenant.<slug>.attrib.{preempt_stall_cycles,
      * hbm_contention_cycles, ctx_overhead_cycles,
@@ -100,11 +107,23 @@ class AttributionCollector : public HbmContentionObserver
     /** Dense index for @p id; npos when unknown/kNoWorkload. */
     std::size_t indexOf(WorkloadId id) const;
 
-    std::vector<WorkloadId> ids_;   ///< dense index -> workload id
+    /** Cell (victim, perp) of a victim-major matrix. */
+    std::size_t cell(std::size_t victim, std::size_t perp) const
+    {
+        return victim * stride_ + perp;
+    }
+
+    /// id -> dense index. Only looked up, never iterated, so its
+    /// order cannot reach any output.
+    /// v10lint: allow(determinism-unordered)
+    std::unordered_map<WorkloadId, std::size_t> dense_;
     std::vector<std::string> labels_;
-    std::vector<double> preempt_;   ///< victim-major n x n
-    std::vector<double> hbm_;       ///< victim-major n x n
-    std::vector<double> wait_;      ///< victim-major n x n (us)
+    /// Row stride of the matrices: a capacity that doubles, so
+    /// adding tenants relays them out O(log n) times in total.
+    std::size_t stride_ = 0;
+    std::vector<double> preempt_;   ///< victim-major stride^2
+    std::vector<double> hbm_;       ///< victim-major stride^2
+    std::vector<double> wait_;      ///< victim-major stride^2 (us)
     std::vector<double> ctx_;       ///< per victim
 };
 

@@ -114,6 +114,13 @@ parseTrace(std::istream &is, TraceHeader &header,
                               ", file has " +
                               std::to_string(trace.ops.size()) + ")",
                           source, lineno);
+    // The engine runs only traces of two or more operators; reject
+    // shorter ones here, where the error can name the header line.
+    if (trace.ops.size() < 2)
+        return parseError("trace needs at least 2 operators (header "
+                          "declares " +
+                              std::to_string(declared_ops) + ")",
+                          source, header_line);
     // The one semantic check runs last, after the structure is valid.
     if (!hasModel(header.model))
         return parseError("unknown model", source, header_line,

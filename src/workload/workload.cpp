@@ -29,8 +29,10 @@ Workload::Workload(const ModelProfile &profile, int batch,
       trace_(std::move(trace)),
       graph_(std::make_unique<OpGraph>(trace_.ops))
 {
+    // parseTrace() rejects traces this short, so only a caller
+    // building one by hand can get here.
     if (trace_.ops.empty())
-        fatal("Workload: empty trace");
+        V10_PANIC("Workload: empty trace");
 }
 
 Result<Workload>

@@ -286,7 +286,8 @@ TEST(Cli, ValidateRejectsEveryCorpusTrace)
         "bad_op_kind.txt",   "zero_cycles.txt",
         "negative_flops.txt", "forward_dep.txt",
         "malformed_deps.txt", "count_mismatch.txt",
-        "unknown_model.txt",
+        "unknown_model.txt", "zero_ops.txt",
+        "one_op.txt",
     };
     for (const char *file : corpus)
         EXPECT_EQ(
@@ -333,6 +334,31 @@ TEST(Cli, FaultRunStatsJsonMatchesGolden)
               0);
     EXPECT_EQ(stripWallSeconds(readFile(json)),
               golden("run_faults_stats.json"));
+}
+
+TEST(Cli, ServeChaosStatsJsonMatchesGolden)
+{
+    // A small fleet under every resilience mechanism at once: the
+    // full victim x perpetrator attribution tree, quarantine, churn
+    // and admission events must not move unless a change means to.
+    const std::string json =
+        ::testing::TempDir() + "/cli_golden_chaos.json";
+    ASSERT_EQ(
+        runCli("serve --tenants 12 --cores 4 --duration 1 --util 0.7 "
+               "--arrivals mixed --slo 25x:1,50x:2 --service-us 400 "
+               "--seed 11 --admission 1 "
+               "--churn \"join:tenant=RNRS#7:at=0.3,"
+               "leave:tenant=RtNt#8:at=0.7,"
+               "migrate:tenant=SMask#9:at=0.5:core=3\" "
+               "--antagonist "
+               "\"hbm-hog:tenant=2:mag=3.5:after=0.2:until=0.6\" "
+               "--faults flood:rate=0.5:mag=3:tenant=4:count=4 "
+               "--stats-json " +
+               json)
+            .first,
+        0);
+    EXPECT_EQ(stripWallSeconds(readFile(json)),
+              golden("serve_chaos_stats.json"));
 }
 
 TEST(Cli, RunStatsJsonHasSchemaAndAgreesWithItself)

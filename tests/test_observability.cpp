@@ -126,6 +126,67 @@ TEST(StatRegistry, WriteJsonNestsDottedPaths)
                      2.0);
 }
 
+TEST(StatRegistry, WriteJsonOrdersDotBeforeDigitsUnderscoreLetters)
+{
+    // '.' sorts below every other path character, so a subtree is
+    // one contiguous run and closes before its string-prefix
+    // siblings ("b0", "b_c", "bc") open.
+    StatRegistry reg;
+    reg.addCounter("a.bc.y").set(4);
+    reg.addCounter("a.b_c").set(3);
+    reg.addCounter("a.b0").set(2);
+    reg.addCounter("a.b.x").set(1);
+
+    std::ostringstream os;
+    JsonWriter w(os);
+    reg.writeJson(w);
+    EXPECT_EQ(os.str(), "{\n"
+                        "  \"a\": {\n"
+                        "    \"b\": {\n"
+                        "      \"x\": 1\n"
+                        "    },\n"
+                        "    \"b0\": 2,\n"
+                        "    \"b_c\": 3,\n"
+                        "    \"bc\": {\n"
+                        "      \"y\": 4\n"
+                        "    }\n"
+                        "  }\n"
+                        "}");
+}
+
+TEST(StatRegistry, WriteJsonExpandsDistributionsInFixedOrder)
+{
+    StatRegistry reg;
+    auto &d = reg.addDistribution("lat");
+    d.record(3.0);
+    d.record(0.5);
+    reg.addGauge("lat0").set(0.25);
+    reg.addFormula("f", [] { return 1.5; });
+
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    reg.writeJson(w);
+    EXPECT_EQ(os.str(), "{\"f\":1.5,\"lat\":{\"count\":2,\"sum\":3.5,"
+                        "\"min\":0.5,\"max\":3,\"mean\":1.75},"
+                        "\"lat0\":0.25}");
+}
+
+TEST(StatRegistryDeathTest, ConflictsAreFoundPastStringPrefixSiblings)
+{
+    StatRegistry reg;
+    reg.addCounter("a.b");
+    reg.addCounter("a.b0");
+    reg.addCounter("a.b_c");
+    reg.addCounter("a.bc.y");
+    reg.addCounter("a.bc0");
+    EXPECT_DEATH(reg.addCounter("a.b.z"), "extends existing leaf");
+    EXPECT_DEATH(reg.addCounter("a.bc"), "conflicts with existing");
+    EXPECT_DEATH(reg.addCounter("a.b_c"), "duplicate");
+    EXPECT_DEATH(reg.addCounter("a.bc.y"), "duplicate");
+    reg.freeze();
+    EXPECT_DEATH(reg.addCounter("z"), "frozen");
+}
+
 TEST(StatRegistryDeathTest, RejectsDuplicateAndConflictingPaths)
 {
     StatRegistry reg;
@@ -269,6 +330,22 @@ TEST(Json, WriterParserRoundTrip)
     ASSERT_EQ(doc.find("xs")->array.size(), 3u);
     EXPECT_EQ(doc.find("xs")->array[1].type, JsonValue::Type::Null);
     EXPECT_DOUBLE_EQ(doc.find("xs")->array[2].number, -2.5);
+}
+
+TEST(Json, KeysEscapeQuotesBackslashesAndControlCharacters)
+{
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    w.beginObject();
+    w.kv(std::string("q\"b\\s\n\x01") + std::string(1, '\0'), 1);
+    w.kv("plain_key", 2);
+    w.endObject();
+    EXPECT_EQ(os.str(),
+              "{\"q\\\"b\\\\s\\n\\u0001\\u0000\":1,\"plain_key\":2}");
+    const Result<JsonValue> parsed = JsonValue::parse(os.str());
+    ASSERT_TRUE(parsed) << parsed.error().toString();
+    EXPECT_EQ(parsed.value().object[0].first,
+              std::string("q\"b\\s\n\x01") + std::string(1, '\0'));
 }
 
 TEST(Json, NonFiniteDoublesBecomeNull)

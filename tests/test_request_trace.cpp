@@ -304,6 +304,113 @@ TEST(Attribution, RegistryPathsAreSanitizedAndComplete)
         paths.count("serve.tenant.NCF_1.attrib.ctx_overhead_cycles"));
 }
 
+TEST(Attribution, TenantsAddedAfterChargesKeepEveryValue)
+{
+    AttributionCollector attrib;
+    attrib.addTenant(10, "A");
+    attrib.addTenant(11, "B");
+    attrib.chargePreemptStall(10, 11, 5.0);
+    attrib.onHbmContention(11, 10, 6.0);
+    attrib.chargeQueueWait(10, 11, 7.0);
+    attrib.chargeCtxOverhead(11, 8.0);
+    // Grow well past any initial capacity, charging as tenants join.
+    for (int i = 2; i < 40; ++i) {
+        std::string label = "T";
+        label += std::to_string(i);
+        attrib.addTenant(static_cast<WorkloadId>(10 + i), label);
+        attrib.chargeQueueWait(static_cast<WorkloadId>(10 + i), 10,
+                               static_cast<double>(i));
+    }
+    ASSERT_EQ(attrib.tenantCount(), 40u);
+    EXPECT_DOUBLE_EQ(attrib.preemptStall(0, 1), 5.0);
+    EXPECT_DOUBLE_EQ(attrib.hbmContention(1, 0), 6.0);
+    EXPECT_DOUBLE_EQ(attrib.queueWait(0, 1), 7.0);
+    EXPECT_DOUBLE_EQ(attrib.ctxOverhead(1), 8.0);
+    EXPECT_DOUBLE_EQ(attrib.queueWait(39, 0), 39.0);
+    EXPECT_DOUBLE_EQ(attrib.preemptStall(39, 38), 0.0);
+    // Column 0 holds 2 + 3 + ... + 39 from the late joiners.
+    EXPECT_DOUBLE_EQ(attrib.chargedUs(0), 779.0);
+    EXPECT_DOUBLE_EQ(attrib.chargedUs(1), 7.0);
+
+    StatRegistry registry;
+    attrib.registerStats(registry);
+    // Formulas read live state until the registry freezes.
+    attrib.chargePreemptStall(10, 11, 1.0);
+    const std::string a = "serve.tenant.A.attrib.";
+    EXPECT_DOUBLE_EQ(registry.value(a + "from.B.preempt_stall_cycles"),
+                     6.0);
+    EXPECT_DOUBLE_EQ(registry.value(a + "preempt_stall_cycles"), 6.0);
+    EXPECT_DOUBLE_EQ(registry.value(a + "queue_wait_us"), 7.0);
+    EXPECT_DOUBLE_EQ(registry.value(a + "charged_us"), 779.0);
+    EXPECT_DOUBLE_EQ(
+        registry.value("serve.tenant.B.attrib.from.A.hbm_contention_"
+                       "cycles"),
+        6.0);
+    EXPECT_DOUBLE_EQ(
+        registry.value("serve.tenant.B.attrib.ctx_overhead_cycles"),
+        8.0);
+    EXPECT_DOUBLE_EQ(
+        registry.value("serve.tenant.T39.attrib.from.A.queue_wait_us"),
+        39.0);
+    registry.freeze();
+    attrib.chargePreemptStall(10, 11, 100.0);
+    EXPECT_DOUBLE_EQ(registry.value(a + "from.B.preempt_stall_cycles"),
+                     6.0);
+}
+
+TEST(Attribution, OneSweepColumnSumsMatchChargedUsBitForBit)
+{
+    // The epoch loop reads every column sum from one victim-major
+    // sweep; the antagonist detector needs exactly chargedUs()'s
+    // values, so the sums must add the same terms in the same order.
+    AttributionCollector attrib;
+    const std::size_t n = 37;
+    for (std::size_t i = 0; i < n; ++i)
+        attrib.addTenant(static_cast<WorkloadId>(i), "T");
+    for (std::size_t v = 0; v < n; ++v)
+        for (std::size_t p = 0; p < n; ++p)
+            attrib.chargeQueueWait(static_cast<WorkloadId>(v),
+                                   static_cast<WorkloadId>(p),
+                                   0.1 * static_cast<double>(v + 1) /
+                                       static_cast<double>(p + 3));
+    std::vector<double> sums;
+    attrib.chargedUsAll(sums);
+    ASSERT_EQ(sums.size(), n);
+    for (std::size_t p = 0; p < n; ++p)
+        EXPECT_EQ(sums[p], attrib.chargedUs(p)) << p;
+}
+
+TEST(Attribution, CollidingSlugsGetIndexSuffixes)
+{
+    // The first tenant keeps the bare slug; a later one whose slug
+    // is already taken gets "_<its index>" appended, checked against
+    // the final slugs of the tenants before it.
+    AttributionCollector attrib;
+    attrib.addTenant(0, "BERT#1");
+    attrib.addTenant(1, "BERT_1");
+    attrib.addTenant(2, "BERT 1");
+    attrib.addTenant(3, "A");
+    attrib.addTenant(4, "A");
+    attrib.addTenant(5, "A_4");
+    StatRegistry registry;
+    attrib.registerStats(registry);
+    std::set<std::string> slugs;
+    const std::string prefix = "serve.tenant.";
+    for (const std::string &path : registry.paths())
+        slugs.insert(path.substr(
+            prefix.size(), path.find(".attrib") - prefix.size()));
+    EXPECT_EQ(slugs, (std::set<std::string>{"BERT_1", "BERT_1_1",
+                                            "BERT_1_2", "A", "A_4",
+                                            "A_4_5"}));
+    EXPECT_TRUE(registry.has(
+        "serve.tenant.BERT_1_2.attrib.from.BERT_1_1.queue_wait_us"));
+    EXPECT_FALSE(
+        registry.has("serve.tenant.A_4_5.attrib.from.A_4.charged_us"));
+    EXPECT_TRUE(registry.has("serve.tenant.A_4_5.attrib.charged_us"));
+    // 6 tenants x (5 totals + 5 co-runners x 3 pair formulas).
+    EXPECT_EQ(registry.size(), 6u * (5u + 5u * 3u));
+}
+
 // ---------------------------------------------------------------
 // Engine integration: spans, attribution, flight recorder.
 // ---------------------------------------------------------------

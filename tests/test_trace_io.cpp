@@ -111,6 +111,23 @@ TEST(TraceIoParse, OperatorCountMismatchDetected)
     EXPECT_NE(r.error().message.find("mismatch"), std::string::npos);
 }
 
+TEST(TraceIoParse, TracesShorterThanTwoOperatorsRejected)
+{
+    // Zero or one operator used to validate and then fail inside the
+    // Workload or the engine; the parser now names the header line.
+    for (const char *body :
+         {"model NCF batch 32 ops 0\n",
+          "model NCF batch 32 ops 1\nop 0 SA a 1 1 1 1 1 deps\n"}) {
+        TraceHeader header;
+        std::stringstream ss(std::string("# v10-trace v1\n") + body);
+        const Result<RequestTrace> r = parseTrace(ss, header, "unit");
+        ASSERT_FALSE(r.ok()) << body;
+        EXPECT_NE(r.error().message.find("at least 2 operators"),
+                  std::string::npos);
+        EXPECT_EQ(r.error().line, 2u);
+    }
+}
+
 TEST(TraceIoParse, CorpusEveryBadTraceRejected)
 {
     const std::string dir =
@@ -131,7 +148,7 @@ TEST(TraceIoParse, CorpusEveryBadTraceRejected)
         ++checked;
     }
     // Keep in sync with tests/data/bad_traces/.
-    EXPECT_GE(checked, 13u);
+    EXPECT_GE(checked, 15u);
 }
 
 TEST(TraceIoParse, GoodTraceStillParsesThroughResultApi)
