@@ -1,9 +1,8 @@
 /**
  * @file
  * Microbenchmarks of the fleet-scale serving layer: arrival-stream
- * generation, the stream merge, and end-to-end ClusterManager runs
- * at the 100-tenant / 100k-request scale the acceptance scenario
- * uses. Run with --perf-json=<path> to emit the machine-readable
+ * generation and end-to-end ClusterManager runs at the 100-tenant /
+ * 100k-request scale the acceptance scenario uses. Run with --perf-json=<path> to emit the machine-readable
  * summary the CI perf-smoke job diffs against
  * bench/baselines/BENCH_serving.json.
  */
@@ -56,24 +55,6 @@ BM_ArrivalDiurnal100k(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(arrivals));
 }
 BENCHMARK(BM_ArrivalDiurnal100k);
-
-/** Merge 100 tenant streams (~100k events) into one feed. */
-void
-BM_MergeStreams100Tenants(benchmark::State &state)
-{
-    std::vector<std::vector<double>> streams;
-    ArrivalSpec spec;
-    spec.rps = 1000.0;
-    for (std::uint64_t t = 0; t < 100; ++t) {
-        ArrivalProcess process(spec, Rng::deriveStream(5, t));
-        streams.push_back(process.generate(1.0));
-    }
-    std::uint64_t events = 0;
-    for (auto _ : state)
-        events += mergeArrivalStreams(streams).size();
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_MergeStreams100Tenants);
 
 /** The acceptance scenario: 100 tenants, ~100k requests, serial
  * vs fanned across the executor. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/log.h"
 
@@ -166,10 +167,38 @@ LogHistogram::add(double x)
         idx = static_cast<std::int64_t>(sub_) - 1;
     if (idx < 0)
         idx = 0;
-    const std::int64_t key =
-        static_cast<std::int64_t>(exp) * static_cast<std::int64_t>(sub_) +
-        idx;
-    ++buckets_[key];
+    const auto sub = static_cast<std::int64_t>(sub_);
+    std::int64_t k = (exp - loOctave_) * sub + idx;
+    if (counts_.empty() || k < 0 ||
+        k >= static_cast<std::int64_t>(counts_.size())) {
+        cover(exp, exp);
+        k = (exp - loOctave_) * sub + idx;
+    }
+    ++counts_[static_cast<std::size_t>(k)];
+}
+
+void
+LogHistogram::cover(std::int64_t loOct, std::int64_t hiOct)
+{
+    const auto sub = static_cast<std::int64_t>(sub_);
+    if (counts_.empty()) {
+        loOctave_ = loOct;
+        counts_.assign(static_cast<std::size_t>((hiOct - loOct + 1) * sub),
+                       0);
+        return;
+    }
+    const std::int64_t oldHi =
+        loOctave_ + static_cast<std::int64_t>(counts_.size()) / sub - 1;
+    const std::int64_t lo = std::min(loOct, loOctave_);
+    const std::int64_t hi = std::max(hiOct, oldHi);
+    if (lo == loOctave_ && hi == oldHi)
+        return;
+    std::vector<std::uint64_t> wider(
+        static_cast<std::size_t>((hi - lo + 1) * sub), 0);
+    std::copy(counts_.begin(), counts_.end(),
+              wider.begin() + (loOctave_ - lo) * sub);
+    counts_ = std::move(wider);
+    loOctave_ = lo;
 }
 
 void
@@ -189,8 +218,16 @@ LogHistogram::merge(const LogHistogram &other)
     count_ += other.count_;
     sum_ += other.sum_;
     zero_ += other.zero_;
-    for (const auto &[key, n] : other.buckets_)
-        buckets_[key] += n;
+    if (other.counts_.empty())
+        return;
+    const auto sub = static_cast<std::int64_t>(sub_);
+    cover(other.loOctave_,
+          other.loOctave_ +
+              static_cast<std::int64_t>(other.counts_.size()) / sub - 1);
+    const std::size_t offset =
+        static_cast<std::size_t>((other.loOctave_ - loOctave_) * sub);
+    for (std::size_t k = 0; k < other.counts_.size(); ++k)
+        counts_[offset + k] += other.counts_[k];
 }
 
 double
@@ -231,10 +268,14 @@ LogHistogram::percentile(double p) const
     std::uint64_t cum = zero_;
     if (target < cum)
         return std::clamp(0.0, min_, max_);
-    for (const auto &[key, n] : buckets_) {
-        cum += n;
+    const std::int64_t base =
+        loOctave_ * static_cast<std::int64_t>(sub_);
+    for (std::size_t k = 0; k < counts_.size(); ++k) {
+        cum += counts_[k];
         if (target < cum)
-            return std::clamp(bucketMid(key), min_, max_);
+            return std::clamp(
+                bucketMid(base + static_cast<std::int64_t>(k)), min_,
+                max_);
     }
     return max_;
 }
@@ -242,7 +283,8 @@ LogHistogram::percentile(double p) const
 void
 LogHistogram::reset()
 {
-    buckets_.clear();
+    counts_.clear();
+    loOctave_ = 0;
     zero_ = 0;
     count_ = 0;
     sum_ = 0.0;

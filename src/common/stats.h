@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace v10 {
@@ -116,7 +115,10 @@ class SampleSet
  * quantile estimates are within ~1/(2S) of the exact-sort answer
  * (under 1% for the default S = 64). Non-positive samples collapse
  * into a single zero bucket. Exact count/sum/min/max are kept on the
- * side, and quantile results are clamped to [min, max].
+ * side, and quantile results are clamped to [min, max]. The counts
+ * live in one dense array over the whole octaves touched so far, so
+ * memory is S counters per octave between the smallest and largest
+ * positive sample.
  *
  * Merging is plain bucket-count addition, so merged results are
  * independent of merge order — safe for deterministic parallel
@@ -128,7 +130,8 @@ class LogHistogram
     /** @param subBuckets linear sub-buckets per octave (> 0). */
     explicit LogHistogram(std::size_t subBuckets = 64);
 
-    /** Add one sample. O(log #octaves). */
+    /** Add one sample. O(1), plus a one-off copy of the counts
+     * when the sample opens a new lowest or highest octave. */
     void add(double x);
 
     /** Add every bucket of @p other into this histogram. */
@@ -165,9 +168,15 @@ class LogHistogram
     /** Representative value (bucket midpoint) for a bucket key. */
     double bucketMid(std::int64_t key) const;
 
+    /** Widen counts_ to whole octaves covering [loOct, hiOct]. */
+    void cover(std::int64_t loOct, std::int64_t hiOct);
+
     std::size_t sub_;
-    /** bucket key -> count; key = octave * sub_ + subIndex. */
-    std::map<std::int64_t, std::uint64_t> buckets_;
+    /** counts_[k] = samples with key loOctave_ * sub_ + k, where
+     * key = octave * sub_ + subIndex; empty until the first positive
+     * sample. */
+    std::vector<std::uint64_t> counts_;
+    std::int64_t loOctave_ = 0;
     std::uint64_t zero_ = 0;
     std::uint64_t count_ = 0;
     double sum_ = 0.0;

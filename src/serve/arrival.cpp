@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/log.h"
 
@@ -10,6 +12,10 @@ namespace v10 {
 namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
+
+/** Flood draws use derived streams above every tenant arrival
+ * stream (below 2^32) and every core service stream (2^32 + core). */
+constexpr std::uint64_t kFloodStreamSalt = 1ull << 33;
 
 Status
 requireFinitePositive(double v, const char *field,
@@ -96,122 +102,191 @@ ArrivalProcess::generate(double durationSec)
     if (!std::isfinite(durationSec) || durationSec < 0.0)
         panic("ArrivalProcess::generate: bad duration ",
               durationSec);
+    std::vector<double> times;
     if (durationSec == 0.0 || spec_.rps == 0.0)
-        return {};
-    switch (spec_.kind) {
-      case ArrivalKind::Poisson: return generatePoisson(durationSec);
-      case ArrivalKind::Diurnal: return generateDiurnal(durationSec);
-      case ArrivalKind::Bursty:  return generateBursty(durationSec);
-    }
-    panic("ArrivalProcess::generate: bad kind");
-}
-
-std::vector<double>
-ArrivalProcess::generatePoisson(double durationSec)
-{
-    std::vector<double> times;
+        return times;
     times.reserve(static_cast<std::size_t>(
         spec_.rps * durationSec * 1.1 + 16.0));
-    const double mean_gap = 1.0 / spec_.rps;
-    double t = rng_.exponential(mean_gap);
-    while (t < durationSec) {
+    for (double t = next(); t < durationSec; t = next())
         times.push_back(t);
-        t += rng_.exponential(mean_gap);
-    }
     return times;
 }
 
-std::vector<double>
-ArrivalProcess::generateDiurnal(double durationSec)
+double
+ArrivalProcess::next()
 {
-    // Lewis-Shedler thinning against the envelope rate
-    // lambda_max = rps * (1 + amplitude): candidate arrivals come
-    // from a homogeneous Poisson process at lambda_max and survive
-    // with probability lambda(t) / lambda_max.
-    std::vector<double> times;
-    const double lambda_max = spec_.rps * (1.0 + spec_.amplitude);
-    times.reserve(static_cast<std::size_t>(
-        spec_.rps * durationSec * 1.1 + 16.0));
-    const double mean_gap = 1.0 / lambda_max;
-    double t = rng_.exponential(mean_gap);
-    while (t < durationSec) {
-        const double lambda_t =
-            spec_.rps *
-            (1.0 + spec_.amplitude *
-                       std::sin(kTwoPi * t / spec_.periodSec));
-        if (rng_.bernoulli(lambda_t / lambda_max))
-            times.push_back(t);
-        t += rng_.exponential(mean_gap);
-    }
-    return times;
-}
-
-std::vector<double>
-ArrivalProcess::generateBursty(double durationSec)
-{
-    // Two-state MMPP: exponential dwells in on/off states; the
-    // on-state rate is rps / duty so the long-run mean stays rps.
-    const double duty =
-        spec_.meanOnSec / (spec_.meanOnSec + spec_.meanOffSec);
-    const double on_rate = spec_.rps / duty;
-    const double on_gap = 1.0 / on_rate;
-
-    std::vector<double> times;
-    times.reserve(static_cast<std::size_t>(
-        spec_.rps * durationSec * 1.1 + 16.0));
-    // Start in the stationary state distribution so the stream has
-    // no startup transient.
-    bool on = rng_.bernoulli(duty);
-    double t = 0.0;
-    double state_end =
-        rng_.exponential(on ? spec_.meanOnSec : spec_.meanOffSec);
-    while (t < durationSec) {
-        if (!on) {
-            // Idle: jump to the end of the off dwell.
-            t = state_end;
-            on = true;
-            state_end = t + rng_.exponential(spec_.meanOnSec);
-            continue;
+    if (spec_.rps == 0.0)
+        return std::numeric_limits<double>::infinity();
+    switch (spec_.kind) {
+      case ArrivalKind::Poisson:
+        t_ += rng_.exponential(1.0 / spec_.rps);
+        return t_;
+      case ArrivalKind::Diurnal: {
+        // Lewis-Shedler thinning against the envelope rate
+        // lambda_max = rps * (1 + amplitude): candidate arrivals come
+        // from a homogeneous Poisson process at lambda_max and
+        // survive with probability lambda(t) / lambda_max.
+        const double lambda_max =
+            spec_.rps * (1.0 + spec_.amplitude);
+        const double mean_gap = 1.0 / lambda_max;
+        while (true) {
+            t_ += rng_.exponential(mean_gap);
+            const double lambda_t =
+                spec_.rps *
+                (1.0 + spec_.amplitude *
+                           std::sin(kTwoPi * t_ / spec_.periodSec));
+            if (rng_.bernoulli(lambda_t / lambda_max))
+                return t_;
         }
-        const double next = t + rng_.exponential(on_gap);
-        if (next >= state_end) {
-            // The burst ended before the next arrival fired.
-            t = state_end;
-            on = false;
-            state_end = t + rng_.exponential(spec_.meanOffSec);
-            continue;
+      }
+      case ArrivalKind::Bursty: {
+        // Two-state MMPP: exponential dwells in on/off states; the
+        // on-state rate is rps / duty so the long-run mean stays rps.
+        const double duty =
+            spec_.meanOnSec / (spec_.meanOnSec + spec_.meanOffSec);
+        const double on_gap = 1.0 / (spec_.rps / duty);
+        if (!started_) {
+            // Start in the stationary state distribution so the
+            // stream has no startup transient.
+            started_ = true;
+            on_ = rng_.bernoulli(duty);
+            stateEnd_ = rng_.exponential(on_ ? spec_.meanOnSec
+                                             : spec_.meanOffSec);
         }
-        t = next;
-        if (t < durationSec)
-            times.push_back(t);
+        while (true) {
+            if (!on_) {
+                // Idle: jump to the end of the off dwell.
+                t_ = stateEnd_;
+                on_ = true;
+                stateEnd_ = t_ + rng_.exponential(spec_.meanOnSec);
+                continue;
+            }
+            const double next = t_ + rng_.exponential(on_gap);
+            if (next >= stateEnd_) {
+                // The burst ended before the next arrival fired.
+                t_ = stateEnd_;
+                on_ = false;
+                stateEnd_ = t_ + rng_.exponential(spec_.meanOffSec);
+                continue;
+            }
+            t_ = next;
+            return t_;
+        }
+      }
     }
-    return times;
+    panic("ArrivalProcess::next: bad kind");
 }
 
-std::vector<ArrivalEvent>
-mergeArrivalStreams(const std::vector<std::vector<double>> &streams)
+ArrivalFeed::ArrivalFeed(ArrivalProcess base, double horizonSec,
+                         Rng flood, std::vector<Stage> stages)
+    : base_(std::move(base)), horizon_(horizonSec),
+      flood_(std::move(flood)), stages_(std::move(stages))
 {
-    std::size_t total = 0;
-    for (const auto &stream : streams)
-        total += stream.size();
-    std::vector<ArrivalEvent> feed;
-    feed.reserve(total);
-    for (std::size_t tenant = 0; tenant < streams.size(); ++tenant) {
-        const auto &stream = streams[tenant];
-        for (std::size_t seq = 0; seq < stream.size(); ++seq)
-            feed.push_back(ArrivalEvent{
-                stream[seq], static_cast<std::uint32_t>(tenant),
-                static_cast<std::uint64_t>(seq)});
+}
+
+double
+ArrivalFeed::next()
+{
+    if (pending_ > 0) {
+        --pending_;
+        return last_;
     }
-    std::sort(feed.begin(), feed.end(),
-              [](const ArrivalEvent &a, const ArrivalEvent &b) {
-                  if (a.timeSec != b.timeSec)
-                      return a.timeSec < b.timeSec;
-                  if (a.tenant != b.tenant)
-                      return a.tenant < b.tenant;
-                  return a.seq < b.seq;
-              });
-    return feed;
+    if (last_ >= horizon_)
+        return std::numeric_limits<double>::infinity();
+    last_ = base_.next();
+    if (last_ >= horizon_)
+        return std::numeric_limits<double>::infinity();
+    // One draw per live source per base arrival, hit or not and
+    // capped or not, so the draw sequence is stable under rate and
+    // cap changes.
+    for (Stage &st : stages_) {
+        const FloodSource &s = st.source;
+        if (last_ < s.afterSec ||
+            (s.untilSec > 0.0 && last_ >= s.untilSec))
+            continue;
+        if (!(flood_.uniform() < s.prob))
+            continue;
+        ++st.hits;
+        if (st.quota == 0)
+            continue;
+        --st.quota;
+        pending_ += s.burst;
+    }
+    return last_;
+}
+
+ArrivalPlan::ArrivalPlan(std::vector<ArrivalSpec> specs,
+                         std::uint64_t seed, double horizonSec,
+                         std::vector<FloodSource> floods)
+    : specs_(std::move(specs)), seed_(seed), horizon_(horizonSec),
+      floods_(std::move(floods))
+{
+    const std::size_t n = specs_.size();
+    const std::size_t sources = floods_.size();
+    std::vector<std::uint64_t> left(sources, 0);
+    for (std::size_t k = 0; k < sources; ++k) {
+        if (floods_[k].tenant < 0)
+            left[k] = floods_[k].maxCount;
+    }
+    auto spent = [&] {
+        return std::all_of(left.begin(), left.end(),
+                           [](std::uint64_t v) { return v == 0; });
+    };
+    if (spent())
+        return;
+    // Shared caps: count each tenant's hits in tenant order and hand
+    // out what is left, as the eager augmentation spent them.
+    quota_.assign(n * sources, 0);
+    for (std::size_t i = 0; i < n && !spent(); ++i) {
+        ArrivalFeed probe = makeFeed(i);
+        while (probe.next() < horizon_) {
+        }
+        for (const ArrivalFeed::Stage &st : probe.stages_) {
+            const std::size_t k = st.index;
+            const std::uint64_t take = std::min(st.hits, left[k]);
+            quota_[i * sources + k] = take;
+            left[k] -= take;
+        }
+    }
+}
+
+ArrivalFeed
+ArrivalPlan::makeFeed(std::size_t tenant) const
+{
+    std::vector<ArrivalFeed::Stage> stages;
+    for (std::size_t k = 0; k < floods_.size(); ++k) {
+        const FloodSource &s = floods_[k];
+        if (!s.appliesTo(tenant))
+            continue;
+        ArrivalFeed::Stage st;
+        st.source = s;
+        st.index = k;
+        st.quota = s.maxCount == 0
+                       ? std::numeric_limits<std::uint64_t>::max()
+                       : (s.tenant < 0 ? 0 : s.maxCount);
+        stages.push_back(st);
+    }
+    return ArrivalFeed(
+        ArrivalProcess(specs_[tenant],
+                       Rng::deriveStream(seed_, tenant)),
+        horizon_,
+        Rng(Rng::deriveStream(seed_, kFloodStreamSalt + tenant)),
+        std::move(stages));
+}
+
+ArrivalFeed
+ArrivalPlan::feed(std::size_t tenant) const
+{
+    if (tenant >= specs_.size())
+        V10_PANIC("ArrivalPlan::feed: bad tenant ", tenant);
+    ArrivalFeed f = makeFeed(tenant);
+    if (!quota_.empty()) {
+        for (ArrivalFeed::Stage &st : f.stages_) {
+            if (st.source.tenant < 0 && st.source.maxCount > 0)
+                st.quota = quota_[tenant * floods_.size() + st.index];
+        }
+    }
+    return f;
 }
 
 } // namespace v10

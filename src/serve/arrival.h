@@ -14,9 +14,9 @@
  *
  * Determinism contract: a stream is a pure function of (spec, seed).
  * Per-tenant seeds are derived with Rng::deriveStream so tenant
- * streams are disjoint and independent of pool ordering, and the
- * merged feed breaks time ties by (tenant, seq) so it is identical
- * across platforms and jobs counts.
+ * streams are disjoint and independent of pool ordering. Streams are
+ * produced lazily (ArrivalProcess::next, ArrivalFeed), so a serving
+ * run holds one pending arrival per tenant, not the whole horizon.
  */
 
 #ifndef V10_SERVE_ARRIVAL_H
@@ -74,8 +74,9 @@ struct ArrivalSpec
 
 /**
  * Deterministic generator for one tenant's stream. Construct with
- * the tenant's derived seed, then generate() the full stream for a
- * horizon; repeated construction yields the identical stream.
+ * the tenant's derived seed, then draw it one arrival at a time with
+ * next() or whole with generate(); repeated construction yields the
+ * identical stream.
  */
 class ArrivalProcess
 {
@@ -89,36 +90,121 @@ class ArrivalProcess
     const ArrivalSpec &spec() const { return spec_; }
 
     /**
-     * All arrival times in [0, durationSec), ascending. A fresh
+     * All arrival times in [0, durationSec), ascending: next() up to
+     * the horizon, so it consumes the process. A fresh
      * ArrivalProcess with the same (spec, seed) returns the same
      * vector for any duration prefix.
      */
     std::vector<double> generate(double durationSec);
 
-  private:
-    std::vector<double> generatePoisson(double durationSec);
-    std::vector<double> generateDiurnal(double durationSec);
-    std::vector<double> generateBursty(double durationSec);
+    /**
+     * The next arrival of the unbounded stream (+infinity at rate
+     * 0). The values below any horizon d are exactly generate(d) of
+     * a fresh process: the stream is a duration-prefix function.
+     */
+    double next();
 
+  private:
     ArrivalSpec spec_;
     Rng rng_;
-};
-
-/** One request in the merged fleet feed. */
-struct ArrivalEvent
-{
-    double timeSec = 0.0;      ///< arrival time
-    std::uint32_t tenant = 0;  ///< index into the tenant list
-    std::uint64_t seq = 0;     ///< per-tenant request sequence number
+    double t_ = 0.0;       ///< latest candidate or arrival time
+    bool started_ = false; ///< Bursty: initial state drawn
+    bool on_ = false;      ///< Bursty: in the burst state
+    double stateEnd_ = 0.0; ///< Bursty: end of the current dwell
 };
 
 /**
- * Merge per-tenant streams (streams[i] = tenant i's ascending
- * times) into one feed ordered by (time, tenant, seq). The
- * tie-break makes the merge a pure function of its inputs.
+ * One flood source (docs/RESILIENCE.md): while live, each base
+ * arrival of a tenant it applies to draws once from the tenant's
+ * flood stream and, on a hit, is followed by `burst` copies at the
+ * same instant.
  */
-std::vector<ArrivalEvent>
-mergeArrivalStreams(const std::vector<std::vector<double>> &streams);
+struct FloodSource
+{
+    double prob = 0.0;          ///< hit probability per base arrival
+    std::uint64_t burst = 0;    ///< copies appended per hit
+    double afterSec = 0.0;      ///< live from this time on
+    double untilSec = 0.0;      ///< live before this time; 0 = forever
+    /** Bursts fired over every tenant the source applies to; 0 =
+     * uncapped. A shared cap (tenant = -1) is spent in tenant-index
+     * order, then time order. */
+    std::uint64_t maxCount = 0;
+    int tenant = -1;            ///< -1 = every tenant
+
+    bool
+    appliesTo(std::size_t t) const
+    {
+        return tenant < 0 || static_cast<std::size_t>(tenant) == t;
+    }
+};
+
+/**
+ * One tenant's arrival feed over [0, horizon): the base process with
+ * the flood bursts spliced in, produced one arrival at a time.
+ * Obtained from ArrivalPlan::feed().
+ */
+class ArrivalFeed
+{
+  public:
+    /** Next arrival time (ascending); +infinity once the horizon is
+     * reached. */
+    double next();
+
+  private:
+    friend class ArrivalPlan;
+
+    /** One flood source as this tenant sees it. */
+    struct Stage
+    {
+        FloodSource source;
+        std::size_t index = 0;   ///< position in the plan's sources
+        std::uint64_t quota = 0; ///< bursts this tenant may fire
+        std::uint64_t hits = 0;  ///< draws that hit, fired or not
+    };
+
+    ArrivalFeed(ArrivalProcess base, double horizonSec, Rng flood,
+                std::vector<Stage> stages);
+
+    ArrivalProcess base_;
+    double horizon_;
+    Rng flood_;
+    std::vector<Stage> stages_;
+    double last_ = 0.0;         ///< the latest base arrival
+    std::uint64_t pending_ = 0; ///< burst copies still to emit
+};
+
+/**
+ * The fleet's arrival feeds: tenant i's base process is seeded with
+ * Rng::deriveStream(seed, i) and its flood draws with a disjoint
+ * derived stream, so every feed is a pure function of (spec, seed,
+ * tenant index, horizon, flood sources). No stream is materialized:
+ * a shared flood cap is split into per-tenant quotas up front by
+ * counting hits in tenant order (the flood draws happen whether or
+ * not the cap allows the burst), stopping once every cap is spent.
+ */
+class ArrivalPlan
+{
+  public:
+    ArrivalPlan(std::vector<ArrivalSpec> specs, std::uint64_t seed,
+                double horizonSec, std::vector<FloodSource> floods);
+
+    /** Tenant @p tenant's feed; its first next() is the tenant's
+     * first arrival. */
+    ArrivalFeed feed(std::size_t tenant) const;
+
+  private:
+    /** Feed whose stages carry their own caps (or none); shared
+     * caps start at a zero quota. */
+    ArrivalFeed makeFeed(std::size_t tenant) const;
+
+    std::vector<ArrivalSpec> specs_;
+    std::uint64_t seed_;
+    double horizon_;
+    std::vector<FloodSource> floods_;
+    /** quota_[tenant * floods + k]: bursts tenant may fire from
+     * shared-cap source k (other sources read their own cap). */
+    std::vector<std::uint64_t> quota_;
+};
 
 } // namespace v10
 

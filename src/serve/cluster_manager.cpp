@@ -6,13 +6,13 @@
 #include <map>
 #include <utility>
 
-#include "common/annotations.h"
 #include "common/log.h"
 #include "common/parallel_executor.h"
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "metrics/interval_sampler.h"
 #include "metrics/stat_registry.h"
+#include "serve/core_sim.h"
 #include "trace/attribution.h"
 #include "trace/request_tracer.h"
 #include "workload/model_zoo.h"
@@ -23,407 +23,48 @@ namespace {
 
 /** Stream-id space separation: tenants draw arrival streams below
  * the core salt, cores draw service streams above it, and the
- * flood-burst thinning draws live above both. */
+ * flood-burst thinning draws live above both (serve/arrival.cpp). */
 constexpr std::uint64_t kCoreStreamSalt = 1ull << 32;
-constexpr std::uint64_t kFloodStreamSalt = 1ull << 33;
 
-/** One completion, buffered per control epoch inside the owning
- * core and folded into the per-tenant accumulators serially (in
- * core-index order) by the manager — so a tenant served by two
- * cores in one epoch (migration) still folds in one deterministic
- * floating-point order for any --jobs value. */
-struct CompletionRec
+/** The run's flood sources: antagonist flood profiles, then the
+ * fault plan's serve-granularity flood sites (cycle fields converted
+ * to sim seconds via the core clock). */
+std::vector<FloodSource>
+floodSources(const ServeConfig &config)
 {
-    std::uint32_t tenant = 0; ///< global tenant index
-    bool violated = false;
-    double latencyUs = 0.0;
-    double queueUs = 0.0;
-    double serviceUs = 0.0;
-    double soloUs = 0.0;
-    double endSec = 0.0; ///< completion time (SLO bucket key)
-};
-
-/** One queue-wait / thrash-overhead attribution charge. */
-struct WaitCharge
-{
-    std::uint32_t victim = 0;
-    std::uint32_t perp = 0;
-    double us = 0.0;
-};
-
-/** Static per-tenant antagonist context, shared by every core. */
-struct TenantStatic
-{
-    std::vector<AntagonistProfile> hogs;   ///< HbmHog windows
-    std::vector<AntagonistProfile> thrash; ///< Thrash windows
-};
-
-/** One waiting request: (arrival time, seq) FIFO entry. */
-struct Waiting
-{
-    double timeSec = 0.0;
-    std::uint64_t seq = 0;
-};
-
-/**
- * One tenant's live state on its current host core. The flow moves
- * wholesale between cores on migrate/isolate (queue handed over,
- * SCFQ virtual time reset); the in-flight request, if any, finishes
- * on the old core from captured parameters.
- */
-struct V10_DOMAIN_LOCAL TenantFlow
-{
-    std::uint32_t tenant = 0; ///< global index (trace IDs)
-    const std::vector<double> *arrivals = nullptr;
-    std::size_t cursor = 0; ///< next un-consumed arrival
-    bool active = true;     ///< consuming arrivals (churn/evict)
-    double serviceMeanSec = 0.0; ///< after the collocation speedup
-    double soloMeanSec = 0.0;    ///< solo-run calibration
-    double weight = 1.0;
-    double sloTargetUs = 0.0;
-    /** Admission gate bucket; nullptr = admit everything. */
-    TokenBucket *bucket = nullptr;
-    const TenantStatic *stat = nullptr;
-    std::vector<Waiting> queue;
-    std::size_t head = 0;
-    double vtime = 0.0; ///< SCFQ virtual finish time
-
-    std::size_t queued() const { return queue.size() - head; }
-};
-
-/**
- * One core's persistent serving state: a single server draining
- * bounded per-tenant FIFO queues under self-clocked weighted fair
- * queueing, advanced one control epoch at a time. With a single
- * epoch (no resilience feature active) runEpoch() performs exactly
- * the classic single-pass simulation — same event order, same RNG
- * draw sites, same floating-point accumulation — so legacy runs
- * stay byte-identical. Trace/observability inputs only *record*;
- * service draws and scheduling never depend on them.
- */
-class V10_DOMAIN_LOCAL CoreSim
-{
-  public:
-    // --- immutable run context -------------------------------------
-    std::size_t index = 0;
-    Rng rng{0};
-    std::uint64_t traceSeed = 0;
-    std::uint64_t spanSampleN = 0;
-    TraceSampler spanSampler{1};
-    ServiceDist dist = ServiceDist::Exponential;
-    double cv = 1.0;
-    std::size_t queueCapacity = 64;
-    double durationSec = 1.0;
-    std::size_t sampleTicks = 0;
-    double tickSec = 0.0;
-    bool needCharges = false;
-
-    /** Resident flows, keyed by global tenant index; ascending map
-     * order is the deterministic tie-break everywhere. */
-    std::map<std::size_t, TenantFlow> flows;
-
-    // --- server state ---------------------------------------------
-    double vclock = 0.0;
-    bool busy = false;
-    double busyUntil = 0.0;
-    double servedStart = 0.0;
-    double servedArrival = 0.0;
-    std::uint64_t servedSeq = 0;
-    std::uint32_t servedTenant = 0;
-    /** Captured at service start so finish() never dereferences a
-     * flow that migrated away mid-service. */
-    double servedSloTargetUs = 0.0;
-    double servedSpeed = 1.0;
-    std::size_t waiting = 0; ///< total queued across tenants
-
-    // --- whole-run accounting -------------------------------------
-    double lastT = 0.0;
-    std::size_t nextTick = 1;
-    double depthArea = 0.0;
-    double busyArea = 0.0;
-    double depthPeak = 0.0;
-    double busySec = 0.0;
-    double endSec = 0.0; ///< last completion (>= duration horizon)
-    std::uint64_t served = 0;
-    std::vector<double> depthSamples;
-    std::vector<double> inflightSamples;
-    std::vector<RequestSpan> spans;
-
-    // --- per-epoch buffers (folded serially by the manager) -------
-    std::vector<CompletionRec> completions;
-    std::vector<WaitCharge> charges;
-    std::map<std::size_t, std::uint64_t> offered;
-    std::map<std::size_t, std::uint64_t> shed;
-    std::map<std::size_t, std::uint64_t> rejected;
-
-    void
-    beginEpoch()
-    {
-        completions.clear();
-        charges.clear();
-        offered.clear();
-        shed.clear();
-        rejected.clear();
+    std::vector<FloodSource> sources;
+    for (const AntagonistProfile &p : config.antagonists.profiles()) {
+        if (p.kind != AntagonistKind::Flood)
+            continue;
+        FloodSource src;
+        src.prob = p.rate;
+        src.burst = static_cast<std::uint64_t>(p.effectiveMagnitude());
+        src.afterSec = p.afterSec;
+        src.untilSec = p.untilSec;
+        src.tenant = p.tenant;
+        sources.push_back(src);
     }
-
-    /** Time-weighted occupancy accounting plus the optional fixed
-     * sim-time tick series; called with the state still describing
-     * (lastT, now]. */
-    void
-    advanceTime(double now)
-    {
-        if (now < lastT)
-            return;
-        while (sampleTicks > 0 && nextTick <= sampleTicks &&
-               static_cast<double>(nextTick) * tickSec <= now) {
-            depthSamples.push_back(static_cast<double>(waiting));
-            inflightSamples.push_back(busy ? 1.0 : 0.0);
-            ++nextTick;
-        }
-        depthArea += static_cast<double>(waiting) * (now - lastT);
-        busyArea += (busy ? 1.0 : 0.0) * (now - lastT);
-        lastT = now;
-    }
-
-    /** One service draw at the tenant's mean, inflated by any live
-     * HBM-hog windows. Exactly one RNG draw regardless of the
-     * inflation factor, so draw sequences stay aligned. */
-    double
-    drawService(const TenantFlow &f, double now)
-    {
-        double mean = f.serviceMeanSec;
-        if (f.stat != nullptr) {
-            for (const AntagonistProfile &p : f.stat->hogs) {
-                if (p.activeAt(now))
-                    mean *= p.effectiveMagnitude();
-            }
-        }
-        switch (dist) {
-          case ServiceDist::Deterministic: return mean;
-          case ServiceDist::Exponential:
-            return rng.exponential(mean);
-          case ServiceDist::Lognormal:
-            return rng.lognormal(mean, cv);
-        }
-        panic("CoreSim: bad service distribution");
-    }
-
-    /** Pick the nonempty queue with the least virtual time (ties to
-     * the lowest tenant index) and put it in service. */
-    void
-    startNext(double now)
-    {
-        auto pick = flows.end();
-        for (auto it = flows.begin(); it != flows.end(); ++it) {
-            if (it->second.queued() == 0)
+    if (config.faults != nullptr) {
+        const double cyclesPerSec = config.core.freqGHz * 1e9;
+        for (const FaultSite &site : config.faults->sites()) {
+            // Cycle-level kinds have no serve-layer analogue.
+            if (site.kind != FaultKind::TraceFlood)
                 continue;
-            if (pick == flows.end() ||
-                it->second.vtime < pick->second.vtime)
-                pick = it;
-        }
-        if (pick == flows.end())
-            return;
-        TenantFlow &f = pick->second;
-        servedTenant = f.tenant;
-        const Waiting &w = f.queue[f.head++];
-        servedArrival = w.timeSec;
-        servedSeq = w.seq;
-        --waiting;
-        double service = drawService(f, now);
-        // Preemption thrashing: a queued co-resident with a live
-        // thrash window inflicts per-start overhead, charged to the
-        // thrasher in the attribution matrix.
-        for (auto &[ti, g] : flows) {
-            if (ti == pick->first || g.stat == nullptr ||
-                g.stat->thrash.empty() || g.queued() == 0)
-                continue;
-            double frac = 0.0;
-            for (const AntagonistProfile &p : g.stat->thrash) {
-                if (p.activeAt(now))
-                    frac += p.effectiveMagnitude();
-            }
-            if (frac <= 0.0)
-                continue;
-            const double overhead = frac * f.serviceMeanSec;
-            service += overhead;
-            if (needCharges)
-                charges.push_back(
-                    WaitCharge{f.tenant, g.tenant, overhead * 1e6});
-        }
-        vclock = std::max(vclock, f.vtime);
-        f.vtime = vclock + service / f.weight;
-        busy = true;
-        servedStart = now;
-        busyUntil = now + service;
-        busySec += service;
-        servedSloTargetUs = f.sloTargetUs;
-        servedSpeed = f.serviceMeanSec > 0.0
-                          ? f.soloMeanSec / f.serviceMeanSec
-                          : 1.0;
-    }
-
-    /** Restart an idle server after a queue handoff (migration). */
-    void
-    kickIdle(double now)
-    {
-        if (!busy)
-            startNext(now);
-    }
-
-    void
-    finish()
-    {
-        const double latencyUs = (busyUntil - servedArrival) * 1e6;
-        const double queueUs = (servedStart - servedArrival) * 1e6;
-        const double serviceUs = (busyUntil - servedStart) * 1e6;
-        // Solo-equivalent of this draw: the same work at the
-        // tenant's calibrated solo rate.
-        const double soloUs = serviceUs * servedSpeed;
-        ++served;
-        const double target = servedSloTargetUs;
-        const bool violated = target > 0.0 && latencyUs > target;
-        completions.push_back(CompletionRec{
-            servedTenant, violated, latencyUs, queueUs, serviceUs,
-            soloUs, busyUntil});
-        if (needCharges) {
-            // Head-of-line blocking: each co-resident flow whose
-            // head request waited out this service accrues the
-            // service time, charged to the tenant that held the
-            // server. Charging per flow (not per queued request)
-            // keeps the perpetrator score proportional to the
-            // blocker's server occupancy — a flooder's deep
-            // self-inflicted queue must not inflate its victims'
-            // columns.
-            for (auto &[ti, g] : flows) {
-                if (g.tenant == servedTenant || g.queued() == 0)
-                    continue;
-                charges.push_back(
-                    WaitCharge{g.tenant, servedTenant, serviceUs});
-            }
-        }
-        if (spanSampleN > 0) {
-            const TraceContext ctx = TraceContext::make(
-                traceSeed, servedTenant, servedSeq);
-            if (spanSampler.sampled(ctx.traceId)) {
-                RequestSpan span;
-                span.ctx = ctx;
-                span.core = index;
-                span.arrivalUs = servedArrival * 1e6;
-                span.startUs = servedStart * 1e6;
-                span.endUs = busyUntil * 1e6;
-                span.soloUs = soloUs;
-                span.sloTargetUs = target;
-                span.violated = violated;
-                spans.push_back(std::move(span));
-            }
-        }
-        endSec = std::max(endSec, busyUntil);
-        busy = false;
-    }
-
-    /** Record a span for an arrival that never entered the queue
-     * (admission rejection or queue-full shed). */
-    void
-    dropSpan(const TenantFlow &f, double atSec, std::uint64_t seq,
-             bool wasRejected)
-    {
-        if (spanSampleN == 0)
-            return;
-        const TraceContext ctx =
-            TraceContext::make(traceSeed, f.tenant, seq);
-        if (!spanSampler.sampled(ctx.traceId))
-            return;
-        RequestSpan span;
-        span.ctx = ctx;
-        span.core = index;
-        span.arrivalUs = atSec * 1e6;
-        span.startUs = span.arrivalUs;
-        span.endUs = span.arrivalUs;
-        span.sloTargetUs = f.sloTargetUs;
-        span.shed = !wasRejected;
-        span.rejected = wasRejected;
-        spans.push_back(std::move(span));
-    }
-
-    /**
-     * Advance to @p epochEnd. Non-final epochs process arrivals
-     * strictly before the boundary and defer completions landing on
-     * or past it; the final epoch consumes every remaining arrival
-     * and drains all queues (completions past the horizon allowed).
-     */
-    void
-    runEpoch(double epochEnd, bool isFinal)
-    {
-        const double bound =
-            isFinal ? std::numeric_limits<double>::infinity()
-                    : epochEnd;
-        while (true) {
-            // Next arrival among active flows (ascending map order
-            // breaks exact-time ties toward the lowest index).
-            auto at = flows.end();
-            double atTime = 0.0;
-            for (auto it = flows.begin(); it != flows.end(); ++it) {
-                TenantFlow &f = it->second;
-                if (!f.active || f.cursor >= f.arrivals->size())
-                    continue;
-                const double tm = (*f.arrivals)[f.cursor];
-                if (tm >= bound)
-                    continue;
-                if (at == flows.end() || tm < atTime) {
-                    at = it;
-                    atTime = tm;
-                }
-            }
-            const bool haveArrival = at != flows.end();
-            // Completions fire before arrivals carrying the same
-            // timestamp: the server frees the slot first.
-            if (busy && (!haveArrival || busyUntil <= atTime)) {
-                if (!isFinal && busyUntil >= epochEnd)
-                    break; // lands on/after the boundary: defer
-                const double now = busyUntil;
-                advanceTime(now);
-                finish();
-                startNext(now);
-                continue;
-            }
-            if (!haveArrival)
-                break;
-            TenantFlow &f = at->second;
-            const auto seq = static_cast<std::uint64_t>(f.cursor);
-            ++f.cursor;
-            ++offered[at->first];
-            advanceTime(atTime);
-            if (f.bucket != nullptr && !f.bucket->tryAdmit(atTime)) {
-                ++rejected[at->first];
-                dropSpan(f, atTime, seq, /*wasRejected=*/true);
-            } else if (f.queued() >= queueCapacity) {
-                ++shed[at->first]; // bounded queue: load-shed
-                dropSpan(f, atTime, seq, /*wasRejected=*/false);
-            } else {
-                f.queue.push_back(Waiting{atTime, seq});
-                ++waiting;
-                depthPeak = std::max(depthPeak,
-                                     static_cast<double>(waiting));
-                if (!busy)
-                    startNext(atTime);
-            }
-        }
-        if (!isFinal) {
-            // Close the occupancy integrals at the boundary: the
-            // control step may hand queues between cores.
-            advanceTime(epochEnd);
-            return;
-        }
-        // Close the integrals at the drain point and emit any
-        // remaining (idle) ticks.
-        advanceTime(std::max(endSec, durationSec));
-        while (sampleTicks > 0 && nextTick <= sampleTicks) {
-            depthSamples.push_back(0.0);
-            inflightSamples.push_back(0.0);
-            ++nextTick;
+            FloodSource src;
+            src.prob = site.rate;
+            src.burst =
+                static_cast<std::uint64_t>(site.effectiveMagnitude());
+            src.afterSec =
+                cyclesPerSec > 0.0
+                    ? static_cast<double>(site.after) / cyclesPerSec
+                    : 0.0;
+            src.maxCount = site.maxCount;
+            src.tenant = site.tenant;
+            sources.push_back(src);
         }
     }
-};
+    return sources;
+}
 
 } // namespace
 
@@ -899,102 +540,15 @@ ClusterManager::run()
                             E > 1 ? E - 1 : 1);
     }
 
-    // Per-tenant arrival streams: derived seeds make every stream a
-    // pure function of (run seed, tenant index).
-    std::vector<std::vector<double>> streams(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ArrivalProcess process(
-            tenants_[i].arrival,
-            Rng::deriveStream(config_.seed, i));
-        streams[i] = process.generate(config_.durationSec);
-    }
-
-    // Flood augmentation at stream generation: antagonist flood
-    // profiles and serve-granularity fault-plan flood sites thin the
-    // base arrivals with a per-tenant derived stream (one draw per
-    // live source per base arrival — always-draw, so sequences are
-    // stable under rate changes) and append burst copies in place.
-    struct FloodSource
-    {
-        double prob = 0.0;
-        std::uint64_t burst = 0;
-        double afterSec = 0.0;
-        double untilSec = 0.0; ///< 0 = never ends
-        std::uint64_t maxCount = 0;
-        int tenant = -1; ///< -1 = every tenant
-        std::uint64_t fired = 0;
-    };
-    std::vector<FloodSource> floodSources;
-    for (const AntagonistProfile &p :
-         config_.antagonists.profiles()) {
-        if (p.kind != AntagonistKind::Flood)
-            continue;
-        FloodSource src;
-        src.prob = p.rate;
-        src.burst =
-            static_cast<std::uint64_t>(p.effectiveMagnitude());
-        src.afterSec = p.afterSec;
-        src.untilSec = p.untilSec;
-        src.tenant = p.tenant;
-        floodSources.push_back(src);
-    }
-    if (config_.faults != nullptr) {
-        const double cyclesPerSec = config_.core.freqGHz * 1e9;
-        for (const FaultSite &site : config_.faults->sites()) {
-            // Cycle-level kinds have no serve-layer analogue.
-            if (site.kind != FaultKind::TraceFlood)
-                continue;
-            FloodSource src;
-            src.prob = site.rate;
-            src.burst = static_cast<std::uint64_t>(
-                site.effectiveMagnitude());
-            src.afterSec =
-                cyclesPerSec > 0.0
-                    ? static_cast<double>(site.after) / cyclesPerSec
-                    : 0.0;
-            src.maxCount = site.maxCount;
-            src.tenant = site.tenant;
-            floodSources.push_back(src);
-        }
-    }
-    if (!floodSources.empty()) {
-        for (std::size_t i = 0; i < n; ++i) {
-            bool applicable = false;
-            for (const FloodSource &s : floodSources) {
-                if (s.tenant < 0 ||
-                    static_cast<std::size_t>(s.tenant) == i) {
-                    applicable = true;
-                    break;
-                }
-            }
-            if (!applicable)
-                continue;
-            Rng frng(Rng::deriveStream(config_.seed,
-                                       kFloodStreamSalt + i));
-            std::vector<double> out;
-            out.reserve(streams[i].size());
-            for (double t : streams[i]) {
-                out.push_back(t);
-                for (FloodSource &s : floodSources) {
-                    if (s.tenant >= 0 &&
-                        static_cast<std::size_t>(s.tenant) != i)
-                        continue;
-                    if (t < s.afterSec ||
-                        (s.untilSec > 0.0 && t >= s.untilSec))
-                        continue;
-                    const bool hit = frng.uniform() < s.prob;
-                    if (!hit)
-                        continue;
-                    if (s.maxCount > 0 && s.fired >= s.maxCount)
-                        continue;
-                    ++s.fired;
-                    for (std::uint64_t k = 0; k < s.burst; ++k)
-                        out.push_back(t);
-                }
-            }
-            streams[i] = std::move(out);
-        }
-    }
+    // Lazy per-tenant arrival feeds: base process plus flood bursts,
+    // a pure function of (run seed, tenant index).
+    std::vector<ArrivalSpec> specs;
+    specs.reserve(n);
+    for (const ServeTenant &t : tenants_)
+        specs.push_back(t.arrival);
+    const ArrivalPlan arrivals(std::move(specs), config_.seed,
+                               config_.durationSec,
+                               floodSources(config_));
 
     // Resolve service means up front (cache fills are not
     // thread-safe, and the fan-out workers read them).
@@ -1039,6 +593,23 @@ ClusterManager::run()
     QuarantineController controller(n, config_.detector,
                                     config_.ladder);
 
+    // Per-tenant flows (they never move in memory; a core lists its
+    // residents) and the SLO monitor the core workers fold into.
+    std::vector<TenantFlow> flows;
+    flows.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        TenantFlow &f = flows.emplace_back(arrivals.feed(i));
+        f.tenant = static_cast<std::uint32_t>(i);
+        f.soloMeanSec = serviceUs(i) * 1e-6;
+        f.serviceMeanSec = f.soloMeanSec / placement.tenantSpeed[i];
+        f.weight = tenants_[i].slo.weight;
+        f.sloTargetUs = tenants_[i].slo.latencyTargetUs;
+        f.bucket = gate.bucket(i);
+        f.stat = &statics[i];
+        f.active = !startsInactive[i];
+    }
+    SloMonitor monitor(n, config_.durationSec, config_.sloPolicy);
+
     // Persistent per-core simulations seeded from the placement.
     const std::uint64_t spanSampleN =
         tracer_ != nullptr ? tracer_->sampler().n : 0;
@@ -1064,20 +635,11 @@ ClusterManager::run()
                 : 0.0;
         sim.needCharges = needCharges;
         sim.endSec = config_.durationSec;
-        for (std::size_t idx : placement.coreTenants[c]) {
-            TenantFlow f;
-            f.tenant = static_cast<std::uint32_t>(idx);
-            f.arrivals = &streams[idx];
-            f.soloMeanSec = serviceUs(idx) * 1e-6;
-            f.serviceMeanSec =
-                f.soloMeanSec / placement.tenantSpeed[idx];
-            f.weight = tenants_[idx].slo.weight;
-            f.sloTargetUs = tenants_[idx].slo.latencyTargetUs;
-            f.bucket = gate.bucket(idx);
-            f.stat = &statics[idx];
-            f.active = !startsInactive[idx];
-            sim.flows.emplace(idx, std::move(f));
-        }
+        sim.flowTable = &flows;
+        sim.monitor = &monitor;
+        for (std::size_t idx : placement.coreTenants[c])
+            sim.residents.push_back(static_cast<std::uint32_t>(idx));
+        std::sort(sim.residents.begin(), sim.residents.end());
     }
 
     // Churn/quarantine bookkeeping surfaced in the report.
@@ -1098,21 +660,16 @@ ClusterManager::run()
             return;
         CoreSim &s = sims[src];
         CoreSim &d = sims[dest];
-        auto it = s.flows.find(t);
-        if (it == s.flows.end())
-            panic("serve: migrating tenant ", t,
-                  " not resident on core ", src);
-        TenantFlow f = std::move(it->second);
-        s.flows.erase(it);
+        TenantFlow &f = flows[t];
+        s.removeResident(f.tenant);
+        d.addResident(f.tenant);
         s.waiting -= f.queued();
         d.waiting += f.queued();
         d.depthPeak = std::max(d.depthPeak,
                                static_cast<double>(d.waiting));
         f.vtime = 0.0; // SCFQ state is per-core: rejoin at vclock
-        const bool hasWork = f.queued() > 0;
-        d.flows.emplace(t, std::move(f));
         tenantCore[t] = dest;
-        if (hasWork)
+        if (f.queued() > 0)
             d.kickIdle(now); // idle server must notice the handoff
     };
 
@@ -1120,7 +677,7 @@ ClusterManager::run()
     // core (ties to the lowest index); stay if already alone.
     auto isolationCore = [&](std::size_t t) {
         const std::size_t cur = tenantCore[t];
-        if (sims[cur].flows.size() <= 1)
+        if (sims[cur].residents.size() <= 1)
             return cur;
         std::size_t best = cur;
         std::size_t bestCount =
@@ -1128,9 +685,9 @@ ClusterManager::run()
         for (std::size_t c = 0; c < config_.numCores; ++c) {
             if (c == cur)
                 continue;
-            if (sims[c].flows.size() < bestCount) {
+            if (sims[c].residents.size() < bestCount) {
                 best = c;
-                bestCount = sims[c].flows.size();
+                bestCount = sims[c].residents.size();
             }
         }
         return best;
@@ -1139,34 +696,18 @@ ClusterManager::run()
     auto residentLists = [&]() {
         std::vector<std::vector<std::size_t>> lists(
             config_.numCores);
-        for (std::size_t c = 0; c < config_.numCores; ++c) {
-            for (const auto &entry : sims[c].flows)
-                lists[c].push_back(entry.first);
-        }
+        for (std::size_t c = 0; c < config_.numCores; ++c)
+            lists[c].assign(sims[c].residents.begin(),
+                            sims[c].residents.end());
         return lists;
     };
 
-    // Per-tenant accumulators owned by the manager and filled by
-    // the serial per-epoch fold (deterministic FP order).
-    struct TenantAccum
-    {
-        LogHistogram latencyUs;
-        std::uint64_t offered = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t shed = 0;
-        std::uint64_t rejected = 0;
-        std::uint64_t violations = 0;
-        double queueUs = 0.0;
-        double serviceUs = 0.0;
-        double soloUs = 0.0;
-    };
-    std::vector<TenantAccum> accum(n);
-    SloMonitor monitor(n, config_.durationSec, config_.sloPolicy);
     std::vector<double> prevCharged(n, 0.0);
     std::vector<double> charged;
 
     ServingReport report;
     std::size_t churnCursor = 0;
+    std::vector<std::uint32_t> splitTenants;
     ParallelExecutor exec(config_.jobs);
 
     for (std::size_t e = 0; e < E; ++e) {
@@ -1175,38 +716,37 @@ ClusterManager::run()
             isFinal ? config_.durationSec
                     : static_cast<double>(e + 1) * epochSec;
 
+        // A tenant still in service on a core it migrated away from
+        // completes on two cores this epoch: its completions are
+        // buffered and folded serially in core-index order, the
+        // order every --jobs value agrees on. Every other completion
+        // folds inside its host core's worker.
+        for (std::uint32_t t : splitTenants)
+            flows[t].foldSerially = false;
+        splitTenants.clear();
+        for (std::size_t c = 0; c < config_.numCores; ++c) {
+            const CoreSim &sim = sims[c];
+            if (sim.busy && tenantCore[sim.servedTenant] != c &&
+                !flows[sim.servedTenant].foldSerially) {
+                flows[sim.servedTenant].foldSerially = true;
+                splitTenants.push_back(sim.servedTenant);
+            }
+        }
+
         // Independent per-core epoch simulations; each worker only
-        // touches its own CoreSim and its residents' token buckets.
+        // touches its own CoreSim, its residents' flows and token
+        // buckets, and their SLO monitor rows.
         exec.forEach(config_.numCores, [&](std::size_t c) {
-            sims[c].beginEpoch();
+            sims[c].completions.clear();
+            sims[c].charges.clear();
             sims[c].runEpoch(epochEnd, isFinal);
         });
 
-        // Serial fold in core-index order: identical accumulation
-        // order (and FP results) for any --jobs value.
         for (std::size_t c = 0; c < config_.numCores; ++c) {
-            CoreSim &sim = sims[c];
-            for (const CompletionRec &r : sim.completions) {
-                TenantAccum &a = accum[r.tenant];
-                a.latencyUs.add(r.latencyUs);
-                ++a.completed;
-                if (r.violated)
-                    ++a.violations;
-                a.queueUs += r.queueUs;
-                a.serviceUs += r.serviceUs;
-                a.soloUs += r.soloUs;
-                monitor.addBucket(r.tenant,
-                                  monitor.bucketIndex(r.endSec), 1,
-                                  r.violated ? 1 : 0);
-            }
-            for (const auto &[t, cnt] : sim.offered)
-                accum[t].offered += cnt;
-            for (const auto &[t, cnt] : sim.shed)
-                accum[t].shed += cnt;
-            for (const auto &[t, cnt] : sim.rejected)
-                accum[t].rejected += cnt;
+            for (const CompletionRec &r : sims[c].completions)
+                foldCompletion(r, flows[r.tenant].acc, monitor);
             if (needCharges) {
-                for (const WaitCharge &ch : sim.charges)
+                for (const WaitCharge &ch : sims[c].charges)
                     attrib->chargeQueueWait(ch.victim, ch.perp,
                                             ch.us);
             }
@@ -1231,21 +771,21 @@ ClusterManager::run()
             rec.toCore = cur;
             switch (pc.event.action) {
               case ChurnAction::Join: {
-                TenantFlow &f = sims[cur].flows.at(t);
+                TenantFlow &f = flows[t];
                 f.active = true;
                 // Arrivals before the join never happened: skip
                 // them un-counted.
-                while (f.cursor < f.arrivals->size() &&
-                       (*f.arrivals)[f.cursor] < boundary)
-                    ++f.cursor;
+                while (f.nextArrival < boundary) {
+                    f.nextArrival = f.arrivals.next();
+                    ++f.seq;
+                }
                 activeNow[t] = 1;
                 joinSecV[t] = boundary;
                 leaveSecV[t] = 0.0;
                 break;
               }
               case ChurnAction::Leave: {
-                TenantFlow &f = sims[cur].flows.at(t);
-                f.active = false; // queue drains gracefully
+                flows[t].active = false; // queue drains gracefully
                 activeNow[t] = 0;
                 leaveSecV[t] = boundary;
                 break;
@@ -1265,9 +805,9 @@ ClusterManager::run()
                          ++c) {
                         if (c == cur)
                             continue;
-                        if (sims[c].flows.size() < bestCount) {
+                        if (sims[c].residents.size() < bestCount) {
                             dest = c;
-                            bestCount = sims[c].flows.size();
+                            bestCount = sims[c].residents.size();
                         }
                     }
                 }
@@ -1332,8 +872,7 @@ ClusterManager::run()
                 rec.score = tr.score;
                 report.quarantineEvents.push_back(std::move(rec));
                 auto refreshBucket = [&] {
-                    sims[tenantCore[t]].flows.at(t).bucket =
-                        gate.bucket(t);
+                    flows[t].bucket = gate.bucket(t);
                 };
                 switch (tr.to) {
                   case QuarantineStage::Throttled:
@@ -1356,15 +895,13 @@ ClusterManager::run()
                   case QuarantineStage::Evicted: {
                     gate.block(t);
                     refreshBucket();
-                    CoreSim &host = sims[tenantCore[t]];
-                    TenantFlow &f = host.flows.at(t);
+                    TenantFlow &f = flows[t];
                     f.active = false;
                     activeNow[t] = 0;
                     const std::size_t dropped = f.queued();
-                    accum[t].shed += dropped; // queue dropped
-                    host.waiting -= dropped;
-                    f.queue.clear();
-                    f.head = 0;
+                    f.shed += dropped; // queue dropped
+                    sims[tenantCore[t]].waiting -= dropped;
+                    f.clearQueue();
                     break;
                   }
                   case QuarantineStage::Healthy:
@@ -1399,11 +936,11 @@ ClusterManager::run()
             core.inFlightMean = sim.busyArea / horizon;
         }
         core.queueDepthPeak = sim.depthPeak;
-        for (const auto &[idx, f] : sim.flows) {
+        for (std::uint32_t idx : sim.residents) {
             core.tenants.push_back(tenants_[idx].name);
             core.speedFactor = placement.tenantSpeed[idx];
         }
-        if (!sim.flows.empty()) {
+        if (!sim.residents.empty()) {
             ++report.coresUsed;
             util_sum += core.util;
         }
@@ -1412,17 +949,17 @@ ClusterManager::run()
 
     for (std::size_t i = 0; i < n; ++i) {
         const ServeTenant &t = tenants_[i];
-        const TenantAccum &a = accum[i];
+        const TenantFlow &f = flows[i];
+        const TenantAccum &a = f.acc;
         TenantServingStats &ts = report.tenants[i];
         ts.name = t.name;
         ts.model = t.model;
         ts.core = tenantCore[i];
-        ts.offered = a.offered;
+        ts.offered = f.offered;
         ts.completed = a.completed;
-        ts.shed = a.shed;
-        ts.rejected = a.rejected;
-        ts.inFlightAtEnd =
-            sims[tenantCore[i]].flows.at(i).queued();
+        ts.shed = f.shed;
+        ts.rejected = f.rejected;
+        ts.inFlightAtEnd = f.queued();
         ts.sloViolations = a.violations;
         ts.sloTargetUs = t.slo.latencyTargetUs;
         ts.weight = t.slo.weight;

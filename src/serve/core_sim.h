@@ -1,0 +1,345 @@
+/**
+ * @file
+ * One serving core of the open-loop fleet (ClusterManager::run): a
+ * single server draining bounded per-tenant FIFO queues under
+ * self-clocked weighted fair queueing (SCFQ), advanced one control
+ * epoch at a time.
+ *
+ * Each event costs O(log resident flows): a min-heap of the
+ * residents' next arrivals keyed (time, tenant) replaces a scan for
+ * the earliest arrival, and a min-heap of backlogged flows keyed
+ * (virtual finish time, tenant) replaces a scan for the least
+ * virtual time. Both keys break ties toward the lowest tenant index,
+ * the order the earlier scans used. Memory is O(live requests):
+ * arrivals are drawn lazily, each queue holds at most its capacity,
+ * and completions fold into their tenant's accumulators inside the
+ * core's worker.
+ */
+
+#ifndef V10_SERVE_CORE_SIM_H
+#define V10_SERVE_CORE_SIM_H
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/annotations.h"
+#include "common/rng.h"
+#include "common/stats.h"
+#include "serve/admission.h"
+#include "serve/antagonist.h"
+#include "serve/arrival.h"
+#include "trace/request_tracer.h"
+#include "trace/slo_monitor.h"
+
+namespace v10 {
+
+/** Per-core service-time distribution (cluster_manager.h). */
+enum class ServiceDist;
+
+/** Per-tenant results, filled by the completion fold. */
+struct TenantAccum
+{
+    LogHistogram latencyUs;
+    std::uint64_t completed = 0;
+    std::uint64_t violations = 0;
+    double queueUs = 0.0;
+    double serviceUs = 0.0;
+    double soloUs = 0.0;
+};
+
+/** One completion, buffered only when its tenant's completions come
+ * from two cores in one epoch (see TenantFlow::foldSerially). */
+struct CompletionRec
+{
+    std::uint32_t tenant = 0; ///< global tenant index
+    bool violated = false;
+    double latencyUs = 0.0;
+    double queueUs = 0.0;
+    double serviceUs = 0.0;
+    double soloUs = 0.0;
+    double endSec = 0.0; ///< completion time (SLO bucket key)
+};
+
+/** Add one completion to its tenant's results and SLO monitor row. */
+inline void
+foldCompletion(const CompletionRec &r, TenantAccum &a,
+               SloMonitor &monitor)
+{
+    a.latencyUs.add(r.latencyUs);
+    ++a.completed;
+    if (r.violated)
+        ++a.violations;
+    a.queueUs += r.queueUs;
+    a.serviceUs += r.serviceUs;
+    a.soloUs += r.soloUs;
+    monitor.addBucket(r.tenant, monitor.bucketIndex(r.endSec), 1,
+                      r.violated ? 1 : 0);
+}
+
+/** One queue-wait / thrash-overhead attribution charge. */
+struct WaitCharge
+{
+    std::uint32_t victim = 0;
+    std::uint32_t perp = 0;
+    double us = 0.0;
+};
+
+/** Static per-tenant antagonist context, shared by every core. */
+struct TenantStatic
+{
+    std::vector<AntagonistProfile> hogs;   ///< HbmHog windows
+    std::vector<AntagonistProfile> thrash; ///< Thrash windows
+};
+
+/** One waiting request: (arrival time, seq) FIFO entry. */
+struct Waiting
+{
+    double timeSec = 0.0;
+    std::uint64_t seq = 0;
+};
+
+/**
+ * Min-heap of (key, tenant) entries with ties on the key broken
+ * toward the lowest tenant index: the order of a scan over ascending
+ * tenant indices that keeps the first strict minimum. A core keeps
+ * two: next arrivals keyed by time (one entry per tenant, so a
+ * tenant's own arrivals leave in sequence order) and backlogged
+ * flows keyed by virtual finish time.
+ */
+class TenantHeap
+{
+  public:
+    struct Entry
+    {
+        double key;
+        std::uint32_t tenant;
+    };
+
+    bool empty() const { return heap_.empty(); }
+    const Entry &top() const { return heap_.front(); }
+    void clear() { heap_.clear(); }
+
+    void
+    push(double key, std::uint32_t tenant)
+    {
+        heap_.push_back(Entry{key, tenant});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+
+    void
+    pop()
+    {
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        heap_.pop_back();
+    }
+
+    /** Re-key the top entry (same tenant) and restore the order. */
+    void
+    replaceTop(double key)
+    {
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        heap_.back().key = key;
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+
+  private:
+    /** The heap order (a function object, so it inlines). */
+    struct Later
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            if (a.key != b.key)
+                return a.key > b.key;
+            return a.tenant > b.tenant;
+        }
+    };
+
+    std::vector<Entry> heap_;
+};
+
+/**
+ * One tenant's live state. The flow is hosted by one core at a time
+ * and moves between cores on migrate/isolate (queue handed over,
+ * SCFQ virtual time reset); only its host core's worker touches it
+ * during an epoch. An in-flight request finishes on the old core
+ * from parameters captured at service start.
+ */
+struct V10_DOMAIN_LOCAL TenantFlow
+{
+    std::uint32_t tenant = 0; ///< global index (trace IDs)
+    ArrivalFeed arrivals;
+    double nextArrival = 0.0; ///< head of the feed (+inf: none left)
+    std::uint64_t seq = 0;    ///< sequence number of nextArrival
+    bool active = true;       ///< consuming arrivals (churn/evict)
+    double serviceMeanSec = 0.0; ///< after the collocation speedup
+    double soloMeanSec = 0.0;    ///< solo-run calibration
+    double weight = 1.0;
+    double sloTargetUs = 0.0;
+    /** Admission gate bucket; nullptr = admit everything. */
+    TokenBucket *bucket = nullptr;
+    const TenantStatic *stat = nullptr;
+    double vtime = 0.0; ///< SCFQ virtual finish time
+
+    // --- whole-run counters and the completion fold ---------------
+    std::uint64_t offered = 0;
+    std::uint64_t shed = 0;
+    std::uint64_t rejected = 0;
+    TenantAccum acc;
+    /** Set by the manager for an epoch in which a core other than
+     * the host is still serving this tenant: every completion is
+     * then buffered and folded serially in core-index order. */
+    bool foldSerially = false;
+
+    explicit TenantFlow(ArrivalFeed feed) : arrivals(std::move(feed))
+    {
+        nextArrival = arrivals.next();
+    }
+
+    std::size_t queued() const { return queue_.size() - head_; }
+
+    void
+    push(Waiting w)
+    {
+        queue_.push_back(w);
+    }
+
+    /** Take the head request. Compacts once the consumed prefix is
+     * at least 32 entries and half the buffer, so the buffer stays
+     * under twice the queue bound plus 32. */
+    Waiting
+    pop()
+    {
+        const Waiting w = queue_[head_++];
+        if (head_ == queue_.size()) {
+            queue_.clear();
+            head_ = 0;
+        } else if (head_ >= 32 && 2 * head_ >= queue_.size()) {
+            queue_.erase(queue_.begin(),
+                         queue_.begin() +
+                             static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+        return w;
+    }
+
+    /** Drop every waiting request (eviction). */
+    void
+    clearQueue()
+    {
+        queue_.clear();
+        head_ = 0;
+    }
+
+  private:
+    std::vector<Waiting> queue_;
+    std::size_t head_ = 0;
+};
+
+/**
+ * One core's persistent serving state. With a single epoch (no
+ * resilience feature active) runEpoch() is the classic single-pass
+ * simulation. Trace/observability inputs only *record*; service
+ * draws and scheduling never depend on them.
+ */
+class V10_DOMAIN_LOCAL CoreSim
+{
+  public:
+    // --- immutable run context -------------------------------------
+    std::size_t index = 0;
+    Rng rng{0};
+    std::uint64_t traceSeed = 0;
+    std::uint64_t spanSampleN = 0;
+    TraceSampler spanSampler{1};
+    ServiceDist dist{};
+    double cv = 1.0;
+    std::size_t queueCapacity = 64;
+    double durationSec = 1.0;
+    std::size_t sampleTicks = 0;
+    double tickSec = 0.0;
+    bool needCharges = false;
+    /** Every tenant's flow, indexed by tenant. During an epoch a
+     * core writes only its residents' entries; foldSerially is
+     * written only between epochs. */
+    std::vector<TenantFlow> *flowTable V10_SHARED_STATE = nullptr;
+    /** SLO monitor shared by all cores: a worker adds only to the
+     * rows of its residents, the tenants whose completions it folds
+     * in place. */
+    SloMonitor *monitor V10_SHARED_STATE = nullptr;
+
+    /** Resident tenants, ascending: the deterministic tie-break
+     * wherever flows are walked. */
+    std::vector<std::uint32_t> residents;
+
+    // --- server state ---------------------------------------------
+    double vclock = 0.0;
+    bool busy = false;
+    double busyUntil = 0.0;
+    double servedStart = 0.0;
+    double servedArrival = 0.0;
+    std::uint64_t servedSeq = 0;
+    std::uint32_t servedTenant = 0;
+    /** Captured at service start so finish() never dereferences a
+     * flow that migrated away mid-service. */
+    double servedSloTargetUs = 0.0;
+    double servedSpeed = 1.0;
+    std::size_t waiting = 0; ///< total queued across tenants
+
+    // --- whole-run accounting -------------------------------------
+    double lastT = 0.0;
+    std::size_t nextTick = 1;
+    double depthArea = 0.0;
+    double busyArea = 0.0;
+    double depthPeak = 0.0;
+    double busySec = 0.0;
+    double endSec = 0.0; ///< last completion (>= duration horizon)
+    std::uint64_t served = 0;
+    std::vector<double> depthSamples;
+    std::vector<double> inflightSamples;
+    std::vector<RequestSpan> spans;
+
+    // --- per-epoch buffers (folded serially by the manager) -------
+    std::vector<CompletionRec> completions; ///< foldSerially tenants
+    std::vector<WaitCharge> charges;
+
+    /** Add / remove a resident (keeps residents ascending). */
+    void addResident(std::uint32_t tenant);
+    void removeResident(std::uint32_t tenant);
+
+    /** Restart an idle server after a queue handoff (migration). */
+    void kickIdle(double now);
+
+    /**
+     * Advance to @p epochEnd. Non-final epochs process arrivals
+     * strictly before the boundary and defer completions landing on
+     * or past it; the final epoch consumes every remaining arrival
+     * and drains all queues (completions past the horizon allowed).
+     */
+    void runEpoch(double epochEnd, bool isFinal);
+
+  private:
+    TenantFlow &flow(std::uint32_t t) { return (*flowTable)[t]; }
+
+    /** Rebuild both heaps from the residents: at each epoch start
+     * and before kickIdle, the points after which the control step
+     * may have changed residents, queues or virtual times. */
+    void rebuildHeaps();
+
+    void advanceTime(double now);
+    double drawService(const TenantFlow &f, double now);
+    void startNext(double now);
+    void finish();
+    void dropSpan(const TenantFlow &f, double atSec, std::uint64_t seq,
+                  bool wasRejected);
+
+    TenantHeap arrivals_; ///< (next arrival, tenant), active flows
+    TenantHeap backlog_;  ///< (vtime, tenant), flows with a queue
+    bool anyThrash_ = false; ///< a resident has thrash windows
+};
+
+} // namespace v10
+
+#endif // V10_SERVE_CORE_SIM_H

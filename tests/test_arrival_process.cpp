@@ -3,15 +3,20 @@
  * Property tests for the open-loop arrival generators: Poisson
  * moments against theory, diurnal periodicity, bursty
  * over-dispersion, seeded determinism, duration-prefix stability,
- * and disjoint-stream independence (docs/SERVING.md).
+ * disjoint-stream independence, the lazy feeds' equality with the
+ * eager streams, and the per-core arrival heap order
+ * (docs/SERVING.md).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "serve/arrival.h"
+#include "serve/core_sim.h"
 
 namespace v10 {
 namespace {
@@ -260,27 +265,215 @@ TEST(ArrivalSpec, CheckRejectsBadFields)
     EXPECT_TRUE(spec.check());
 }
 
-TEST(MergeArrivalStreams, OrdersByTimeThenTenantThenSeq)
+TEST(ArrivalProcess, NextMatchesGenerateForEveryHorizon)
 {
+    // The lazy stream is a duration-prefix function: drawn with
+    // next() and cut at any horizon it equals generate() of a fresh
+    // process, for every kind, seed and horizon.
+    for (ArrivalKind kind :
+         {ArrivalKind::Poisson, ArrivalKind::Diurnal,
+          ArrivalKind::Bursty}) {
+        for (std::uint64_t seed : {1ull, 7ull, 123456789ull}) {
+            for (double horizon : {0.25, 3.0, 20.0}) {
+                ArrivalSpec spec;
+                spec.kind = kind;
+                spec.rps = seed == 7 ? 400.0 : 50.0;
+                spec.periodSec = 2.0;
+                ArrivalProcess eager(spec, seed);
+                ArrivalProcess lazy(spec, seed);
+                const std::vector<double> want =
+                    eager.generate(horizon);
+                std::vector<double> got;
+                for (double t = lazy.next(); t < horizon;
+                     t = lazy.next())
+                    got.push_back(t);
+                EXPECT_EQ(got, want)
+                    << arrivalKindName(kind) << " seed " << seed
+                    << " horizon " << horizon;
+            }
+        }
+    }
+    ArrivalSpec idle;
+    ArrivalProcess none(idle, 3);
+    EXPECT_EQ(none.next(), std::numeric_limits<double>::infinity());
+}
+
+/** Derived-stream salt of the flood draws (above tenant and core
+ * streams). */
+constexpr std::uint64_t kFloodSalt = 1ull << 33;
+
+/**
+ * The eager flood augmentation the lazy feeds replaced: materialize
+ * every stream, then append each hit's burst copies in place,
+ * spending shared caps in tenant-index order.
+ */
+std::vector<std::vector<double>>
+eagerStreams(const std::vector<ArrivalSpec> &specs, std::uint64_t seed,
+             double horizon, std::vector<FloodSource> sources)
+{
+    const std::size_t n = specs.size();
+    std::vector<std::vector<double>> streams(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        ArrivalProcess process(specs[i], Rng::deriveStream(seed, i));
+        streams[i] = process.generate(horizon);
+    }
+    std::vector<std::uint64_t> fired(sources.size(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        bool applicable = false;
+        for (const FloodSource &s : sources)
+            applicable = applicable || s.appliesTo(i);
+        if (!applicable)
+            continue;
+        Rng frng(Rng::deriveStream(seed, kFloodSalt + i));
+        std::vector<double> out;
+        for (double t : streams[i]) {
+            out.push_back(t);
+            for (std::size_t k = 0; k < sources.size(); ++k) {
+                const FloodSource &s = sources[k];
+                if (!s.appliesTo(i))
+                    continue;
+                if (t < s.afterSec ||
+                    (s.untilSec > 0.0 && t >= s.untilSec))
+                    continue;
+                if (!(frng.uniform() < s.prob))
+                    continue;
+                if (s.maxCount > 0 && fired[k] >= s.maxCount)
+                    continue;
+                ++fired[k];
+                for (std::uint64_t c = 0; c < s.burst; ++c)
+                    out.push_back(t);
+            }
+        }
+        streams[i] = std::move(out);
+    }
+    return streams;
+}
+
+/** Every feed of @p plan, drained. */
+std::vector<std::vector<double>>
+drain(const ArrivalPlan &plan, std::size_t tenants)
+{
+    std::vector<std::vector<double>> streams(tenants);
+    for (std::size_t i = 0; i < tenants; ++i) {
+        ArrivalFeed feed = plan.feed(i);
+        for (double t = feed.next();
+             t < std::numeric_limits<double>::infinity();
+             t = feed.next())
+            streams[i].push_back(t);
+    }
+    return streams;
+}
+
+/** Six tenants cycling through the three arrival kinds. */
+std::vector<ArrivalSpec>
+mixedSpecs()
+{
+    std::vector<ArrivalSpec> specs(6);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        specs[i].kind = static_cast<ArrivalKind>(i % 3);
+        specs[i].rps = 20.0 + 15.0 * static_cast<double>(i);
+        specs[i].periodSec = 3.0;
+    }
+    return specs;
+}
+
+FloodSource
+flood(double prob, std::uint64_t burst, double after, double until,
+      std::uint64_t maxCount, int tenant)
+{
+    FloodSource s;
+    s.prob = prob;
+    s.burst = burst;
+    s.afterSec = after;
+    s.untilSec = until;
+    s.maxCount = maxCount;
+    s.tenant = tenant;
+    return s;
+}
+
+TEST(ArrivalPlan, FeedsEqualTheEagerFloodAugmentation)
+{
+    // Windows, several sources on one tenant, a per-tenant cap, and
+    // shared caps that run out early, late, or never. The expected
+    // seed-3 sizes were recorded from the eager augmentation running
+    // on the eager generator, before the feeds replaced both.
+    struct Case
+    {
+        const char *name;
+        std::vector<FloodSource> sources;
+        std::vector<std::size_t> sizes;
+    };
+    const std::vector<Case> cases = {
+        {"no floods", {}, {110, 192, 93, 330, 394, 175}},
+        {"window + tenant cap + shared cap",
+         {flood(0.3, 2, 1.0, 3.0, 0, -1), flood(0.5, 3, 0.0, 0.0, 4, 2),
+          flood(0.2, 1, 0.5, 0.0, 7, -1)},
+         {159, 220, 105, 406, 486, 181}},
+        {"shared cap spent by the first tenant",
+         {flood(0.4, 5, 0.0, 0.0, 3, -1)}, {125, 192, 93, 330, 394, 175}},
+        {"shared cap never reached",
+         {flood(0.05, 1, 2.0, 4.5, 100000, -1),
+          flood(0.25, 2, 0.0, 2.0, 0, 4)},
+         {113, 200, 97, 344, 486, 178}},
+    };
+    const std::vector<ArrivalSpec> specs = mixedSpecs();
+    for (const Case &c : cases) {
+        for (std::uint64_t seed : {3ull, 11ull}) {
+            const auto want = eagerStreams(specs, seed, 5.0, c.sources);
+            const ArrivalPlan plan(specs, seed, 5.0, c.sources);
+            EXPECT_EQ(drain(plan, specs.size()), want)
+                << c.name << " seed " << seed;
+            if (seed != 3)
+                continue;
+            for (std::size_t i = 0; i < specs.size(); ++i)
+                EXPECT_EQ(want[i].size(), c.sizes[i])
+                    << c.name << " tenant " << i;
+        }
+    }
+}
+
+TEST(TenantHeap, OrdersByTimeThenTenantThenSeq)
+{
+    // The per-core arrival heap holds one entry per tenant, its next
+    // arrival: popping and re-keying merges the streams in (time,
+    // tenant, seq) order, the tie-break that makes the merge a pure
+    // function of its inputs.
     const std::vector<std::vector<double>> streams = {
         {0.5, 1.0, 2.0},
         {0.25, 1.0},
         {1.0},
+        {1.0, 1.0},
     };
-    const std::vector<ArrivalEvent> feed =
-        mergeArrivalStreams(streams);
-    ASSERT_EQ(feed.size(), 6u);
-    EXPECT_DOUBLE_EQ(feed[0].timeSec, 0.25);
-    EXPECT_EQ(feed[0].tenant, 1u);
-    EXPECT_DOUBLE_EQ(feed[1].timeSec, 0.5);
-    EXPECT_EQ(feed[1].tenant, 0u);
-    // The 1.0 tie resolves by tenant index.
-    EXPECT_EQ(feed[2].tenant, 0u);
-    EXPECT_EQ(feed[3].tenant, 1u);
-    EXPECT_EQ(feed[4].tenant, 2u);
-    EXPECT_DOUBLE_EQ(feed[5].timeSec, 2.0);
-    for (std::size_t i = 1; i < feed.size(); ++i)
-        EXPECT_LE(feed[i - 1].timeSec, feed[i].timeSec);
+    TenantHeap heap;
+    std::vector<std::size_t> cursor(streams.size(), 0);
+    for (std::uint32_t t = 0; t < streams.size(); ++t)
+        heap.push(streams[t][0], t);
+    struct Event
+    {
+        double time;
+        std::uint32_t tenant;
+        std::size_t seq;
+    };
+    std::vector<Event> feed;
+    while (!heap.empty()) {
+        const TenantHeap::Entry top = heap.top();
+        const std::size_t seq = cursor[top.tenant]++;
+        feed.push_back(Event{top.key, top.tenant, seq});
+        if (cursor[top.tenant] < streams[top.tenant].size())
+            heap.replaceTop(streams[top.tenant][cursor[top.tenant]]);
+        else
+            heap.pop();
+    }
+    const std::vector<Event> want = {
+        {0.25, 1, 0}, {0.5, 0, 0}, {1.0, 0, 1}, {1.0, 1, 1},
+        {1.0, 2, 0},  {1.0, 3, 0}, {1.0, 3, 1}, {2.0, 0, 2},
+    };
+    ASSERT_EQ(feed.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(feed[i].time, want[i].time) << i;
+        EXPECT_EQ(feed[i].tenant, want[i].tenant) << i;
+        EXPECT_EQ(feed[i].seq, want[i].seq) << i;
+    }
 }
 
 TEST(ArrivalKind, NamesRoundTrip)

@@ -361,6 +361,52 @@ TEST(Cli, ServeChaosStatsJsonMatchesGolden)
               golden("serve_chaos_stats.json"));
 }
 
+TEST(Cli, ServeTracedRunMatchesGolden)
+{
+    // A single-epoch serve with sheds, request spans and per-core
+    // queue samples: the whole-run completion fold, the SCFQ pick
+    // order and the span merge must not move the bytes.
+    const std::string dir = ::testing::TempDir();
+    ASSERT_EQ(
+        runCli("serve --tenants 16 --cores 4 --duration 0.2 "
+               "--util 0.95 --arrivals mixed --slo 25x:1,50x:2 "
+               "--service-us 400 --seed 6 --queue-cap 4 "
+               "--trace-out " + dir + "/cli_golden_spans.jsonl "
+               "--trace-sample 8 --timeline " + dir +
+               "/cli_golden_timeline.json --queue-sample-ticks 32 "
+               "--stats-json " + dir + "/cli_golden_traced.json")
+            .first,
+        0);
+    EXPECT_EQ(stripWallSeconds(readFile(dir + "/cli_golden_traced.json")),
+              golden("serve_traced_stats.json"));
+    EXPECT_EQ(readFile(dir + "/cli_golden_spans.jsonl"),
+              golden("serve_traced_spans.jsonl"));
+    EXPECT_EQ(readFile(dir + "/cli_golden_timeline.json"),
+              golden("serve_traced_timeline.json"));
+}
+
+TEST(Cli, ServeMigrateFloodStatsJsonMatchesGolden)
+{
+    // BERT#11 moves from core 3 to core 0 while core 3 is still
+    // serving it, so both cores complete its requests in the next
+    // epoch (and the quarantine ladder moves it again while busy);
+    // the every-tenant flood cap (count=5, no tenant=) is spent in
+    // tenant-index order. Both orders are part of the bytes.
+    const std::string json =
+        ::testing::TempDir() + "/cli_golden_migrate_flood.json";
+    ASSERT_EQ(runCli("serve --tenants 12 --cores 4 --duration 1 "
+                     "--util 0.9 --arrivals mixed --slo 25x:1,50x:2 "
+                     "--service-us 400 --seed 4 "
+                     "--churn migrate:tenant=BERT#11:at=0.5:core=0 "
+                     "--faults flood:rate=0.3:mag=3:count=5 "
+                     "--stats-json " +
+                     json)
+                  .first,
+              0);
+    EXPECT_EQ(stripWallSeconds(readFile(json)),
+              golden("serve_migrate_flood_stats.json"));
+}
+
 TEST(Cli, RunStatsJsonHasSchemaAndAgreesWithItself)
 {
     const std::string path =

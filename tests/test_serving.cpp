@@ -2,16 +2,21 @@
  * @file
  * Behavioural tests for the fleet serving manager: tenant
  * admission validation, placement policies, bounded-queue
- * shedding, fair-share weights, registry wiring, and structured
- * error paths (docs/SERVING.md).
+ * shedding, fair-share weights, registry wiring, structured error
+ * paths, and the per-tenant queue of the core simulation
+ * (docs/SERVING.md).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+
+#include <deque>
 
 #include "metrics/stat_registry.h"
 #include "serve/cluster_manager.h"
+#include "serve/core_sim.h"
 
 namespace v10 {
 namespace {
@@ -311,6 +316,37 @@ TEST(ClusterManagerAdvisor, PairsCompatibleModelsAboveThreshold)
     ASSERT_TRUE(report_or.ok());
     ASSERT_TRUE(report_or.value().checkConservation());
     EXPECT_GT(report_or.value().completed, 0u);
+}
+
+TEST(TenantFlow, QueueStaysFifoAcrossCompaction)
+{
+    // A queue that never drains (the compacting path) and one that
+    // empties often (the reset path) must both pop in push order;
+    // eviction empties it.
+    const ArrivalPlan plan({ArrivalSpec{}}, 1, 1.0, {});
+    TenantFlow f(plan.feed(0));
+    EXPECT_EQ(f.nextArrival, std::numeric_limits<double>::infinity());
+    std::deque<std::uint64_t> model;
+    std::uint64_t seq = 0;
+    Rng rng(5);
+    for (int step = 0; step < 20000; ++step) {
+        // Phase 1 keeps about 40 entries queued; phase 2 drains.
+        const bool grow = step < 10000 ? model.size() < 40 ||
+                                             rng.uniform() < 0.5
+                                       : rng.uniform() < 0.3;
+        if (grow) {
+            f.push(Waiting{static_cast<double>(seq), seq});
+            model.push_back(seq++);
+        } else if (!model.empty()) {
+            const Waiting w = f.pop();
+            ASSERT_EQ(w.seq, model.front()) << "step " << step;
+            EXPECT_EQ(w.timeSec, static_cast<double>(model.front()));
+            model.pop_front();
+        }
+        ASSERT_EQ(f.queued(), model.size()) << "step " << step;
+    }
+    f.clearQueue();
+    EXPECT_EQ(f.queued(), 0u);
 }
 
 TEST(ParseSloSpec, GrammarAndErrors)

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include "common/rng.h"
@@ -237,6 +239,252 @@ TEST(LogHistogram, MergeIsOrderIndependentAndMatchesBulk)
         EXPECT_DOUBLE_EQ(ab.percentile(p), ba.percentile(p));
         EXPECT_DOUBLE_EQ(ab.percentile(p), bulk.percentile(p));
     }
+}
+
+/**
+ * The sparse LogHistogram the dense one replaced, kept here as the
+ * reference: same keys (octave * S + sub-bucket), same ascending
+ * walk, counts in a std::map.
+ */
+class MapLogHistogram
+{
+  public:
+    void
+    add(double x)
+    {
+        if (count_ == 0) {
+            min_ = max_ = x;
+        } else {
+            min_ = std::min(min_, x);
+            max_ = std::max(max_, x);
+        }
+        ++count_;
+        sum_ += x;
+        if (!(x > 0.0)) {
+            ++zero_;
+            return;
+        }
+        int exp = 0;
+        const double mant = std::frexp(x, &exp);
+        auto idx = static_cast<std::int64_t>((mant - 0.5) * 2.0 *
+                                             static_cast<double>(kSub));
+        idx = std::clamp<std::int64_t>(idx, 0, kSub - 1);
+        ++buckets_[static_cast<std::int64_t>(exp) * kSub + idx];
+    }
+
+    void
+    merge(const MapLogHistogram &o)
+    {
+        if (o.count_ == 0)
+            return;
+        min_ = count_ ? std::min(min_, o.min_) : o.min_;
+        max_ = count_ ? std::max(max_, o.max_) : o.max_;
+        count_ += o.count_;
+        sum_ += o.sum_;
+        zero_ += o.zero_;
+        for (const auto &[key, n] : o.buckets_)
+            buckets_[key] += n;
+    }
+
+    double
+    percentile(double p) const
+    {
+        if (count_ == 0)
+            return 0.0;
+        if (p <= 0.0)
+            return min_;
+        if (p >= 100.0)
+            return max_;
+        const double rank =
+            p / 100.0 * static_cast<double>(count_ - 1);
+        const auto target = static_cast<std::uint64_t>(rank);
+        std::uint64_t cum = zero_;
+        if (target < cum)
+            return std::clamp(0.0, min_, max_);
+        for (const auto &[key, n] : buckets_) {
+            cum += n;
+            if (target < cum) {
+                std::int64_t exp = key / kSub;
+                std::int64_t idx = key % kSub;
+                if (idx < 0) {
+                    idx += kSub;
+                    --exp;
+                }
+                const double mant =
+                    0.5 + (static_cast<double>(idx) + 0.5) /
+                              (2.0 * static_cast<double>(kSub));
+                return std::clamp(
+                    std::ldexp(mant, static_cast<int>(exp)), min_,
+                    max_);
+            }
+        }
+        return max_;
+    }
+
+    std::uint64_t count() const { return count_; }
+    double sum() const { return sum_; }
+    double min() const { return count_ ? min_ : 0.0; }
+    double max() const { return count_ ? max_ : 0.0; }
+
+  private:
+    static constexpr std::int64_t kSub = 64;
+    std::map<std::int64_t, std::uint64_t> buckets_;
+    std::uint64_t zero_ = 0;
+    std::uint64_t count_ = 0;
+    double sum_ = 0.0;
+    double min_ = 0.0;
+    double max_ = 0.0;
+};
+
+/** Every side statistic and a fine percentile grid, bit for bit. */
+void
+expectSameAsReference(const LogHistogram &h, const MapLogHistogram &ref,
+                      const char *what)
+{
+    ASSERT_EQ(h.count(), ref.count()) << what;
+    EXPECT_EQ(h.sum(), ref.sum()) << what;
+    EXPECT_EQ(h.min(), ref.min()) << what;
+    EXPECT_EQ(h.max(), ref.max()) << what;
+    for (int i = 0; i <= 1000; ++i) {
+        const double p = i / 10.0;
+        EXPECT_EQ(h.percentile(p), ref.percentile(p))
+            << what << " p" << p;
+    }
+    for (double p : {99.9, 99.99, 0.01, 33.333})
+        EXPECT_EQ(h.percentile(p), ref.percentile(p))
+            << what << " p" << p;
+}
+
+TEST(LogHistogram, DenseCountsMatchTheMapReferenceBitForBit)
+{
+    // 20k samples per shape: serving-like latencies, sub-0.5 values
+    // (negative octave keys), a 60-octave log-uniform spread, and a
+    // mix with zeros and negatives in the zero bucket.
+    Rng rng(20261017);
+    for (int shape = 0; shape < 4; ++shape) {
+        LogHistogram h;
+        MapLogHistogram ref;
+        for (int i = 0; i < 20000; ++i) {
+            double x = 0.0;
+            switch (shape) {
+              case 0: x = std::exp(rng.normal(7.0, 1.2)); break;
+              case 1: x = rng.uniform() * 0.49; break;
+              case 2: x = std::ldexp(1.0 + rng.uniform(),
+                                     static_cast<int>(
+                                         rng.uniform() * 60.0) - 30);
+                break;
+              default:
+                x = rng.uniform() < 0.1 ? -rng.uniform()
+                                        : rng.exponential(3.0);
+                break;
+            }
+            h.add(x);
+            ref.add(x);
+        }
+        expectSameAsReference(h, ref, "shape");
+    }
+}
+
+TEST(LogHistogram, SamplesBelowHalfUseNegativeOctaves)
+{
+    // frexp puts x < 0.5 in octave <= -1; the bucket midpoint must
+    // map back through floor division, within half a sub-bucket.
+    LogHistogram h;
+    MapLogHistogram ref;
+    for (double x : {0.001, 0.002, 0.3, 0.49, 0.0004}) {
+        h.add(x);
+        ref.add(x);
+    }
+    expectSameAsReference(h, ref, "sub-half");
+    const double bound =
+        1.0 / (2.0 * static_cast<double>(h.subBuckets())) + 1e-12;
+    // Rank 1 of 5 is the 0.001 sample.
+    EXPECT_NEAR(h.percentile(25.0), 0.001, bound * 0.001);
+    EXPECT_NEAR(h.percentile(50.0), 0.002, bound * 0.002);
+}
+
+TEST(LogHistogram, SpansMoreThanFortyOctaves)
+{
+    // 1e-6 to 1e9 is about 50 octaves: the dense array covers every
+    // octave in between, and the walk still lands on the right
+    // samples.
+    LogHistogram h;
+    MapLogHistogram ref;
+    const std::vector<double> xs = {1e9, 1e-6, 3.0, 5e4, 2e-3, 7e8};
+    for (double x : xs) {
+        h.add(x);
+        ref.add(x);
+    }
+    expectSameAsReference(h, ref, "wide");
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    const double bound =
+        1.0 / (2.0 * static_cast<double>(h.subBuckets())) + 1e-12;
+    for (double p : {20.0, 40.0, 60.0, 80.0}) {
+        const double want = sorted[static_cast<std::size_t>(
+            p / 100.0 * static_cast<double>(sorted.size() - 1))];
+        EXPECT_NEAR(h.percentile(p), want, bound * want) << p;
+    }
+}
+
+TEST(LogHistogram, DisjointMergesAgreeInBothOrders)
+{
+    // Low and high ranges that share no octave, merged each way and
+    // into/from empty histograms, equal the bulk reference.
+    Rng rng(7);
+    LogHistogram lo;
+    LogHistogram hi;
+    MapLogHistogram bulk;
+    for (int i = 0; i < 3000; ++i) {
+        const double a = 1e-3 * (1.0 + 9.0 * rng.uniform());
+        const double b = 1e6 * (1.0 + 9.0 * rng.uniform());
+        lo.add(a);
+        hi.add(b);
+        bulk.add(a);
+        bulk.add(b);
+    }
+    LogHistogram lohi;
+    lohi.merge(lo);
+    lohi.merge(hi);
+    LogHistogram hilo;
+    hilo.merge(hi);
+    hilo.merge(lo);
+    LogHistogram empty;
+    hilo.merge(empty);
+    // Sums differ only in addition order: compare the buckets.
+    for (int i = 0; i <= 100; ++i) {
+        const double p = static_cast<double>(i);
+        EXPECT_EQ(lohi.percentile(p), bulk.percentile(p)) << p;
+        EXPECT_EQ(hilo.percentile(p), bulk.percentile(p)) << p;
+    }
+    EXPECT_EQ(lohi.count(), bulk.count());
+    EXPECT_EQ(hilo.count(), bulk.count());
+    EXPECT_EQ(lohi.min(), bulk.min());
+    EXPECT_EQ(hilo.max(), bulk.max());
+}
+
+TEST(LogHistogram, ResetThenReuseMatchesAFreshHistogram)
+{
+    LogHistogram h;
+    for (double x : {1e-5, 2.0, 3e7, 0.0})
+        h.add(x);
+    h.reset();
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.sum(), 0.0);
+    EXPECT_EQ(h.percentile(50.0), 0.0);
+    // Reuse on a range disjoint from the first fill.
+    LogHistogram fresh;
+    MapLogHistogram ref;
+    Rng rng(11);
+    for (int i = 0; i < 2000; ++i) {
+        const double x = 1e12 * (1.0 + rng.uniform());
+        h.add(x);
+        fresh.add(x);
+        ref.add(x);
+    }
+    expectSameAsReference(h, ref, "reused");
+    for (double p : {1.0, 50.0, 99.0})
+        EXPECT_EQ(h.percentile(p), fresh.percentile(p)) << p;
 }
 
 TEST(Geomean, KnownValues)
