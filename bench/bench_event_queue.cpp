@@ -1,91 +1,40 @@
 /**
  * @file
- * Focused microbenchmarks of the hybrid calendar event queue: ring
- * hits, heap overflow, mixed horizons, cancellation churn, batched
- * same-cycle dispatch, closure-size effects on SmallFn storage, and
- * periodic (every()) ticking. Run with --perf-json=<path> to emit
- * the machine-readable summary the CI perf-smoke job checks.
+ * Focused microbenchmarks of the event queue: schedule/fire over the
+ * measured delta mix, cancellation churn, same-cycle bursts,
+ * closure-size effects on SmallFn storage, and periodic (every())
+ * ticking. Run with --perf-json=<path> to emit the machine-readable
+ * summary the CI perf-smoke job checks.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
+#include "pair_delta_mix.h"
 #include "perf_json_main.h"
-#include "sim/event_queue.h"
 #include "sim/simulator.h"
 
 namespace {
 
 using namespace v10;
 
-/** Self-perpetuating chain with a fixed delta. */
-struct FixedChain
-{
-    Simulator *sim;
-    Cycles delta;
-    std::uint64_t *budget;
-    void
-    operator()() const
-    {
-        if (*budget == 0)
-            return;
-        --*budget;
-        sim->after(delta, FixedChain{*this});
-    }
-};
-
-/** Schedule/fire chains whose deltas always hit the ring window. */
+/**
+ * Schedule/fire chains whose deltas follow the measured BERT+NCF mix.
+ * 32 chains keep 32 events live, the peak measured at Fig. 25's
+ * widest point (a `v10sim report` run holds at most 5).
+ */
 void
-BM_RingScheduleFire(benchmark::State &state)
+BM_ScheduleFire(benchmark::State &state)
 {
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        Simulator sim;
-        std::uint64_t budget = 64 * 1024;
-        for (int i = 0; i < 64; ++i)
-            sim.after(100 + static_cast<Cycles>(i) * 37,
-                      FixedChain{&sim, 1021, &budget});
-        while (sim.step()) {
-        }
-        events += sim.eventsRun();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_RingScheduleFire);
-
-/** Chains whose deltas always overflow to the min-heap. */
-void
-BM_HeapScheduleFire(benchmark::State &state)
-{
-    constexpr Cycles kFar = EventQueue::kRingBuckets * 4;
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        Simulator sim;
-        std::uint64_t budget = 64 * 1024;
-        for (int i = 0; i < 64; ++i)
-            sim.after(kFar + static_cast<Cycles>(i) * 977,
-                      FixedChain{&sim, kFar + 1021, &budget});
-        while (sim.step()) {
-        }
-        events += sim.eventsRun();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_HeapScheduleFire);
-
-/** 90% ring / 10% heap — the measured workload split. */
-void
-BM_MixedHorizonScheduleFire(benchmark::State &state)
-{
+    constexpr int kLiveEvents = 32;
     std::uint64_t events = 0;
     for (auto _ : state) {
         Simulator sim;
         Rng rng(7);
         std::uint64_t budget = 64 * 1024;
-        struct MixChain
+        struct Chain
         {
             Simulator *sim;
             Rng *rng;
@@ -96,22 +45,19 @@ BM_MixedHorizonScheduleFire(benchmark::State &state)
                 if (*budget == 0)
                     return;
                 --*budget;
-                const bool far = (rng->next() % 10) == 0;
-                const Cycles delta =
-                    far ? EventQueue::kRingBuckets + 4093 : 1021;
-                sim->after(delta, MixChain{*this});
+                sim->after(bench::drawPairDelta(*rng), Chain{*this});
             }
         };
-        for (int i = 0; i < 64; ++i)
-            sim.after(100 + static_cast<Cycles>(i) * 37,
-                      MixChain{&sim, &rng, &budget});
+        for (int i = 0; i < kLiveEvents; ++i)
+            sim.after(bench::drawPairDelta(rng),
+                      Chain{&sim, &rng, &budget});
         while (sim.step()) {
         }
         events += sim.eventsRun();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_MixedHorizonScheduleFire);
+BENCHMARK(BM_ScheduleFire);
 
 /**
  * The HBM re-estimation pattern: every fire cancels a pending event
@@ -152,7 +98,7 @@ BM_CancelRescheduleChurn(benchmark::State &state)
 }
 BENCHMARK(BM_CancelRescheduleChurn);
 
-/** Bursts of same-cycle events — the batched dispatch path. */
+/** Bursts of same-cycle events: insertion-order tie-breaks. */
 void
 BM_SameCycleBurst(benchmark::State &state)
 {
@@ -170,7 +116,7 @@ BM_SameCycleBurst(benchmark::State &state)
 }
 BENCHMARK(BM_SameCycleBurst)->Arg(4)->Arg(32);
 
-/** Closure-size effect: inline storage vs arena spill. */
+/** Closure-size effect: inline storage vs a heap spill. */
 void
 BM_EventFnCaptureSize(benchmark::State &state)
 {
@@ -183,7 +129,7 @@ BM_EventFnCaptureSize(benchmark::State &state)
             const Cycles when = 1 + static_cast<Cycles>(i % 251);
             if (large) {
                 // Four extra words past the inline buffer: spills
-                // to the queue's slab arena.
+                // to new/delete.
                 std::uint64_t a = i, b = i + 1, c = i + 2, d = i + 3,
                               e = i + 4, f = i + 5, g = i + 6;
                 sim.at(when, [&sink, a, b, c, d, e, f, g] {

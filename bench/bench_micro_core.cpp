@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "npu/hbm.h"
 #include "npu/npu_core.h"
+#include "pair_delta_mix.h"
 #include "perf_json_main.h"
 #include "sched/op_scheduler.h"
 #include "sched/priority_policy.h"
@@ -23,6 +24,7 @@
 namespace {
 
 using namespace v10;
+using bench::drawPairDelta;
 
 void
 BM_EventQueueScheduleRun(benchmark::State &state)
@@ -88,38 +90,6 @@ BM_CollocatedPairRun(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_CollocatedPairRun)->Unit(benchmark::kMillisecond);
-
-/** (log2 upper bound of delta, weight) — the measured BERT+NCF
- * scheduling-delta histogram (captured with an instrumented queue);
- * both pair-replay benches draw successor deltas from it. */
-struct DeltaBin
-{
-    int log2;
-    std::uint64_t weight;
-};
-constexpr DeltaBin kPairDeltaBins[] = {
-    {10, 6910},  {11, 10100}, {12, 8250}, {13, 13390}, {14, 17170},
-    {15, 22855}, {16, 3305},  {17, 1825}, {18, 1785},  {19, 1525}};
-
-Cycles
-drawPairDelta(Rng &rng)
-{
-    static const std::uint64_t total_weight = [] {
-        std::uint64_t total = 0;
-        for (const auto &bin : kPairDeltaBins)
-            total += bin.weight;
-        return total;
-    }();
-    std::uint64_t r = rng.next() % total_weight;
-    for (const auto &bin : kPairDeltaBins) {
-        if (r < bin.weight) {
-            const Cycles lo = Cycles{1} << (bin.log2 - 1);
-            return lo + static_cast<Cycles>(rng.next() % lo);
-        }
-        r -= bin.weight;
-    }
-    return 1; // unreachable
-}
 
 /**
  * The paper-pair event-core bench: replays the measured

@@ -5,19 +5,17 @@
  *
  * The common simulator callback captures `this` plus a few words;
  * SmallFn stores such closures inline (no allocation on schedule or
- * fire). Oversized captures spill to a slab pool (SmallFnArena) so a
- * hot loop that occasionally builds a big closure still recycles a
- * handful of fixed-size blocks instead of hitting the global
- * allocator per event. SmallFn is move-only: event callbacks are
- * consumed exactly once, and copyability is what forces std::function
- * to heap-allocate shared state.
+ * fire). Oversized captures go to plain new/delete, one allocation
+ * per closure; no event the simulator schedules is that large.
+ * SmallFn is move-only: event callbacks are consumed exactly once,
+ * and copyability is what forces std::function to heap-allocate
+ * shared state.
  */
 
 #ifndef V10_COMMON_SMALL_FN_H
 #define V10_COMMON_SMALL_FN_H
 
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -26,120 +24,11 @@
 
 namespace v10 {
 
-/**
- * Size-bucketed free-list pool for SmallFn spill blocks.
- *
- * Blocks are never returned to the global allocator while the arena
- * lives, so steady-state scheduling of oversized closures is
- * allocation-free after warm-up. Closures larger than the biggest
- * bucket fall back to plain operator new (header tagged with a null
- * arena). Single-threaded by design: each Simulator owns one arena,
- * and parallel sweeps use one Simulator per cell.
- */
-class SmallFnArena
-{
-  public:
-    /** Block payload sizes; closures above the last go to new. */
-    static constexpr std::size_t kBucketBytes[4] = {64, 128, 256, 512};
-    static constexpr std::size_t kBuckets = 4;
-
-    SmallFnArena() = default;
-
-    SmallFnArena(const SmallFnArena &) = delete;
-    SmallFnArena &operator=(const SmallFnArena &) = delete;
-
-    ~SmallFnArena()
-    {
-        for (std::size_t b = 0; b < kBuckets; ++b) {
-            void *block = free_[b];
-            while (block != nullptr) {
-                void *next = *static_cast<void **>(payloadOf(block));
-                ::operator delete(block);
-                block = next;
-            }
-        }
-    }
-
-    /**
-     * Allocate a payload of at least @p bytes. The returned pointer
-     * is aligned for any scalar type and must be released with
-     * release() (which routes back to the owning arena, or to
-     * operator delete for oversized payloads). @p arena may be null:
-     * then every payload is a plain heap block.
-     */
-    static void *
-    allocate(std::size_t bytes, SmallFnArena *arena)
-    {
-        std::uint32_t bucket = kBuckets; // sentinel: unpooled
-        if (arena != nullptr) {
-            for (std::uint32_t b = 0; b < kBuckets; ++b) {
-                if (bytes <= kBucketBytes[b]) {
-                    bucket = b;
-                    break;
-                }
-            }
-        }
-        if (bucket < kBuckets && arena->free_[bucket] != nullptr) {
-            void *block = arena->free_[bucket];
-            void *payload = payloadOf(block);
-            arena->free_[bucket] = *static_cast<void **>(payload);
-            headerOf(payload)->arena = arena;
-            headerOf(payload)->bucket = bucket;
-            return payload;
-        }
-        const std::size_t payload_bytes =
-            bucket < kBuckets ? kBucketBytes[bucket] : bytes;
-        void *block = ::operator new(sizeof(Header) + payload_bytes);
-        auto *header = static_cast<Header *>(block);
-        header->arena = bucket < kBuckets ? arena : nullptr;
-        header->bucket = bucket;
-        return payloadOf(block);
-    }
-
-    /** Return a payload obtained from allocate(). */
-    static void
-    release(void *payload) noexcept
-    {
-        Header *header = headerOf(payload);
-        SmallFnArena *arena = header->arena;
-        if (arena == nullptr) {
-            ::operator delete(static_cast<void *>(header));
-            return;
-        }
-        const std::uint32_t bucket = header->bucket;
-        *static_cast<void **>(payload) = arena->free_[bucket];
-        arena->free_[bucket] = static_cast<void *>(header);
-    }
-
-  private:
-    /** Prefix of every block; payload follows, max-aligned. */
-    struct alignas(std::max_align_t) Header
-    {
-        SmallFnArena *arena;
-        std::uint32_t bucket;
-    };
-
-    static void *
-    payloadOf(void *block) noexcept
-    {
-        return static_cast<char *>(block) + sizeof(Header);
-    }
-
-    static Header *
-    headerOf(void *payload) noexcept
-    {
-        return reinterpret_cast<Header *>(
-            static_cast<char *>(payload) - sizeof(Header));
-    }
-
-    void *free_[kBuckets] = {nullptr, nullptr, nullptr, nullptr};
-};
-
 template <typename Sig> class SmallFn;
 
 /**
  * Move-only type-erased callable with inline storage for small
- * closures and SmallFnArena spill for large ones.
+ * closures and a heap block for large ones.
  */
 template <typename R, typename... Args> class SmallFn<R(Args...)>
 {
@@ -159,17 +48,7 @@ template <typename R, typename... Args> class SmallFn<R(Args...)>
                   std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
     SmallFn(F &&f)
     {
-        init(std::forward<F>(f), nullptr);
-    }
-
-    /** Wrap @p f; large closures spill to @p arena's slab pool. */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
-    SmallFn(F &&f, SmallFnArena &arena)
-    {
-        init(std::forward<F>(f), &arena);
+        init(std::forward<F>(f));
     }
 
     SmallFn(SmallFn &&other) noexcept { moveFrom(other); }
@@ -253,8 +132,7 @@ template <typename R, typename... Args> class SmallFn<R(Args...)>
             std::is_trivially_copyable_v<T>};
     };
 
-    /** Callable spilled to an arena block; the buffer holds the
-     * payload pointer. */
+    /** Callable spilled to the heap; the buffer holds the pointer. */
     template <typename T> struct HeapModel
     {
         static T *
@@ -280,9 +158,7 @@ template <typename R, typename... Args> class SmallFn<R(Args...)>
         static void
         destroy(void *storage) noexcept
         {
-            T *obj = self(storage);
-            obj->~T();
-            SmallFnArena::release(static_cast<void *>(obj));
+            delete self(storage);
         }
 
         static constexpr Ops ops = {&invoke, &relocate, &destroy,
@@ -291,7 +167,7 @@ template <typename R, typename... Args> class SmallFn<R(Args...)>
 
     template <typename F>
     void
-    init(F &&f, SmallFnArena *arena)
+    init(F &&f)
     {
         using T = std::decay_t<F>;
         static_assert(alignof(T) <= alignof(std::max_align_t),
@@ -302,10 +178,8 @@ template <typename R, typename... Args> class SmallFn<R(Args...)>
                 T(std::forward<F>(f));
             ops_ = &InlineModel<T>::ops;
         } else {
-            void *payload =
-                SmallFnArena::allocate(sizeof(T), arena);
-            ::new (payload) T(std::forward<F>(f));
-            ::new (static_cast<void *>(storage_)) void *(payload);
+            ::new (static_cast<void *>(storage_))
+                void *(new T(std::forward<F>(f)));
             ops_ = &HeapModel<T>::ops;
         }
     }

@@ -18,8 +18,11 @@ constexpr double kDrainEpsilon = 1e-3;
 HbmModel::HbmModel(Simulator &sim, double bytesPerCycle)
     : sim_(sim), peak_(bytesPerCycle)
 {
-    if (peak_ <= 0.0)
-        fatal("HbmModel: peak bandwidth must be positive");
+    // NpuConfig::check rejects non-positive and non-finite bandwidth,
+    // so reaching this is a caller bug.
+    if (!(peak_ > 0.0))
+        V10_PANIC("HbmModel: peak bandwidth must be positive (got ",
+                  peak_, ")");
 }
 
 void

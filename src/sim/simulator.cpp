@@ -65,29 +65,19 @@ Simulator::step()
     return true;
 }
 
-void
-Simulator::drainThrough(Cycles limit)
-{
-    while (true) {
-        const Cycles next = queue_.nextCycle();
-        if (next == kCycleMax || next > limit)
-            return;
-        now_ = next;
-        events_run_ += queue_.runCycle(next);
-    }
-}
-
 Cycles
 Simulator::run()
 {
-    drainThrough(kCycleMax);
+    while (step()) {
+    }
     return now_;
 }
 
 Cycles
 Simulator::runUntil(Cycles limit)
 {
-    drainThrough(limit);
+    while (queue_.nextCycle() <= limit && step()) {
+    }
     if (now_ < limit)
         now_ = limit;
     return now_;

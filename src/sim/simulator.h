@@ -9,9 +9,8 @@
  *
  * Scheduling is allocation-free for the common small closure: at() /
  * after() / every() wrap the callback in the queue's SmallFn-based
- * EventFn directly. run() and runUntil() drain all events of a cycle
- * in one batched pass; the per-event order is identical to
- * single-stepping, so results are bit-identical either way.
+ * EventFn directly. run() and runUntil() are step() loops, so there
+ * is one dispatch path and one event order.
  */
 
 #ifndef V10_SIM_SIMULATOR_H
@@ -79,7 +78,7 @@ class V10_DOMAIN_LOCAL Simulator
         periodics_.push_back(std::make_unique<Periodic>());
         Periodic &p = *periodics_.back();
         p.interval = interval;
-        p.fn = EventQueue::EventFn(std::forward<F>(cb), queue_.arena());
+        p.fn = EventQueue::EventFn(std::forward<F>(cb));
         p.active = true;
         const auto id =
             static_cast<PeriodicId>(periodics_.size());
@@ -147,10 +146,6 @@ class V10_DOMAIN_LOCAL Simulator
     [[noreturn]] void pastPanic(Cycles when) const;
     [[noreturn]] void overflowPanic() const;
     [[noreturn]] void intervalPanic() const;
-
-    /** Fire every event at cycles <= @p limit, one batched cycle
-     * at a time. */
-    void drainThrough(Cycles limit);
 
     /** Run one periodic tick, then re-arm. */
     void firePeriodic(std::size_t index);

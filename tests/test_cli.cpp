@@ -336,6 +336,22 @@ TEST(Cli, FaultRunStatsJsonMatchesGolden)
               golden("run_faults_stats.json"));
 }
 
+TEST(Cli, WideCoreRunStatsJsonMatchesGolden)
+{
+    // Sixteen tenants on an (8,8) core: the widest event-queue user
+    // the CLI reaches (20 live events at peak).
+    const std::string json =
+        ::testing::TempDir() + "/cli_golden_wide_core.json";
+    ASSERT_EQ(runCli("run --models BERT,NCF,RsNt,DLRM,MNST,SMask,RNRS,"
+                     "ENet,BERT,NCF,RsNt,DLRM,MNST,SMask,RNRS,ENet "
+                     "--sas 8 --vus 8 --requests 2 --stats-json " +
+                     json)
+                  .first,
+              0);
+    EXPECT_EQ(stripWallSeconds(readFile(json)),
+              golden("run_wide_core_stats.json"));
+}
+
 TEST(Cli, ServeChaosStatsJsonMatchesGolden)
 {
     // A small fleet under every resilience mechanism at once: the

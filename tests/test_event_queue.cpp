@@ -1,17 +1,34 @@
 /**
  * @file
- * Unit tests for the discrete-event queue: ordering, tie-breaking,
- * cancellation, and clearing.
+ * Unit tests for the discrete-event queue: ordering, tie-breaking and
+ * cancellation, plus a differential test of EventQueue and Simulator
+ * against a sorted-vector reference on seeded random programs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/event_queue.h"
+#include "sim/simulator.h"
 
 namespace v10 {
 namespace {
+
+/** Pop and run the earliest event; @return its cycle or kCycleMax. */
+Cycles
+popAndRun(EventQueue &q)
+{
+    EventQueue::EventFn fn;
+    const Cycles when = q.takeNext(fn);
+    if (when != kCycleMax)
+        fn();
+    return when;
+}
 
 TEST(EventQueue, EmptyByDefault)
 {
@@ -19,7 +36,9 @@ TEST(EventQueue, EmptyByDefault)
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.size(), 0u);
     EXPECT_EQ(q.nextCycle(), kCycleMax);
-    EXPECT_EQ(q.popAndRun(), kCycleMax);
+    EventQueue::EventFn fn;
+    EXPECT_EQ(q.takeNext(fn), kCycleMax);
+    EXPECT_FALSE(static_cast<bool>(fn));
 }
 
 TEST(EventQueue, FiresInCycleOrder)
@@ -30,7 +49,7 @@ TEST(EventQueue, FiresInCycleOrder)
     q.schedule(10, [&] { order.push_back(1); });
     q.schedule(20, [&] { order.push_back(2); });
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -41,7 +60,7 @@ TEST(EventQueue, TiesFireInInsertionOrder)
     for (int i = 0; i < 16; ++i)
         q.schedule(5, [&order, i] { order.push_back(i); });
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
@@ -51,7 +70,7 @@ TEST(EventQueue, PopReturnsFiringCycle)
     EventQueue q;
     q.schedule(42, [] {});
     EXPECT_EQ(q.nextCycle(), 42u);
-    EXPECT_EQ(q.popAndRun(), 42u);
+    EXPECT_EQ(popAndRun(q), 42u);
     EXPECT_TRUE(q.empty());
 }
 
@@ -64,7 +83,7 @@ TEST(EventQueue, CancelPreventsFiring)
     q.cancel(id);
     EXPECT_EQ(q.size(), 1u);
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_FALSE(fired);
 }
 
@@ -82,7 +101,7 @@ TEST(EventQueue, DoubleCancelIsHarmless)
     EventQueue q;
     const EventId id = q.schedule(3, [] {});
     q.cancel(id);
-    q.cancel(id); // no-op, no underflow
+    q.cancel(id);
     EXPECT_TRUE(q.empty());
 }
 
@@ -90,9 +109,10 @@ TEST(EventQueue, CancelAfterFireIsHarmless)
 {
     EventQueue q;
     const EventId id = q.schedule(3, [] {});
-    q.popAndRun();
+    q.schedule(4, [] {});
+    popAndRun(q);
     q.cancel(id);
-    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueue, CancelUnknownIdIsHarmless)
@@ -104,19 +124,6 @@ TEST(EventQueue, CancelUnknownIdIsHarmless)
     EXPECT_EQ(q.size(), 1u);
 }
 
-TEST(EventQueue, ClearDropsEverything)
-{
-    EventQueue q;
-    bool fired = false;
-    const EventId id = q.schedule(1, [&] { fired = true; });
-    q.schedule(2, [&] { fired = true; });
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.popAndRun(), kCycleMax);
-    EXPECT_FALSE(fired);
-    q.cancel(id); // stale handle after clear: harmless
-}
-
 TEST(EventQueue, EventsCanScheduleMoreEvents)
 {
     EventQueue q;
@@ -126,7 +133,7 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
         q.schedule(2, [&] { fired.push_back(2); });
     });
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_EQ(fired, (std::vector<Cycles>{1, 2}));
 }
 
@@ -141,78 +148,22 @@ TEST(EventQueue, ManyEventsStressOrdering)
         const Cycles c = q.nextCycle();
         monotonic = monotonic && c >= last;
         last = c;
-        q.popAndRun();
+        popAndRun(q);
     }
     EXPECT_TRUE(monotonic);
 }
-
-// A cycle beyond the near-horizon ring window lands in the overflow
-// heap; one inside it lands in the ring.
-constexpr Cycles kFar = EventQueue::kRingBuckets + 8192;
 
 TEST(EventQueue, CancelOfHeapTopSkipsToNext)
 {
     EventQueue q;
     bool fired = false;
-    const EventId top = q.schedule(kFar, [&] { fired = true; });
-    q.schedule(kFar + 100, [] {});
+    const EventId top = q.schedule(40000, [&] { fired = true; });
+    q.schedule(40100, [] {});
     q.cancel(top);
-    EXPECT_EQ(q.nextCycle(), kFar + 100);
+    EXPECT_EQ(q.nextCycle(), 40100u);
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, SameCycleFifoAcrossRingHeapBoundary)
-{
-    EventQueue q;
-    std::vector<int> order;
-    // Scheduled while kFar is beyond the window: overflow heap.
-    q.schedule(kFar, [&] { order.push_back(1); });
-    q.schedule(kFar, [&] { order.push_back(2); });
-    // Advancing past this event pulls kFar into the ring window
-    // (kFar - base < kRingBuckets once base reaches it).
-    q.schedule(kFar - EventQueue::kRingBuckets + 1,
-               [&] { order.push_back(0); });
-    q.popAndRun();
-    // Same cycle again, now ring-resident: must fire AFTER the heap
-    // entries (they were inserted first).
-    q.schedule(kFar, [&] { order.push_back(3); });
-    q.schedule(kFar, [&] { order.push_back(4); });
-    while (!q.empty())
-        q.popAndRun();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, ClearFromInsideCallbackStopsPop)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(5, [&] {
-        ++fired;
-        q.clear();
-    });
-    q.schedule(5, [&] { ++fired; });
-    q.schedule(6, [&] { ++fired; });
-    q.schedule(kFar, [&] { ++fired; });
-    while (!q.empty())
-        q.popAndRun();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.nextCycle(), kCycleMax);
-}
-
-TEST(EventQueue, ClearFromInsideCallbackStopsRunCycle)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(5, [&] {
-        ++fired;
-        q.clear();
-    });
-    q.schedule(5, [&] { ++fired; });
-    EXPECT_EQ(q.runCycle(5), 1u);
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ScheduleAtCurrentCycleFromCallbackFiresSameCycle)
@@ -223,44 +174,11 @@ TEST(EventQueue, ScheduleAtCurrentCycleFromCallbackFiresSameCycle)
         order.push_back(1);
         q.schedule(7, [&] { order.push_back(2); });
     });
-    EXPECT_EQ(q.runCycle(7), 2u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueue, RingWrapAroundKeepsOrder)
-{
-    EventQueue q;
-    std::vector<Cycles> fired;
-    // Advance the window start so later buckets wrap modulo the ring
-    // size, then schedule across the wrap point.
-    q.schedule(EventQueue::kRingBuckets - 100, [] {});
-    q.popAndRun();
-    const Cycles base = EventQueue::kRingBuckets - 100;
-    std::vector<Cycles> expect;
-    for (Cycles d = 50; d <= 30000; d += 4111) {
-        q.schedule(base + d,
-                   [&fired, c = base + d] { fired.push_back(c); });
-        expect.push_back(base + d);
-    }
-    while (!q.empty())
-        q.popAndRun();
-    EXPECT_EQ(fired, expect);
-}
-
-TEST(EventQueue, SlotTableBoundedByLiveEvents)
-{
-    EventQueue q;
-    // Schedule-and-fire one event at a time, 100k times: the id slot
-    // table must recycle instead of growing with the total count.
-    for (Cycles i = 0; i < 100000; ++i) {
-        q.schedule(i + 1, [] {});
-        q.popAndRun();
-    }
-    EXPECT_LE(q.slotCount(), 4u);
-    // Same for schedule-and-cancel churn.
-    for (Cycles i = 0; i < 100000; ++i)
-        q.cancel(q.schedule(200000 + i, [] {}));
-    EXPECT_LE(q.slotCount(), 8u);
+    q.schedule(8, [&] { order.push_back(3); });
+    EXPECT_EQ(popAndRun(q), 7u);
+    EXPECT_EQ(popAndRun(q), 7u);
+    EXPECT_EQ(popAndRun(q), 8u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, CancelRingEntryBetweenLiveOnes)
@@ -272,8 +190,340 @@ TEST(EventQueue, CancelRingEntryBetweenLiveOnes)
     q.schedule(9, [&] { order.push_back(3); });
     q.cancel(mid);
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+/** Distances well past any near-future window a queue might keep. */
+constexpr Cycles kWindow = 32768;
+constexpr Cycles kFar = kWindow + 8192;
+
+TEST(EventQueue, SameCycleFifoAcrossRingHeapBoundary)
+{
+    EventQueue q;
+    std::vector<int> order;
+    // Scheduled while kFar is far ahead of the clock.
+    q.schedule(kFar, [&] { order.push_back(1); });
+    q.schedule(kFar, [&] { order.push_back(2); });
+    // Firing this event moves the clock to within kWindow of kFar.
+    q.schedule(kFar - kWindow + 1, [&] { order.push_back(0); });
+    popAndRun(q);
+    // Same cycle again, now near: must fire AFTER the earlier entries
+    // (they were inserted first).
+    q.schedule(kFar, [&] { order.push_back(3); });
+    q.schedule(kFar, [&] { order.push_back(4); });
+    while (!q.empty())
+        popAndRun(q);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, RingWrapAroundKeepsOrder)
+{
+    EventQueue q;
+    std::vector<Cycles> fired;
+    // Advance the clock near a window boundary, then schedule events
+    // spread across it.
+    q.schedule(kWindow - 100, [] {});
+    popAndRun(q);
+    const Cycles base = kWindow - 100;
+    std::vector<Cycles> expect;
+    for (Cycles d = 50; d <= 30000; d += 4111) {
+        q.schedule(base + d,
+                   [&fired, c = base + d] { fired.push_back(c); });
+        expect.push_back(base + d);
+    }
+    while (!q.empty())
+        popAndRun(q);
+    EXPECT_EQ(fired, expect);
+}
+
+/**
+ * Reference queue: a vector kept sorted by (when, seq), with erase on
+ * cancel. Same API and id numbering as EventQueue.
+ */
+class SortedQueue
+{
+  public:
+    using EventFn = EventQueue::EventFn;
+
+    template <typename F>
+    EventId
+    schedule(Cycles when, F &&cb)
+    {
+        const EventId id = next_id_++;
+        // Ids grow, so a new entry goes after every entry at `when`.
+        const auto pos = std::upper_bound(
+            entries_.begin(), entries_.end(), when,
+            [](Cycles w, const Entry &e) { return w < e.when; });
+        entries_.insert(pos, Entry{when, id, EventFn(std::forward<F>(cb))});
+        return id;
+    }
+
+    void
+    cancel(EventId id)
+    {
+        const auto it =
+            std::find_if(entries_.begin(), entries_.end(),
+                         [id](const Entry &e) { return e.id == id; });
+        if (it != entries_.end())
+            entries_.erase(it);
+    }
+
+    bool empty() const { return entries_.empty(); }
+    std::size_t size() const { return entries_.size(); }
+
+    Cycles
+    nextCycle() const
+    {
+        return entries_.empty() ? kCycleMax : entries_.front().when;
+    }
+
+    Cycles
+    takeNext(EventFn &fn)
+    {
+        if (entries_.empty())
+            return kCycleMax;
+        const Cycles when = entries_.front().when;
+        fn = std::move(entries_.front().fn);
+        entries_.erase(entries_.begin());
+        return when;
+    }
+
+  private:
+    struct Entry
+    {
+        Cycles when;
+        EventId id;
+        EventFn fn;
+    };
+
+    std::vector<Entry> entries_;
+    EventId next_id_ = 1;
+};
+
+/**
+ * Simulator's documented clock semantics over any queue with
+ * EventQueue's API, so the queue can be checked without Simulator
+ * (and Simulator against the reference queue).
+ */
+template <typename Q> class Kernel
+{
+  public:
+    Cycles now() const { return now_; }
+    bool idle() const { return queue.empty(); }
+
+    template <typename F>
+    EventId
+    at(Cycles when, F &&cb)
+    {
+        return queue.schedule(when, std::forward<F>(cb));
+    }
+
+    void cancel(EventId id) { queue.cancel(id); }
+
+    bool
+    step()
+    {
+        EventQueue::EventFn fn;
+        const Cycles next = queue.takeNext(fn);
+        if (next == kCycleMax)
+            return false;
+        now_ = next;
+        fn();
+        return true;
+    }
+
+    /** Fire every event at cycles <= @p limit; the clock ends at
+     * @p limit or later. */
+    void
+    runUntil(Cycles limit)
+    {
+        while (!queue.empty() && queue.nextCycle() <= limit)
+            step();
+        now_ = std::max(now_, limit);
+    }
+
+    Q queue;
+
+  private:
+    Cycles now_ = 0;
+};
+
+/**
+ * A seeded random event program. Callbacks schedule children at
+ * far, near and zero deltas, cancel pending same-cycle siblings and
+ * other pending events, and cancel fired ids, cancelled ids and
+ * kNoEvent. The run loop interleaves single steps with runUntil stops.
+ * Every random draw happens in fire order, so two kernels that fire
+ * in the same order produce the same trace, and the first divergence
+ * shows up in it.
+ */
+template <typename Sim> class RandomProgram
+{
+  public:
+    /** @p shape adds the queue's size() and nextCycle() after every
+     * run-loop step to the trace (kernels that expose `queue` only). */
+    RandomProgram(Sim &sim, std::uint64_t seed, bool shape)
+        : sim_(sim), rng_(seed), shape_(shape)
+    {
+    }
+
+    /** Run to completion; @return the trace of fires and stops. */
+    std::vector<std::uint64_t>
+    run()
+    {
+        for (int i = 0; i < 16; ++i)
+            spawn(delta());
+        while (!sim_.idle()) {
+            if (rng_.next() % 5 == 0) {
+                sim_.runUntil(sim_.now() + rng_.next() % 64);
+                trace_.push_back(kStopMark);
+                trace_.push_back(sim_.now());
+            } else {
+                sim_.step();
+            }
+            if constexpr (requires { sim_.queue.size(); }) {
+                if (shape_) {
+                    trace_.push_back(sim_.queue.size());
+                    trace_.push_back(sim_.queue.nextCycle());
+                }
+            }
+        }
+        return trace_;
+    }
+
+  private:
+    static constexpr std::uint64_t kStopMark = ~std::uint64_t{0};
+    static constexpr std::size_t kMaxEvents = 600;
+
+    enum class State { Pending, Fired, Cancelled };
+
+    Cycles
+    delta()
+    {
+        switch (rng_.next() % 4) {
+        case 0:
+            return 0;
+        case 1:
+            return rng_.next() % 4;
+        case 2:
+            return rng_.next() % 5000;
+        default:
+            return (Cycles{1} << 20) + rng_.next() % (Cycles{1} << 24);
+        }
+    }
+
+    void
+    spawn(Cycles d)
+    {
+        if (ids_.size() >= kMaxEvents)
+            return;
+        const std::size_t tag = ids_.size();
+        whens_.push_back(sim_.now() + d);
+        states_.push_back(State::Pending);
+        ids_.push_back(sim_.at(sim_.now() + d, [this, tag] { fire(tag); }));
+    }
+
+    void
+    cancelTag(std::size_t tag)
+    {
+        sim_.cancel(ids_[tag]);
+        if (states_[tag] == State::Pending)
+            states_[tag] = State::Cancelled;
+    }
+
+    /** Some tag in @p wanted state (at the current cycle when
+     * @p same_cycle), or ids_.size() when there is none. */
+    std::size_t
+    pick(State wanted, bool same_cycle)
+    {
+        std::vector<std::size_t> hits;
+        for (std::size_t t = 0; t < ids_.size(); ++t)
+            if (states_[t] == wanted &&
+                (!same_cycle || whens_[t] == sim_.now()))
+                hits.push_back(t);
+        if (hits.empty())
+            return ids_.size();
+        return hits[rng_.next() % hits.size()];
+    }
+
+    void
+    fire(std::size_t tag)
+    {
+        EXPECT_EQ(states_[tag], State::Pending) << "tag " << tag;
+        EXPECT_EQ(whens_[tag], sim_.now()) << "tag " << tag;
+        states_[tag] = State::Fired;
+        trace_.push_back(sim_.now());
+        trace_.push_back(tag);
+        const auto action = rng_.next() % 8;
+        std::size_t victim = ids_.size();
+        switch (action) {
+        case 0:
+            spawn(0);
+            spawn(0);
+            break;
+        case 1:
+            victim = pick(State::Pending, true);
+            break;
+        case 2:
+            victim = pick(State::Pending, false);
+            break;
+        case 3:
+            victim = pick(State::Fired, false);
+            break;
+        case 4:
+            victim = pick(State::Cancelled, false);
+            break;
+        case 5:
+            sim_.cancel(kNoEvent);
+            break;
+        default:
+            spawn(delta());
+            break;
+        }
+        if (victim < ids_.size())
+            cancelTag(victim);
+        if (action != 0)
+            spawn(delta());
+    }
+
+    Sim &sim_;
+    Rng rng_;
+    bool shape_;
+    std::vector<EventId> ids_;
+    std::vector<Cycles> whens_;
+    std::vector<State> states_;
+    std::vector<std::uint64_t> trace_;
+};
+
+template <typename Sim>
+std::vector<std::uint64_t>
+traceOf(std::uint64_t seed, bool shape)
+{
+    Sim sim;
+    return RandomProgram<Sim>(sim, seed, shape).run();
+}
+
+TEST(EventQueue, MatchesSortedReferenceOnRandomPrograms)
+{
+    // Fire order, the clock at every stop, and size() and nextCycle()
+    // after every run-loop step all match the sorted reference.
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        const auto expect = traceOf<Kernel<SortedQueue>>(seed, true);
+        ASSERT_GT(expect.size(), 1000u) << "seed " << seed;
+        EXPECT_EQ(traceOf<Kernel<EventQueue>>(seed, true), expect)
+            << "seed " << seed;
+    }
+}
+
+TEST(EventQueue, SimulatorMatchesSortedReferenceOnRandomPrograms)
+{
+    // Simulator's step() and runUntil() replay the reference kernel's
+    // fire order and clock.
+    for (std::uint64_t seed = 1; seed <= 40; ++seed)
+        EXPECT_EQ(traceOf<Simulator>(seed, false),
+                  traceOf<Kernel<SortedQueue>>(seed, false))
+            << "seed " << seed;
 }
 
 } // namespace

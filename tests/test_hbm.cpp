@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "npu/hbm.h"
 #include "sim/simulator.h"
 
@@ -160,6 +162,17 @@ TEST_P(HbmConservation, BytesConserved)
 
 INSTANTIATE_TEST_SUITE_P(Streams, HbmConservation,
                          ::testing::Values(1, 2, 3, 8, 17, 32));
+
+TEST(HbmDeath, NonPositiveOrNanPeakPanics)
+{
+    // NpuConfig::check rejects these from input, so the model treats
+    // them as a caller bug.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Simulator sim;
+    EXPECT_DEATH(HbmModel(sim, 0.0), "peak bandwidth");
+    EXPECT_DEATH(HbmModel(sim, std::numeric_limits<double>::quiet_NaN()),
+                 "peak bandwidth");
+}
 
 } // namespace
 } // namespace v10

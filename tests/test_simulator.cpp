@@ -209,8 +209,8 @@ TEST(SimulatorDeath, ZeroIntervalEveryPanics)
 
 TEST(Simulator, BatchedRunMatchesStepping)
 {
-    // The batched run() must replay the exact per-event order that
-    // single-stepping produces, including same-cycle chains.
+    // run() must replay the exact per-event order that single-stepping
+    // produces, including same-cycle chains.
     const auto drive = [](Simulator &sim, std::vector<int> &order) {
         for (int i = 0; i < 8; ++i)
             sim.after(static_cast<Cycles>(1 + (i * 5) % 7),
@@ -220,18 +220,18 @@ TEST(Simulator, BatchedRunMatchesStepping)
             sim.after(0, [&order] { order.push_back(101); });
         });
     };
-    Simulator batched;
-    std::vector<int> batched_order;
-    drive(batched, batched_order);
-    batched.run();
+    Simulator ran;
+    std::vector<int> ran_order;
+    drive(ran, ran_order);
+    ran.run();
 
     Simulator stepped;
     std::vector<int> stepped_order;
     drive(stepped, stepped_order);
     while (stepped.step()) {
     }
-    EXPECT_EQ(batched_order, stepped_order);
-    EXPECT_EQ(batched.eventsRun(), stepped.eventsRun());
+    EXPECT_EQ(ran_order, stepped_order);
+    EXPECT_EQ(ran.eventsRun(), stepped.eventsRun());
 }
 
 TEST(Simulator, SameCycleEventsFireInInsertionOrderAcrossComponents)
@@ -277,15 +277,15 @@ TEST(Simulator, SameCycleScheduleFromCallbackFiresLast)
 
 TEST(Simulator, StepMatchesRunOnRandomProgram)
 {
-    // Single-stepping and the batched run loop execute the identical
-    // sequence, with many same-cycle ties and deltas on both sides
-    // of the queue's near-horizon ring.
+    // Single-stepping and the run loop execute the identical
+    // sequence, with many same-cycle ties and both short and long
+    // deltas.
     const auto program = [](Simulator &sim, std::vector<int> &order) {
         Rng rng(7);
         for (int i = 0; i < 64; ++i) {
             const auto when = static_cast<Cycles>(
                 i % 3 == 0 ? rng.next() % 50
-                           : rng.next() % (2 * EventQueue::kRingBuckets));
+                           : rng.next() % (Cycles{1} << 16));
             sim.at(when, [&sim, &order, i] {
                 order.push_back(i);
                 if (i % 8 == 0)

@@ -1,15 +1,13 @@
 /**
  * @file
- * Unit tests for SmallFn / SmallFnArena: inline storage, heap spill,
- * move-only ownership, and arena block recycling. Runs under ASan in
- * CI, so lifetime bugs (double destroy, leaks, use-after-move of the
+ * Unit tests for SmallFn: inline storage, heap spill and move-only
+ * ownership. Runs under ASan in CI, so lifetime bugs (double destroy, leaks, use-after-move of the
  * stored closure) fail loudly.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -139,17 +137,16 @@ TEST(SmallFn, LargeClosureSpillsToHeapAndWorks)
     EXPECT_EQ(sum, (63 * 64) / 2);
 }
 
-TEST(SmallFn, LargeClosureViaArenaDestroysOnce)
+TEST(SmallFn, LargeClosureDestroysOnce)
 {
     Tracked::live = 0;
-    SmallFnArena arena;
     struct BigTracked : Tracked
     {
         unsigned char pad[96] = {};
     };
     static_assert(sizeof(BigTracked) > Fn::kInlineBytes);
     {
-        Fn fn(BigTracked{}, arena);
+        Fn fn{BigTracked{}};
         EXPECT_EQ(Tracked::live, 1);
         Fn moved(std::move(fn));
         EXPECT_EQ(Tracked::live, 1);
@@ -167,55 +164,6 @@ TEST(SmallFn, NonTrivialCaptureSurvivesMoves)
     Fn c(std::move(b));
     c();
     EXPECT_EQ(out, std::string(100, 'x'));
-}
-
-TEST(SmallFnArena, RecyclesBlocksPerBucket)
-{
-    SmallFnArena arena;
-    void *first = SmallFnArena::allocate(64, &arena);
-    SmallFnArena::release(first);
-    // Same bucket: the freed block must come back.
-    void *second = SmallFnArena::allocate(48, &arena);
-    EXPECT_EQ(first, second);
-    SmallFnArena::release(second);
-
-    // A different bucket gets a different block.
-    void *large = SmallFnArena::allocate(200, &arena);
-    EXPECT_NE(large, first);
-    SmallFnArena::release(large);
-    void *large_again = SmallFnArena::allocate(256, &arena);
-    EXPECT_EQ(large, large_again);
-    SmallFnArena::release(large_again);
-}
-
-TEST(SmallFnArena, OversizedAndArenalessBlocksUsePlainHeap)
-{
-    SmallFnArena arena;
-    // Above the largest bucket: not pooled, released to the heap.
-    void *huge = SmallFnArena::allocate(4096, &arena);
-    ASSERT_NE(huge, nullptr);
-    std::memset(huge, 0xab, 4096);
-    SmallFnArena::release(huge);
-    // Null arena: every payload is a plain heap block.
-    void *loose = SmallFnArena::allocate(64, nullptr);
-    ASSERT_NE(loose, nullptr);
-    SmallFnArena::release(loose);
-}
-
-TEST(SmallFnArena, SpilledClosureBlocksRecycleThroughArena)
-{
-    SmallFnArena arena;
-    std::array<unsigned char, 100> big{};
-    int calls = 0;
-    // Repeatedly build and destroy spilled closures: after warm-up
-    // the arena serves every allocation from its free list, which
-    // this exercises for correctness (ASan checks the lifetimes).
-    for (int i = 0; i < 1000; ++i) {
-        Fn fn([big, &calls] { calls += static_cast<int>(big[0]) + 1; },
-              arena);
-        fn();
-    }
-    EXPECT_EQ(calls, 1000);
 }
 
 TEST(SmallFnDeath, CallingEmptyPanics)
