@@ -57,6 +57,50 @@ BM_HbmProcessorSharing(benchmark::State &state)
 }
 BENCHMARK(BM_HbmProcessorSharing)->Arg(2)->Arg(8)->Arg(32);
 
+/**
+ * The engine's DMA steady state: N owners each keep one transfer in
+ * flight and issue the next from its completion callback, so every
+ * completion is a membership change that re-keys the next one.
+ */
+void
+BM_HbmChainedTransfers(benchmark::State &state)
+{
+    constexpr int kPerOwner = 64;
+    const auto owners = static_cast<int>(state.range(0));
+    struct Owner
+    {
+        HbmModel *hbm;
+        WorkloadId id;
+        Bytes bytes;
+        int left;
+
+        void
+        issue()
+        {
+            --left;
+            hbm->startTransfer(bytes, id, [this] {
+                if (left > 0)
+                    issue();
+            });
+        }
+    };
+    for (auto _ : state) {
+        Simulator sim;
+        HbmModel hbm(sim, 471.0);
+        std::vector<Owner> chain;
+        for (int i = 0; i < owners; ++i)
+            chain.push_back(Owner{&hbm, static_cast<WorkloadId>(i),
+                                  64_KiB + static_cast<Bytes>(i) * 4096,
+                                  kPerOwner});
+        for (auto &o : chain)
+            o.issue();
+        sim.run();
+        benchmark::DoNotOptimize(hbm.bytesMoved());
+    }
+    state.SetItemsProcessed(state.iterations() * owners * kPerOwner);
+}
+BENCHMARK(BM_HbmChainedTransfers)->Arg(2)->Arg(16);
+
 void
 BM_TraceGeneration(benchmark::State &state)
 {

@@ -53,6 +53,20 @@ template <typename R, typename... Args> class SmallFn<R(Args...)>
 
     SmallFn(SmallFn &&other) noexcept { moveFrom(other); }
 
+    /** Replace the held callable with @p f, built in place (no
+     * temporary SmallFn to relocate). */
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<F>, SmallFn> &&
+                  !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
+                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
+    void
+    emplace(F &&f)
+    {
+        reset();
+        init(std::forward<F>(f));
+    }
+
     SmallFn &
     operator=(SmallFn &&other) noexcept
     {

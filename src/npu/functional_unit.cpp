@@ -29,6 +29,8 @@ FunctionalUnit::begin(WorkloadId workload, OpId op,
               workload_, " still in flight)");
     if (computeCycles == 0)
         panic(name_, ": zero-cycle operator");
+    if (workload == kNoWorkload)
+        panic(name_, ": begin without a workload");
 
     busy_ = true;
     workload_ = workload;
@@ -72,6 +74,10 @@ FunctionalUnit::retire(bool completed)
 
     compute_accum_ += compute_done;
     overhead_accum_ += overhead_done;
+    if (workload_ >= compute_by_workload_.size()) {
+        compute_by_workload_.resize(workload_ + std::size_t{1}, 0);
+        overhead_by_workload_.resize(workload_ + std::size_t{1}, 0);
+    }
     compute_by_workload_[workload_] += compute_done;
     overhead_by_workload_[workload_] += overhead_done;
     if (completed)
@@ -80,8 +86,6 @@ FunctionalUnit::retire(bool completed)
         ++preempt_count_;
 
     busy_ = false;
-    const WorkloadId prev = workload_;
-    (void)prev;
     workload_ = kNoWorkload;
     op_id_ = 0;
     compute_cycles_ = 0;
@@ -110,15 +114,17 @@ FunctionalUnit::preempt()
 Cycles
 FunctionalUnit::busyComputeFor(WorkloadId workload) const
 {
-    auto it = compute_by_workload_.find(workload);
-    return it == compute_by_workload_.end() ? 0 : it->second;
+    return workload < compute_by_workload_.size()
+               ? compute_by_workload_[workload]
+               : 0;
 }
 
 Cycles
 FunctionalUnit::overheadFor(WorkloadId workload) const
 {
-    auto it = overhead_by_workload_.find(workload);
-    return it == overhead_by_workload_.end() ? 0 : it->second;
+    return workload < overhead_by_workload_.size()
+               ? overhead_by_workload_[workload]
+               : 0;
 }
 
 void

@@ -14,8 +14,8 @@
 #ifndef V10_NPU_FUNCTIONAL_UNIT_H
 #define V10_NPU_FUNCTIONAL_UNIT_H
 
-#include <map>
 #include <string>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/small_fn.h"
@@ -86,7 +86,7 @@ class V10_DOMAIN_LOCAL FunctionalUnit
 
     /**
      * Start executing an operator.
-     * @param workload owning tenant
+     * @param workload owning tenant (a dense id, not kNoWorkload)
      * @param op operator id (for tracing)
      * @param computeCycles remaining useful compute
      * @param overheadCycles context-switch penalty paid up front
@@ -178,10 +178,10 @@ class V10_DOMAIN_LOCAL FunctionalUnit
     Cycles overhead_accum_ = 0;
     std::uint64_t ops_completed_ = 0;
     std::uint64_t preempt_count_ = 0;
-    // Ordered maps: per-workload totals feed stat output, so the
-    // iteration order must not depend on hashing.
-    std::map<WorkloadId, Cycles> compute_by_workload_;
-    std::map<WorkloadId, Cycles> overhead_by_workload_;
+    // Per-workload totals indexed by the (dense) workload id, grown
+    // on first retire; absent ids read as zero.
+    std::vector<Cycles> compute_by_workload_;
+    std::vector<Cycles> overhead_by_workload_;
 
     FuObserver *observer_ = nullptr;
 };

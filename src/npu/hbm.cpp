@@ -1,7 +1,7 @@
 #include "npu/hbm.h"
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/log.h"
 #include "metrics/stat_registry.h"
@@ -40,7 +40,7 @@ HbmModel::advance()
     const std::size_t n = streams_.size();
     const double share = peak_ / static_cast<double>(n);
     const double budget = elapsed * share;
-    for (auto &[id, stream] : streams_) {
+    for (auto &stream : streams_) {
         const double used = std::min(stream.remaining, budget);
         stream.remaining -= used;
         bytes_moved_ += used;
@@ -53,8 +53,9 @@ HbmModel::advance()
             const double activeFrac = used / budget;
             const double lostPerOther =
                 elapsed * activeFrac / static_cast<double>(n);
-            for (const auto &[otherId, other] : streams_) {
-                if (otherId == id || other.owner == kNoWorkload ||
+            for (const auto &other : streams_) {
+                if (other.id == stream.id ||
+                    other.owner == kNoWorkload ||
                     other.owner == stream.owner)
                     continue;
                 observer_->onHbmContention(stream.owner, other.owner,
@@ -67,22 +68,28 @@ HbmModel::advance()
 void
 HbmModel::scheduleNext()
 {
-    if (pending_event_ != kNoEvent) {
-        sim_.cancel(pending_event_);
-        pending_event_ = kNoEvent;
-    }
-    if (streams_.empty())
+    if (streams_.empty()) {
+        if (pending_event_ != kNoEvent) {
+            sim_.cancel(pending_event_);
+            pending_event_ = kNoEvent;
+        }
         return;
-    double min_remaining = streams_.begin()->second.remaining;
-    for (const auto &[id, stream] : streams_)
+    }
+    double min_remaining = streams_.front().remaining;
+    for (const auto &stream : streams_)
         min_remaining = std::min(min_remaining, stream.remaining);
     const double share =
         peak_ / static_cast<double>(streams_.size());
     const double cycles_needed = min_remaining / share;
     const Cycles delta = std::max<Cycles>(
         1, static_cast<Cycles>(std::ceil(cycles_needed)));
-    pending_event_ =
-        sim_.after(delta, [this] { onCompletionEvent(); });
+    // Re-keying takes the fresh seq that cancel + after would, so
+    // the event order is the same as re-arming a new closure.
+    if (pending_event_ != kNoEvent)
+        pending_event_ = sim_.rescheduleAfter(pending_event_, delta);
+    else
+        pending_event_ =
+            sim_.after(delta, [this] { onCompletionEvent(); });
 }
 
 void
@@ -91,22 +98,30 @@ HbmModel::onCompletionEvent()
     pending_event_ = kNoEvent;
     advance();
 
-    std::vector<DoneCallback> completed;
-    for (auto it = streams_.begin(); it != streams_.end();) {
-        if (it->second.remaining <= kDrainEpsilon) {
-            completed.push_back(std::move(it->second.done));
-            it = streams_.erase(it);
+    // Compact the survivors in place, keeping their start order.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+        Stream &stream = streams_[i];
+        if (stream.remaining <= kDrainEpsilon) {
+            completed_.push_back(std::move(stream.done));
         } else {
-            ++it;
+            if (kept != i)
+                streams_[kept] = std::move(stream);
+            ++kept;
         }
     }
+    streams_.erase(streams_.begin() + static_cast<std::ptrdiff_t>(kept),
+                   streams_.end());
     scheduleNext();
     // Fire after membership is settled; callbacks may start new
-    // transfers, which re-advance and re-schedule on their own.
-    for (auto &cb : completed) {
+    // transfers, which re-advance and re-schedule on their own. A
+    // callback cannot re-enter this function (the next completion is
+    // at least a cycle away), so completed_ is stable while it runs.
+    for (auto &cb : completed_) {
         if (cb)
             cb();
     }
+    completed_.clear();
 }
 
 DmaStreamId
@@ -121,8 +136,8 @@ HbmModel::startTransfer(Bytes bytes, WorkloadId owner,
 {
     advance();
     const DmaStreamId id = next_id_++;
-    streams_.emplace(id, Stream{static_cast<double>(bytes), owner,
-                                std::move(done)});
+    streams_.push_back(Stream{id, static_cast<double>(bytes), owner,
+                              std::move(done)});
     scheduleNext();
     return id;
 }
@@ -130,7 +145,9 @@ HbmModel::startTransfer(Bytes bytes, WorkloadId owner,
 void
 HbmModel::cancel(DmaStreamId id)
 {
-    auto it = streams_.find(id);
+    const auto it =
+        std::find_if(streams_.begin(), streams_.end(),
+                     [id](const Stream &s) { return s.id == id; });
     if (it == streams_.end())
         return;
     advance();

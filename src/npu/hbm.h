@@ -5,18 +5,27 @@
  * Concurrent DMA streams share the peak bandwidth equally
  * (processor-sharing): with n active streams each progresses at
  * peak/n bytes per cycle. Whenever the set of active streams changes,
- * remaining bytes are advanced and the next completion event is
+ * remaining bytes are advanced and the next completion cycle is
  * recomputed. This captures the HBM contention effects of §5.6/§5.8
  * (e.g. DLRM+RsNt oversubscribing bandwidth) while staying O(#streams)
  * per membership change.
+ *
+ * Streams sit in a flat vector in ascending id (start) order, so
+ * advancing, contention reports and completion callbacks all visit
+ * them in start order. The model keeps one completion event: a
+ * membership change re-keys it in place (Simulator::rescheduleAfter)
+ * instead of cancelling it and arming a new closure, which gives it
+ * the same (cycle, seq) key a re-arm would. Drained callbacks fire
+ * from a reused member vector, so a completion allocates nothing
+ * once the vectors have grown to the run's widest point.
  */
 
 #ifndef V10_NPU_HBM_H
 #define V10_NPU_HBM_H
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/small_fn.h"
@@ -126,6 +135,7 @@ class V10_COUPLING_POINT HbmModel
   private:
     struct Stream
     {
+        DmaStreamId id = 0;
         double remaining = 0.0;
         WorkloadId owner = kNoWorkload;
         DoneCallback done;
@@ -134,7 +144,8 @@ class V10_COUPLING_POINT HbmModel
     /** Advance all streams to the current cycle. */
     void advance();
 
-    /** Recompute and schedule the next completion event. */
+    /** Recompute the next completion and re-key (or arm, or drop)
+     * the completion event to match. */
     void scheduleNext();
 
     /** Fire completions for streams that have drained. */
@@ -143,7 +154,10 @@ class V10_COUPLING_POINT HbmModel
     Simulator &sim_;
     double peak_;
     HbmContentionObserver *observer_ = nullptr;
-    std::map<DmaStreamId, Stream> streams_;
+    /** In-flight streams in ascending id order. */
+    std::vector<Stream> streams_;
+    /** Callbacks of the streams one completion event drained. */
+    std::vector<DoneCallback> completed_;
     DmaStreamId next_id_ = 1;
     Cycles last_advance_ = 0;
     EventId pending_event_ = kNoEvent;

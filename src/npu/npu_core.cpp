@@ -16,26 +16,16 @@ NpuCore::NpuCore(Simulator &sim, const NpuConfig &config,
 {
     if (Status s = config_.check(); !s)
         V10_PANIC(s.error().toString());
-    for (FuId i = 0; i < config_.numSa; ++i)
+    for (FuId i = 0; i < config_.numSa; ++i) {
         sas_.push_back(
             std::make_unique<SystolicArray>(sim_, i, config_.saDim));
-    for (FuId i = 0; i < config_.numVu; ++i)
+        sa_units_.push_back(sas_.back().get());
+    }
+    for (FuId i = 0; i < config_.numVu; ++i) {
         vus_.push_back(std::make_unique<VectorUnit>(
             sim_, i, config_.vuLanes, config_.vuOpsPerLane));
-}
-
-std::vector<FunctionalUnit *>
-NpuCore::units(FunctionalUnit::Kind kind)
-{
-    std::vector<FunctionalUnit *> out;
-    if (kind == FunctionalUnit::Kind::SA) {
-        for (auto &sa : sas_)
-            out.push_back(sa.get());
-    } else {
-        for (auto &vu : vus_)
-            out.push_back(vu.get());
+        vu_units_.push_back(vus_.back().get());
     }
-    return out;
 }
 
 void

@@ -69,8 +69,13 @@ class V10_DOMAIN_LOCAL NpuCore
     /** The §3.6 HBM region allocator (one region per tenant). */
     HbmRegionAllocator &hbmRegions() { return hbm_regions_; }
 
-    /** All functional units of one kind, as base pointers. */
-    std::vector<FunctionalUnit *> units(FunctionalUnit::Kind kind);
+    /** All functional units of one kind, as base pointers, in
+     * index order (built once; schedulers scan it per dispatch). */
+    const std::vector<FunctionalUnit *> &
+    units(FunctionalUnit::Kind kind) const
+    {
+        return kind == FunctionalUnit::Kind::SA ? sa_units_ : vu_units_;
+    }
 
     /** Install one observer on every functional unit. */
     void observeAll(FuObserver *observer);
@@ -83,6 +88,8 @@ class V10_DOMAIN_LOCAL NpuCore
     NpuConfig config_;
     std::vector<std::unique_ptr<SystolicArray>> sas_;
     std::vector<std::unique_ptr<VectorUnit>> vus_;
+    std::vector<FunctionalUnit *> sa_units_;
+    std::vector<FunctionalUnit *> vu_units_;
     HbmModel hbm_;
     VectorMemory vmem_;
     HbmRegionAllocator hbm_regions_;

@@ -9,8 +9,11 @@ SystolicArray::SystolicArray(Simulator &sim, FuId id,
     : FunctionalUnit(sim, Kind::SA, id, "sa" + std::to_string(id)),
       dim_(dim)
 {
+    // NpuConfig::check rejects such a saDim before NpuCore builds
+    // the arrays, so reaching this is a caller bug.
     if (dim_ == 0 || dim_ % 8 != 0)
-        fatal("SystolicArray: dim must be a positive multiple of 8");
+        V10_PANIC("SystolicArray: dim must be a positive multiple of 8 "
+                  "(got ", dim_, ")");
 }
 
 Cycles

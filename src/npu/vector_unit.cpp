@@ -11,8 +11,11 @@ VectorUnit::VectorUnit(Simulator &sim, FuId id, std::uint32_t lanes,
     : FunctionalUnit(sim, Kind::VU, id, "vu" + std::to_string(id)),
       lanes_(lanes), ops_per_lane_(opsPerLane)
 {
+    // NpuConfig::check rejects zero vuLanes/vuOpsPerLane before
+    // NpuCore builds the units, so reaching this is a caller bug.
     if (lanes_ == 0 || ops_per_lane_ == 0)
-        fatal("VectorUnit: lanes and opsPerLane must be positive");
+        V10_PANIC("VectorUnit: lanes and opsPerLane must be positive "
+                  "(got ", lanes_, " and ", ops_per_lane_, ")");
 }
 
 double

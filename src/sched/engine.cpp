@@ -114,6 +114,16 @@ SchedulerEngine::~SchedulerEngine()
     core_.observeAll(nullptr);
 }
 
+FunctionalUnit *
+SchedulerEngine::idleFu(OpKind kind) const
+{
+    for (auto *fu : unitsFor(kind)) {
+        if (!fu->busy())
+            return fu;
+    }
+    return nullptr;
+}
+
 std::size_t
 SchedulerEngine::fuIndex(const FunctionalUnit &fu) const
 {

@@ -414,6 +414,18 @@ class V10_DOMAIN_LOCAL SchedulerEngine
     /** Hardware under management. */
     NpuCore &core() { return core_; }
 
+    /** The core's units that execute operators of @p kind. */
+    const std::vector<FunctionalUnit *> &
+    unitsFor(OpKind kind) const
+    {
+        return core_.units(kind == OpKind::SA
+                               ? FunctionalUnit::Kind::SA
+                               : FunctionalUnit::Kind::VU);
+    }
+
+    /** First idle unit (lowest index) of @p kind, or nullptr. */
+    FunctionalUnit *idleFu(OpKind kind) const;
+
     /** Simulation kernel. */
     Simulator &sim() { return sim_; }
 

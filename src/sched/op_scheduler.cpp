@@ -57,9 +57,6 @@ OperatorScheduler::OperatorScheduler(Simulator &sim, NpuCore &core,
 
     for (auto &t : this->tenants())
         table_.row(t.id).priority = t.priority;
-
-    sa_units_ = core.units(FunctionalUnit::Kind::SA);
-    vu_units_ = core.units(FunctionalUnit::Kind::VU);
 }
 
 const char *
@@ -92,17 +89,6 @@ OperatorScheduler::syncTable()
 {
     for (auto &t : tenants())
         syncRow(t);
-}
-
-FunctionalUnit *
-OperatorScheduler::idleFu(OpKind kind)
-{
-    const auto &fus = kind == OpKind::SA ? sa_units_ : vu_units_;
-    for (auto *fu : fus) {
-        if (!fu->busy())
-            return fu;
-    }
-    return nullptr;
 }
 
 void
@@ -156,9 +142,7 @@ OperatorScheduler::onSliceTimer()
     // every other row is already current.
     bool synced = false;
     for (OpKind op_kind : {OpKind::SA, OpKind::VU}) {
-        const auto &fus =
-            op_kind == OpKind::SA ? sa_units_ : vu_units_;
-        for (auto *fu : fus) {
+        for (auto *fu : unitsFor(op_kind)) {
             if (!fu->busy())
                 continue;
             if (!synced) {
@@ -206,7 +190,7 @@ OperatorScheduler::onRegisterStats(StatRegistry &registry)
         [this] { return static_cast<double>(timer_preemptions_); },
         "preemption decisions taken by the slice timer");
     const auto num_fus = static_cast<std::uint32_t>(
-        sa_units_.size() + vu_units_.size());
+        core().sas().size() + core().vus().size());
     table_.registerStats(registry, "sched.ctx_table", num_fus);
 }
 

@@ -94,9 +94,6 @@ class V10_DOMAIN_LOCAL OperatorScheduler : public SchedulerEngine
      * stale — the clock does not move inside a scheduling pass). */
     void syncRow(const Tenant &tenant);
 
-    /** First idle unit of @p kind, or nullptr. */
-    FunctionalUnit *idleFu(OpKind kind);
-
     /** Greedily fill every idle FU from the ready set. */
     void fillIdleFus();
 
@@ -110,8 +107,6 @@ class V10_DOMAIN_LOCAL OperatorScheduler : public SchedulerEngine
     Cycles slice_;
     ContextTable table_;
     std::uint64_t timer_preemptions_ = 0;
-    std::vector<FunctionalUnit *> sa_units_;
-    std::vector<FunctionalUnit *> vu_units_;
 };
 
 } // namespace v10

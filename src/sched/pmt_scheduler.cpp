@@ -57,18 +57,10 @@ PmtScheduler::runActive()
     Tenant &t = tenants()[active_];
     if (t.running || !t.ready)
         return;
-    const OpKind kind = currentOp(t).kind;
-    auto fus = core().units(kind == OpKind::SA
-                                ? FunctionalUnit::Kind::SA
-                                : FunctionalUnit::Kind::VU);
-    for (auto *fu : fus) {
-        if (!fu->busy()) {
-            // The heavy task-switch cost is paid at switch time;
-            // individual operator dispatches are free.
-            dispatch(t, *fu, 0);
-            return;
-        }
-    }
+    // The heavy task-switch cost is paid at switch time; individual
+    // operator dispatches are free.
+    if (FunctionalUnit *fu = idleFu(currentOp(t).kind))
+        dispatch(t, *fu, 0);
 }
 
 void

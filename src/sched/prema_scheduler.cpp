@@ -79,16 +79,8 @@ PremaScheduler::runActive()
     Tenant &t = tenants()[active_];
     if (t.running || !t.ready)
         return;
-    const OpKind kind = currentOp(t).kind;
-    auto fus = core().units(kind == OpKind::SA
-                                ? FunctionalUnit::Kind::SA
-                                : FunctionalUnit::Kind::VU);
-    for (auto *fu : fus) {
-        if (!fu->busy()) {
-            dispatch(t, *fu, 0);
-            return;
-        }
-    }
+    if (FunctionalUnit *fu = idleFu(currentOp(t).kind))
+        dispatch(t, *fu, 0);
 }
 
 void

@@ -2,25 +2,47 @@
 
 namespace v10 {
 
+std::size_t
+EventQueue::find(EventId id) const
+{
+    const auto it =
+        std::find_if(heap_.begin(), heap_.end(),
+                     [id](const Key &key) { return key.id == id; });
+    return static_cast<std::size_t>(it - heap_.begin());
+}
+
 void
 EventQueue::cancel(EventId id)
 {
-    const auto it = std::find_if(
-        heap_.begin(), heap_.end(),
-        [id](const Entry &entry) { return entry.id == id; });
-    if (it == heap_.end())
+    const std::size_t hole = find(id);
+    if (hole == heap_.size())
         return;
-    const auto hole = static_cast<std::size_t>(it - heap_.begin());
-    *it = std::move(heap_.back());
+    const std::uint32_t slot = heap_[hole].slot;
+    fns_[slot] = nullptr;
+    free_.push_back(slot);
+    heap_[hole] = heap_.back();
     heap_.pop_back();
     if (hole < heap_.size())
         siftFrom(hole);
 }
 
+EventId
+EventQueue::reschedule(EventId id, Cycles when)
+{
+    const std::size_t i = find(id);
+    if (i == heap_.size())
+        return kNoEvent;
+    const EventId fresh = next_id_++;
+    heap_[i].when = when;
+    heap_[i].id = fresh;
+    siftFrom(i);
+    return fresh;
+}
+
 void
 EventQueue::siftFrom(std::size_t i)
 {
-    // The moved-in entry either rises or sinks, never both.
+    // The replaced key either rises or sinks, never both.
     while (i > 0 && later(heap_[(i - 1) / 2], heap_[i])) {
         std::swap(heap_[i], heap_[(i - 1) / 2]);
         i = (i - 1) / 2;
@@ -46,10 +68,11 @@ EventQueue::takeNext(EventFn &fn)
     if (heap_.empty())
         return kCycleMax;
     std::pop_heap(heap_.begin(), heap_.end(), later);
-    const Cycles when = heap_.back().when;
-    fn = std::move(heap_.back().fn);
+    const Key key = heap_.back();
     heap_.pop_back();
-    return when;
+    fn = std::move(fns_[key.slot]);
+    free_.push_back(key.slot);
+    return key.when;
 }
 
 } // namespace v10

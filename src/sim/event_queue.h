@@ -7,16 +7,22 @@
  * cycle never depend on queue internals. A Simulator owns exactly one
  * queue, so this is also the order across components.
  *
- * The queue is one binary min-heap in a std::vector. It is sized for
- * what a simulation actually holds: at most 5 live events per
- * Simulator across the whole `v10sim report`, 20 in a 16-workload
- * (8,8) `v10sim run`, and 32 at Fig. 25's widest point. At those sizes
- * a heap sift is a handful of compares, and a linear cancel is
- * cheaper than any index that would have to be kept up to date.
+ * The queue is one binary min-heap of 24-byte POD keys
+ * `{when, id, slot}` in a std::vector. The callbacks live in a side
+ * vector indexed by `slot`, with a free list of slots, so a sift moves
+ * three words instead of a 64-byte SmallFn. The heap is sized for what
+ * a simulation actually holds: at most 5 live events per Simulator
+ * across the whole `v10sim report`, 20 in a 16-workload (8,8)
+ * `v10sim run`, and 32 at Fig. 25's widest point. At those sizes a
+ * heap sift is a handful of compares, and a linear cancel is cheaper
+ * than any index that would have to be kept up to date.
  *
  * An EventId is the event's insertion sequence, starting at 1, so it
  * is also its tie-break key. Ids are never reused: cancelling an id
  * that has fired or was cancelled finds nothing and does nothing.
+ * reschedule() re-keys a pending event under a fresh sequence and
+ * keeps its callback, which is the key a cancel plus a new schedule
+ * would give it.
  */
 
 #ifndef V10_SIM_EVENT_QUEUE_H
@@ -54,30 +60,45 @@ class V10_DOMAIN_LOCAL EventQueue
     /**
      * Schedule @p cb to fire at absolute cycle @p when; ties at one
      * cycle fire in insertion order.
-     * @return a handle usable with cancel().
+     * @return a handle usable with cancel() and reschedule().
      */
     template <typename F>
     EventId
     schedule(Cycles when, F &&cb)
     {
+        const std::uint32_t slot = acquireSlot();
+        fns_[slot].emplace(std::forward<F>(cb));
         const EventId id = next_id_++;
-        heap_.push_back(Entry{when, id, EventFn(std::forward<F>(cb))});
+        heap_.push_back(Key{when, id, slot});
         std::push_heap(heap_.begin(), heap_.end(), later);
         return id;
     }
 
     /**
-     * Cancel a pending event: a linear search, then the back entry
-     * moves into its place and sifts. Cancelling an already-fired,
-     * cancelled or unknown id (kNoEvent included) is a no-op.
+     * Cancel a pending event: a linear search, then its callback is
+     * destroyed, the back key moves into its place and sifts.
+     * Cancelling an already-fired, cancelled or unknown id (kNoEvent
+     * included) is a no-op.
      */
     void cancel(EventId id);
+
+    /**
+     * Move a pending event to cycle @p when under a fresh insertion
+     * sequence, keeping its callback: the same order as cancel(id)
+     * followed by schedule(when, <its callback>).
+     * @return the event's new id, or kNoEvent (and nothing changes)
+     *         when @p id is not pending.
+     */
+    EventId reschedule(EventId id, Cycles when);
 
     /** True when no events are pending. */
     bool empty() const { return heap_.empty(); }
 
     /** Number of pending events. */
     std::size_t size() const { return heap_.size(); }
+
+    /** Callback slots allocated so far (live plus free). */
+    std::size_t slots() const { return fns_.size(); }
 
     /** Cycle of the earliest pending event; kCycleMax when empty. */
     Cycles
@@ -94,26 +115,45 @@ class V10_DOMAIN_LOCAL EventQueue
     Cycles takeNext(EventFn &fn);
 
   private:
-    struct Entry
+    /** Heap key; the callback sits in fns_[slot]. */
+    struct Key
     {
         Cycles when;
         EventId id;
-        EventFn fn;
+        std::uint32_t slot;
     };
 
     /** Min-heap order on (when, id) for the std max-heap algorithms. */
     static bool
-    later(const Entry &a, const Entry &b)
+    later(const Key &a, const Key &b)
     {
         if (a.when != b.when)
             return a.when > b.when;
         return a.id > b.id;
     }
 
+    /** A free callback slot (grows fns_ when none is free). */
+    std::uint32_t
+    acquireSlot()
+    {
+        if (free_.empty()) {
+            fns_.emplace_back();
+            return static_cast<std::uint32_t>(fns_.size() - 1);
+        }
+        const std::uint32_t slot = free_.back();
+        free_.pop_back();
+        return slot;
+    }
+
+    /** Index of the key with @p id, or heap_.size() when absent. */
+    std::size_t find(EventId id) const;
+
     /** Restore heap order after heap_[@p i] was replaced. */
     void siftFrom(std::size_t i);
 
-    std::vector<Entry> heap_;
+    std::vector<Key> heap_;
+    std::vector<EventFn> fns_;
+    std::vector<std::uint32_t> free_;
     EventId next_id_ = 1;
 };
 

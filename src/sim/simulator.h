@@ -94,6 +94,19 @@ class V10_DOMAIN_LOCAL Simulator
     /** Cancel a pending event (no-op if already fired). */
     void cancel(EventId id) { queue_.cancel(id); }
 
+    /**
+     * Move pending event @p id to @p delta cycles from now, keeping
+     * its callback; it fires as if cancelled and scheduled anew.
+     * @return its new id, or kNoEvent when @p id is not pending.
+     */
+    EventId
+    rescheduleAfter(EventId id, Cycles delta)
+    {
+        if (delta > kCycleMax - now_)
+            overflowPanic();
+        return queue_.reschedule(id, now_ + delta);
+    }
+
     /** Run until the event queue drains. @return the final cycle. */
     Cycles run();
 

@@ -1,14 +1,16 @@
 /**
  * @file
- * Unit tests for the discrete-event queue: ordering, tie-breaking and
- * cancellation, plus a differential test of EventQueue and Simulator
- * against a sorted-vector reference on seeded random programs.
+ * Unit tests for the discrete-event queue: ordering, tie-breaking,
+ * cancellation and re-keying, plus a differential test of EventQueue
+ * and Simulator against a sorted-vector reference on seeded random
+ * programs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -122,6 +124,67 @@ TEST(EventQueue, CancelUnknownIdIsHarmless)
     q.cancel(9999);
     q.cancel(kNoEvent);
     EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueue, CancelReleasesCaptureAndReusesSlot)
+{
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    const EventId id = q.schedule(5, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 2);
+    q.cancel(id);
+    // The callback is destroyed at cancel, not when its slot is next
+    // reused.
+    EXPECT_EQ(token.use_count(), 1);
+
+    // Slots cycle through the free list, so schedule/cancel/fire
+    // cycles never grow the callback storage past the live peak.
+    for (Cycles i = 0; i < 10000; ++i) {
+        const EventId cancelled = q.schedule(i, [token] { ++*token; });
+        q.schedule(i, [token] { ++*token; });
+        q.cancel(cancelled);
+        EXPECT_EQ(popAndRun(q), i);
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(*token, 10000);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(q.slots(), 2u);
+}
+
+TEST(EventQueue, RescheduleKeepsCallbackUnderFreshSeq)
+{
+    EventQueue q;
+    std::vector<int> order;
+    const EventId moved = q.schedule(3, [&] { order.push_back(1); });
+    q.schedule(9, [&] { order.push_back(2); });
+    const EventId fresh = q.reschedule(moved, 9);
+    // A fresh seq: the re-keyed event now ties after the one that was
+    // scheduled at 9 before it, exactly as cancel + schedule would.
+    EXPECT_EQ(fresh, 3u);
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.nextCycle(), 9u);
+    q.cancel(moved); // the old id is gone
+    EXPECT_EQ(q.size(), 2u);
+    while (!q.empty())
+        popAndRun(q);
+    EXPECT_EQ(order, (std::vector<int>{2, 1}));
+}
+
+TEST(EventQueue, RescheduleOfDeadIdChangesNothing)
+{
+    EventQueue q;
+    const EventId fired = q.schedule(1, [] {});
+    const EventId cancelled = q.schedule(2, [] {});
+    q.schedule(4, [] {});
+    popAndRun(q);
+    q.cancel(cancelled);
+    EXPECT_EQ(q.reschedule(fired, 7), kNoEvent);
+    EXPECT_EQ(q.reschedule(cancelled, 7), kNoEvent);
+    EXPECT_EQ(q.reschedule(kNoEvent, 7), kNoEvent);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.nextCycle(), 4u);
+    // No seq was consumed: the next schedule gets id 4.
+    EXPECT_EQ(q.schedule(5, [] {}), 4u);
 }
 
 TEST(EventQueue, EventsCanScheduleMoreEvents)
@@ -269,6 +332,20 @@ class SortedQueue
             entries_.erase(it);
     }
 
+    /** Cancel, then schedule the same callback anew. */
+    EventId
+    reschedule(EventId id, Cycles when)
+    {
+        const auto it =
+            std::find_if(entries_.begin(), entries_.end(),
+                         [id](const Entry &e) { return e.id == id; });
+        if (it == entries_.end())
+            return kNoEvent;
+        EventFn fn = std::move(it->fn);
+        entries_.erase(it);
+        return schedule(when, std::move(fn));
+    }
+
     bool empty() const { return entries_.empty(); }
     std::size_t size() const { return entries_.size(); }
 
@@ -321,6 +398,12 @@ template <typename Q> class Kernel
 
     void cancel(EventId id) { queue.cancel(id); }
 
+    EventId
+    rescheduleAfter(EventId id, Cycles delta)
+    {
+        return queue.reschedule(id, now_ + delta);
+    }
+
     bool
     step()
     {
@@ -353,7 +436,10 @@ template <typename Q> class Kernel
  * A seeded random event program. Callbacks schedule children at
  * far, near and zero deltas, cancel pending same-cycle siblings and
  * other pending events, and cancel fired ids, cancelled ids and
- * kNoEvent. The run loop interleaves single steps with runUntil stops.
+ * kNoEvent. They also re-key pending events (same-cycle siblings
+ * included) and try to re-key fired ids, cancelled ids and kNoEvent,
+ * which must change nothing. The run loop interleaves single steps
+ * with runUntil stops.
  * Every random draw happens in fire order, so two kernels that fire
  * in the same order produce the same trace, and the first divergence
  * shows up in it.
@@ -432,6 +518,24 @@ template <typename Sim> class RandomProgram
             states_[tag] = State::Cancelled;
     }
 
+    /** Re-key @p tag (or kNoEvent when @p tag is ids_.size()) by a
+     * random delta; the id it returns goes into the trace. */
+    void
+    rekeyTag(std::size_t tag)
+    {
+        const Cycles d = delta();
+        const EventId old = tag < ids_.size() ? ids_[tag] : kNoEvent;
+        const EventId fresh = sim_.rescheduleAfter(old, d);
+        trace_.push_back(fresh);
+        if (tag < ids_.size() && states_[tag] == State::Pending) {
+            EXPECT_NE(fresh, kNoEvent) << "tag " << tag;
+            ids_[tag] = fresh;
+            whens_[tag] = sim_.now() + d;
+        } else {
+            EXPECT_EQ(fresh, kNoEvent) << "tag " << tag;
+        }
+    }
+
     /** Some tag in @p wanted state (at the current cycle when
      * @p same_cycle), or ids_.size() when there is none. */
     std::size_t
@@ -455,7 +559,7 @@ template <typename Sim> class RandomProgram
         states_[tag] = State::Fired;
         trace_.push_back(sim_.now());
         trace_.push_back(tag);
-        const auto action = rng_.next() % 8;
+        const auto action = rng_.next() % 12;
         std::size_t victim = ids_.size();
         switch (action) {
         case 0:
@@ -476,6 +580,20 @@ template <typename Sim> class RandomProgram
             break;
         case 5:
             sim_.cancel(kNoEvent);
+            break;
+        case 6:
+            rekeyTag(pick(State::Pending, true));
+            break;
+        case 7:
+            rekeyTag(pick(State::Pending, false));
+            break;
+        case 8:
+            rekeyTag(pick(rng_.next() % 2 == 0 ? State::Fired
+                                                : State::Cancelled,
+                          false));
+            break;
+        case 9:
+            rekeyTag(ids_.size());
             break;
         default:
             spawn(delta());

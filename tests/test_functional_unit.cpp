@@ -127,6 +127,26 @@ TEST(FunctionalUnitDeath, MisuseIsCaught)
     EXPECT_DEATH(sa.begin(1, 2, 10, 0, nullptr), "busy");
     sim.run();
     EXPECT_DEATH(sa.begin(0, 1, 0, 0, nullptr), "zero-cycle");
+    EXPECT_DEATH(sa.begin(kNoWorkload, 1, 10, 0, nullptr),
+                 "without a workload");
+}
+
+TEST(SystolicArrayDeath, BadDimPanics)
+{
+    // NpuConfig::check rejects these from input, so the constructor
+    // treats them as a caller bug.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Simulator sim;
+    EXPECT_DEATH(SystolicArray(sim, 0, 0), "positive multiple of 8");
+    EXPECT_DEATH(SystolicArray(sim, 0, 12), "got 12");
+}
+
+TEST(VectorUnitDeath, ZeroLanesOrOpsPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Simulator sim;
+    EXPECT_DEATH(VectorUnit(sim, 0, 0, 4), "lanes and opsPerLane");
+    EXPECT_DEATH(VectorUnit(sim, 0, 128, 0), "got 128 and 0");
 }
 
 TEST(SystolicArray, TimingModelInversion)

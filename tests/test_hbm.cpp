@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "npu/hbm.h"
 #include "sim/simulator.h"
@@ -133,6 +136,64 @@ TEST(Hbm, ChainedTransfersFromCallback)
     sim.run();
     EXPECT_EQ(completed, 5);
     EXPECT_EQ(sim.now(), 50u);
+}
+
+TEST(Hbm, SimultaneousDrainsFireInStartOrder)
+{
+    Simulator sim;
+    HbmModel hbm(sim, 100.0);
+    std::vector<std::pair<int, Cycles>> fired;
+    const auto record = [&](int tag) {
+        return [&fired, &sim, tag] { fired.emplace_back(tag, sim.now()); };
+    };
+    hbm.startTransfer(3000, record(0));
+    const DmaStreamId middle = hbm.startTransfer(3000, record(1));
+    hbm.startTransfer(3000, record(2));
+    sim.at(10, [&] { hbm.cancel(middle); });
+    sim.run();
+    // 1000/3 B each in the first 10 cycles, then 8000/3 B each at
+    // 50 B/cycle: 160/3 more cycles, rounded up to cycle 64. Both
+    // drain in one completion event and fire in start order.
+    EXPECT_EQ(fired, (std::vector<std::pair<int, Cycles>>{{0, 64},
+                                                           {2, 64}}));
+    EXPECT_EQ(hbm.activeStreams(), 0u);
+}
+
+TEST(Hbm, ChainedReissueMatchesHandComputedTimes)
+{
+    // Two owners keep one transfer each in flight and issue the next
+    // from the completion callback, as the engine's DMA prefetch does.
+    Simulator sim;
+    HbmModel hbm(sim, 100.0);
+    struct Owner
+    {
+        WorkloadId id;
+        Bytes bytes;
+        int left;
+    };
+    Owner owners[2] = {{0, 1000, 4}, {1, 3000, 2}};
+    std::vector<std::pair<WorkloadId, Cycles>> done;
+    std::function<void(Owner &)> issue = [&](Owner &o) {
+        --o.left;
+        hbm.startTransfer(o.bytes, o.id, [&] {
+            done.emplace_back(o.id, sim.now());
+            if (o.left > 0)
+                issue(o);
+        });
+    };
+    issue(owners[0]);
+    issue(owners[1]);
+    sim.run();
+    // [0,20): 1000 B and 3000 B at 50 B/cycle each; owner 0 finishes
+    // and re-issues. [20,40): likewise, owner 1 has 2000 B left. At
+    // 60 both have drained their last 1000 B: owner 1 fires first
+    // (its stream started first). [60,80): owner 0's last 1000 B next
+    // to owner 1's new 3000 B; then 2000 B alone at 100 B/cycle.
+    EXPECT_EQ(done, (std::vector<std::pair<WorkloadId, Cycles>>{
+                        {0, 20}, {0, 40}, {1, 60}, {0, 60}, {0, 80},
+                        {1, 100}}));
+    EXPECT_DOUBLE_EQ(hbm.bytesMoved(), 4 * 1000.0 + 2 * 3000.0);
+    EXPECT_EQ(sim.now(), 100u);
 }
 
 /** Conservation property: total bytes moved equals sum of streams. */

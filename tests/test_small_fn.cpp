@@ -109,6 +109,22 @@ TEST(SmallFn, NullAssignmentDestroysHeldClosure)
     EXPECT_FALSE(static_cast<bool>(fn));
 }
 
+TEST(SmallFn, EmplaceDestroysHeldClosureAndBuildsInPlace)
+{
+    Tracked::live = 0;
+    Fn fn{Tracked{}};
+    EXPECT_EQ(Tracked::live, 1);
+    int hits = 0;
+    fn.emplace([&hits] { ++hits; });
+    EXPECT_EQ(Tracked::live, 0);
+    fn();
+    EXPECT_EQ(hits, 1);
+    fn.emplace(Tracked{});
+    EXPECT_EQ(Tracked::live, 1);
+    fn = nullptr;
+    EXPECT_EQ(Tracked::live, 0);
+}
+
 TEST(SmallFn, SelfMoveAssignIsHarmless)
 {
     int hits = 0;
