@@ -1,21 +1,27 @@
 /**
  * @file
  * Microbenchmarks of the fleet-scale serving layer: arrival-stream
- * generation and end-to-end ClusterManager runs at the 100-tenant /
- * 100k-request scale the acceptance scenario uses. Run with --perf-json=<path> to emit the machine-readable
- * summary the CI perf-smoke job diffs against
- * bench/baselines/BENCH_serving.json.
+ * generation, end-to-end ClusterManager runs at the 100-tenant /
+ * 100k-request scale the acceptance scenario uses, and the
+ * attribution matrix's stats-json. Run with --perf-json=<path> to
+ * emit the machine-readable summary the CI perf-smoke job diffs
+ * against bench/baselines/BENCH_serving.json.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+#include "metrics/stat_registry.h"
 #include "perf_json_main.h"
 #include "serve/arrival.h"
 #include "serve/cluster_manager.h"
+#include "trace/attribution.h"
 
 namespace {
 
@@ -137,6 +143,49 @@ BM_ServeBursty(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(completed));
 }
 BENCHMARK(BM_ServeBursty)->Unit(benchmark::kMillisecond);
+
+/** A stream buffer that takes every byte and keeps none. */
+class NullBuffer : public std::streambuf
+{
+  protected:
+    int_type overflow(int_type c) override { return c; }
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        return n;
+    }
+};
+
+/** The blame matrix of a state.range(0)-tenant fleet in a
+ * stats-json: register it in a fresh registry and write the JSON. */
+void
+BM_AttributionStatsJson(benchmark::State &state)
+{
+    const auto n = static_cast<WorkloadId>(state.range(0));
+    AttributionCollector attribution;
+    for (WorkloadId i = 0; i < n; ++i)
+        attribution.addTenant(i, "T#" + std::to_string(i));
+    // A sparse matrix, as in a real fleet: each tenant blames a few
+    // neighbours.
+    for (WorkloadId v = 0; v < n; ++v) {
+        attribution.chargeQueueWait(v, (v + 1) % n, 12.5 * v);
+        attribution.onHbmContention(v, (v + 7) % n, 3.0 + v);
+    }
+    NullBuffer sink;
+    std::ostream os(&sink);
+    std::uint64_t leaves = 0;
+    for (auto _ : state) {
+        StatRegistry registry;
+        attribution.registerStats(registry);
+        JsonWriter w(os);
+        registry.writeJson(w);
+        leaves += registry.size();
+        benchmark::DoNotOptimize(leaves);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(leaves));
+}
+BENCHMARK(BM_AttributionStatsJson)->Arg(200)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

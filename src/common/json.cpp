@@ -88,9 +88,23 @@ JsonWriter::JsonWriter(std::ostream &os, int indentWidth)
 {
 }
 
+JsonWriter::~JsonWriter()
+{
+    flush();
+}
+
 void
 JsonWriter::emit()
 {
+    if (out_.size() > kFlushBytes || stack_.empty())
+        flush();
+}
+
+void
+JsonWriter::flush()
+{
+    if (out_.empty())
+        return;
     os_.write(out_.data(), static_cast<std::streamsize>(out_.size()));
     out_.clear();
 }

@@ -8,7 +8,9 @@
  *
  * The writer produces strict JSON: keys are escaped, doubles print
  * with round-trip precision, and non-finite doubles degrade to null
- * (JSON has no NaN/Inf literal).
+ * (JSON has no NaN/Inf literal). It buffers its text and writes it
+ * to the stream in blocks, and in full once the top-level value
+ * closes: write raw bytes to the stream only after that.
  */
 
 #ifndef V10_COMMON_JSON_H
@@ -45,6 +47,9 @@ class JsonWriter
 
     JsonWriter(const JsonWriter &) = delete;
     JsonWriter &operator=(const JsonWriter &) = delete;
+
+    /** Writes out whatever is still buffered, even mid-document. */
+    ~JsonWriter();
 
     void beginObject();
     void endObject();
@@ -83,13 +88,18 @@ class JsonWriter
     void newlineIndent();
     /** Append @p s quoted, escaping only when it needs escaping. */
     void quoted(std::string_view s);
-    /** Write out_ to the stream and clear it: one write per public
-     *  call. */
+    /** End of a public call: write out_ to the stream once it
+     *  passes kFlushBytes or the top-level value has closed. */
     void emit();
+    /** Write out_ to the stream and clear it. */
+    void flush();
+
+    /// Buffer size that triggers a write to the stream.
+    static constexpr std::size_t kFlushBytes = 8192;
 
     std::ostream &os_;
     int indent_;
-    std::string out_; ///< text of the current call, reused
+    std::string out_; ///< text not yet written to os_
     std::vector<Scope> stack_;
     std::vector<bool> has_items_;
     bool key_pending_ = false;

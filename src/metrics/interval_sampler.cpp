@@ -13,7 +13,7 @@ IntervalSampler::IntervalSampler(Cycles interval)
     : interval_(interval)
 {
     if (interval_ == 0)
-        fatal("sample interval must be > 0 cycles");
+        V10_PANIC("IntervalSampler: sample interval must be > 0 cycles");
 }
 
 void
@@ -150,13 +150,16 @@ IntervalSampler::writeCsv(std::ostream &os) const
     }
 }
 
-void
+Status
 IntervalSampler::writeCsvFile(const std::string &path) const
 {
     std::ofstream os(path);
     if (!os)
-        fatal("cannot open samples CSV path '", path, "'");
+        return parseError("cannot open samples CSV for writing", path);
     writeCsv(os);
+    if (!os)
+        return parseError("short write on samples CSV", path);
+    return Status::ok();
 }
 
 bool

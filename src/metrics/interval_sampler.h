@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/result.h"
 #include "common/types.h"
 
 namespace v10 {
@@ -93,8 +94,8 @@ class V10_DOMAIN_LOCAL IntervalSampler
     /** "cycle,probe1,probe2,..." header plus one line per row. */
     void writeCsv(std::ostream &os) const;
 
-    /** writeCsv() to a path; fatal() if unwritable. */
-    void writeCsvFile(const std::string &path) const;
+    /** writeCsv() to a path; an error Status if unwritable. */
+    Status writeCsvFile(const std::string &path) const;
 
     /**
      * Emit one Chrome trace counter event per (row, probe) onto an

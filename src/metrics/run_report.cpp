@@ -146,7 +146,7 @@ writeRunReportJson(std::ostream &os, const RunManifest &manifest,
     os << '\n';
 }
 
-void
+Status
 writeRunReportJsonFile(const std::string &path,
                        const RunManifest &manifest,
                        const RunStats &stats,
@@ -155,8 +155,11 @@ writeRunReportJsonFile(const std::string &path,
 {
     std::ofstream os(path);
     if (!os)
-        fatal("cannot open stats JSON path '", path, "'");
+        return parseError("cannot open stats JSON for writing", path);
     writeRunReportJson(os, manifest, stats, registry, sampler);
+    if (!os)
+        return parseError("short write on stats JSON", path);
+    return Status::ok();
 }
 
 } // namespace v10

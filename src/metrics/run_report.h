@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "common/types.h"
 
 namespace v10 {
@@ -57,12 +58,12 @@ void writeRunReportJson(std::ostream &os, const RunManifest &manifest,
                         const StatRegistry *registry,
                         const IntervalSampler *sampler);
 
-/** writeRunReportJson() to a path; fatal() if unwritable. */
-void writeRunReportJsonFile(const std::string &path,
-                            const RunManifest &manifest,
-                            const RunStats &stats,
-                            const StatRegistry *registry,
-                            const IntervalSampler *sampler);
+/** writeRunReportJson() to a path; an error Status if unwritable. */
+Status writeRunReportJsonFile(const std::string &path,
+                              const RunManifest &manifest,
+                              const RunStats &stats,
+                              const StatRegistry *registry,
+                              const IntervalSampler *sampler);
 
 } // namespace v10
 

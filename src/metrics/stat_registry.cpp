@@ -17,6 +17,12 @@ validPathChar(char c)
            (c >= '0' && c <= '9') || c == '_' || c == '.';
 }
 
+bool
+validSegmentChar(char c)
+{
+    return c != '.' && validPathChar(c);
+}
+
 void
 validatePath(const std::string &path)
 {
@@ -39,11 +45,28 @@ validatePath(const std::string &path)
 
 /** True when @p shorter is a dot-boundary prefix of @p longer. */
 bool
-dotPrefix(const std::string &shorter, const std::string &longer)
+dotPrefix(std::string_view shorter, std::string_view longer)
 {
     return longer.size() > shorter.size() &&
            longer.compare(0, shorter.size(), shorter) == 0 &&
            longer[shorter.size()] == '.';
+}
+
+/** Panic unless @p names are sorted, unique path segments. */
+void
+validateAxis(const std::string &path, const char *axis,
+             const std::vector<std::string> &names)
+{
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const std::string &name = names[i];
+        if (name.empty() ||
+            !std::all_of(name.begin(), name.end(), validSegmentChar))
+            V10_PANIC("StatRegistry: table '", path, "' has ", axis,
+                      " name '", name, "' that is not a path segment");
+        if (i > 0 && !(names[i - 1] < name))
+            V10_PANIC("StatRegistry: table '", path, "' has ", axis,
+                      " names out of order at '", name, "'");
+    }
 }
 
 } // namespace
@@ -68,6 +91,41 @@ StatRegistry::Distribution::mean() const
     return count_ ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
+std::size_t
+StatRegistry::Table::rows() const
+{
+    return axes->rows.size() - (skipRow == kNoRow ? 0 : 1);
+}
+
+double
+StatRegistry::Table::cell(std::size_t r, std::size_t c) const
+{
+    return cells ? cells(axisRow(r), c) : frozen[r * columns() + c];
+}
+
+bool
+StatRegistry::Table::find(std::string_view rest, std::size_t &r,
+                          std::size_t &c) const
+{
+    const std::size_t dot = rest.find('.');
+    if (dot == std::string_view::npos)
+        return false;
+    const auto locate = [](const std::vector<std::string> &names,
+                           std::string_view name, std::size_t &at) {
+        const auto it =
+            std::lower_bound(names.begin(), names.end(), name);
+        at = static_cast<std::size_t>(it - names.begin());
+        return it != names.end() && *it == name;
+    };
+    std::size_t row = 0;
+    if (!locate(axes->rows, rest.substr(0, dot), row) ||
+        row == skipRow ||
+        !locate(axes->columns, rest.substr(dot + 1), c))
+        return false;
+    r = row > skipRow ? row - 1 : row;
+    return true;
+}
+
 StatRegistry::Stat &
 StatRegistry::insert(std::string path, std::string_view description,
                      Data data)
@@ -76,17 +134,13 @@ StatRegistry::insert(std::string path, std::string_view description,
         V10_PANIC("StatRegistry: registering '", path,
                   "' on a frozen registry");
     validatePath(path);
-    // One lookup finds the slot and both neighbours. Registration
-    // often comes in path order, so the slot after the previous
-    // insert is tried before the tree is searched. A leaf and a
+    // One lookup finds the slot and both neighbours. A leaf and a
     // subtree cannot share a name: "a.b" conflicts with "a.b.c"
     // because the JSON rendering needs "a.b" to be either a value or
-    // an object, not both. '.' sorts below every other path
-    // character, so any conflicting path is adjacent to the slot.
-    auto next = afterLast_;
-    if ((next != stats_.end() && !(path < next->first)) ||
-        (next != stats_.begin() && !(std::prev(next)->first < path)))
-        next = stats_.lower_bound(path);
+    // an object, not both; a table counts as a leaf here. '.' sorts
+    // below every other path character, so any conflicting path is
+    // adjacent to the slot.
+    const auto next = stats_.lower_bound(path);
     if (next != stats_.end()) {
         if (next->first == path)
             V10_PANIC("StatRegistry: duplicate stat path '", path, "'");
@@ -106,7 +160,7 @@ StatRegistry::insert(std::string path, std::string_view description,
         desc = descriptions_.emplace(description).first;
     const auto it = stats_.emplace_hint(next, std::move(path),
                                         Stat{std::move(data), &*desc});
-    afterLast_ = std::next(it);
+    ++leaves_;
     return it->second;
 }
 
@@ -141,10 +195,58 @@ StatRegistry::addFormula(std::string path, Formula formula,
     insert(std::move(path), description, std::move(formula));
 }
 
+void
+StatRegistry::addTable(std::string path,
+                       std::shared_ptr<const TableAxes> axes,
+                       CellReader cells, std::size_t skipRow)
+{
+    if (!axes || !cells)
+        V10_PANIC("StatRegistry: null axes or cell reader for table '",
+                  path, "'");
+    validateAxis(path, "row", axes->rows);
+    validateAxis(path, "column", axes->columns);
+    if (axes->descriptions.size() != axes->columns.size())
+        V10_PANIC("StatRegistry: table '", path, "' has ",
+                  axes->descriptions.size(), " descriptions for ",
+                  axes->columns.size(), " columns");
+    if (skipRow != kNoRow && skipRow >= axes->rows.size())
+        V10_PANIC("StatRegistry: table '", path, "' skips row ",
+                  skipRow, " of ", axes->rows.size());
+    auto table = std::make_unique<Table>();
+    table->axes = std::move(axes);
+    table->skipRow = skipRow;
+    table->cells = std::move(cells);
+    const std::size_t leaves = table->rows() * table->columns();
+    if (leaves == 0)
+        V10_PANIC("StatRegistry: table '", path, "' has no leaves");
+    insert(std::move(path), {}, std::move(table));
+    leaves_ += leaves - 1;
+}
+
+StatRegistry::Leaf
+StatRegistry::findLeaf(std::string_view path) const
+{
+    // The last entry at or before the path is the stat itself, or
+    // the table the path lies under: nothing sorts between a table
+    // and its leaves, since nothing may be registered below it.
+    auto it = stats_.upper_bound(path);
+    if (it == stats_.begin())
+        return {};
+    --it;
+    Leaf leaf{&it->second, tableOf(it->second)};
+    if (leaf.table == nullptr)
+        return it->first == path ? leaf : Leaf{};
+    if (!dotPrefix(it->first, path) ||
+        !leaf.table->find(path.substr(it->first.size() + 1), leaf.row,
+                          leaf.col))
+        return {};
+    return leaf;
+}
+
 bool
 StatRegistry::has(const std::string &path) const
 {
-    return stats_.count(path) != 0;
+    return findLeaf(path).stat != nullptr;
 }
 
 double
@@ -159,31 +261,47 @@ StatRegistry::scalarOf(const Stat &stat)
     return std::get<Formula>(stat.data)();
 }
 
+StatRegistry::Table *
+StatRegistry::tableOf(const Stat &stat)
+{
+    const auto *table = std::get_if<std::unique_ptr<Table>>(&stat.data);
+    return table ? table->get() : nullptr;
+}
+
 double
 StatRegistry::value(const std::string &path) const
 {
-    const auto it = stats_.find(path);
-    if (it == stats_.end())
+    const Leaf leaf = findLeaf(path);
+    if (leaf.stat == nullptr)
         V10_PANIC("StatRegistry: unknown stat path '", path, "'");
-    return scalarOf(it->second);
+    return leaf.table ? leaf.table->cell(leaf.row, leaf.col)
+                      : scalarOf(*leaf.stat);
 }
 
 const std::string &
 StatRegistry::description(const std::string &path) const
 {
-    const auto it = stats_.find(path);
-    if (it == stats_.end())
+    const Leaf leaf = findLeaf(path);
+    if (leaf.stat == nullptr)
         V10_PANIC("StatRegistry: unknown stat path '", path, "'");
-    return *it->second.description;
+    return leaf.table ? leaf.table->axes->descriptions[leaf.col]
+                      : *leaf.stat->description;
 }
 
 std::vector<std::string>
 StatRegistry::paths() const
 {
     std::vector<std::string> out;
-    out.reserve(stats_.size());
-    for (const auto &[path, stat] : stats_)
-        out.push_back(path);
+    out.reserve(leaves_);
+    for (const auto &[path, stat] : stats_) {
+        if (const Table *table = tableOf(stat))
+            table->forEachLeaf(path, [&](const std::string &leaf,
+                                         std::size_t, std::size_t) {
+                out.push_back(leaf);
+            });
+        else
+            out.push_back(path);
+    }
     return out;
 }
 
@@ -196,6 +314,14 @@ StatRegistry::freeze()
         if (const auto *f = std::get_if<Formula>(&stat.data)) {
             const double value = (*f)();
             stat.data.emplace<Gauge>().set(value);
+        } else if (Table *table = tableOf(stat)) {
+            std::vector<double> cells;
+            cells.reserve(table->rows() * table->columns());
+            for (std::size_t r = 0; r < table->rows(); ++r)
+                for (std::size_t c = 0; c < table->columns(); ++c)
+                    cells.push_back(table->cell(r, c));
+            table->frozen = std::move(cells);
+            table->cells = nullptr;
         }
     }
     frozen_ = true;
@@ -205,9 +331,15 @@ std::vector<std::pair<std::string, double>>
 StatRegistry::snapshot() const
 {
     std::vector<std::pair<std::string, double>> out;
-    out.reserve(stats_.size());
+    out.reserve(leaves_);
     for (const auto &[path, stat] : stats_) {
-        if (const auto *d = std::get_if<Distribution>(&stat.data)) {
+        if (const Table *table = tableOf(stat)) {
+            table->forEachLeaf(path, [&](const std::string &leaf,
+                                         std::size_t r, std::size_t c) {
+                out.emplace_back(leaf, table->cell(r, c));
+            });
+        } else if (const auto *d =
+                       std::get_if<Distribution>(&stat.data)) {
             out.emplace_back(path + ".count",
                              static_cast<double>(d->count()));
             out.emplace_back(path + ".sum", d->sum());
@@ -246,7 +378,8 @@ StatRegistry::writeJson(JsonWriter &writer) const
     // are rejected at registration), so a stack of open scopes
     // suffices: keep the common ancestor, close the rest, open the
     // remaining components. The views point into the map's keys. A
-    // distribution is a scope of its own holding its five fields.
+    // distribution is a scope of its own holding its five fields; a
+    // table is one holding an object per row.
     std::vector<std::string_view> open;
     const auto closeTo = [&](std::size_t level) {
         for (; open.size() > level; open.pop_back())
@@ -255,12 +388,13 @@ StatRegistry::writeJson(JsonWriter &writer) const
     writer.beginObject();
     for (const auto &[path, stat] : stats_) {
         const auto *dist = std::get_if<Distribution>(&stat.data);
+        const Table *table = tableOf(stat);
         std::string_view rest = path;
         std::size_t level = 0;
         while (true) {
             const std::size_t dot = rest.find('.');
             const std::string_view part = rest.substr(0, dot);
-            if (dot == std::string_view::npos && !dist)
+            if (dot == std::string_view::npos && !dist && !table)
                 break;
             if (level < open.size() && open[level] == part) {
                 ++level;
@@ -282,6 +416,15 @@ StatRegistry::writeJson(JsonWriter &writer) const
             writer.kv("min", dist->min());
             writer.kv("max", dist->max());
             writer.kv("mean", dist->mean());
+        } else if (table) {
+            for (std::size_t r = 0; r < table->rows(); ++r) {
+                writer.key(table->rowName(r));
+                writer.beginObject();
+                for (std::size_t c = 0; c < table->columns(); ++c)
+                    writer.kv(table->axes->columns[c],
+                              table->cell(r, c));
+                writer.endObject();
+            }
         } else {
             writer.kv(rest, scalarOf(stat));
         }

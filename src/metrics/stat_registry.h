@@ -2,17 +2,23 @@
  * @file
  * Hierarchical statistics registry, in the spirit of gem5's stats
  * framework: components register named counters, gauges, derived
- * formulas, and distributions under dotted paths
+ * formulas, distributions and tables under dotted paths
  * ("core.sa0.busy_cycles", "sched.preemptions", ...), and the
  * registry renders the whole tree as a gem5-style text report or a
  * nested JSON document.
  *
+ * A table is one entry standing for a rows x columns block of
+ * formula leaves `<path>.<row>.<col>` (the attribution matrix's
+ * per-perpetrator cells). Every query sees its leaves exactly as if
+ * each had been registered with addFormula(); only the storage is
+ * one entry instead of rows x columns.
+ *
  * Lifecycle: one registry per simulated run. Components register at
- * run start; formulas read live component state (by capturing
- * pointers), so before the components die the owning engine calls
- * freeze(), which evaluates every formula once and stores the final
- * value. A frozen registry is a plain snapshot that can safely
- * outlive the simulation it observed.
+ * run start; formulas and tables read live component state (by
+ * capturing pointers), so before the components die the owning
+ * engine calls freeze(), which evaluates every formula and table
+ * cell once and stores the final values. A frozen registry is a
+ * plain snapshot that can safely outlive the simulation it observed.
  */
 
 #ifndef V10_METRICS_STAT_REGISTRY_H
@@ -22,6 +28,7 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -88,6 +95,25 @@ class V10_DOMAIN_LOCAL StatRegistry
     /** Deferred read of live component state. */
     using Formula = std::function<double()>;
 
+    /**
+     * The axes of a table: sorted, unique row and column names, each
+     * one path segment ([A-Za-z0-9_]), and one description per
+     * column. Tables over the same rows share one copy.
+     */
+    struct TableAxes
+    {
+        std::vector<std::string> rows;
+        std::vector<std::string> columns;
+        std::vector<std::string> descriptions;
+    };
+
+    /** Deferred read of a table cell; indices into the axes. */
+    using CellReader = std::function<double(std::size_t row,
+                                            std::size_t col)>;
+
+    /** addTable() without a left-out row. */
+    static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
     StatRegistry() = default;
     StatRegistry(const StatRegistry &) = delete;
     StatRegistry &operator=(const StatRegistry &) = delete;
@@ -107,6 +133,18 @@ class V10_DOMAIN_LOCAL StatRegistry
     void addFormula(std::string path, Formula formula,
                     std::string_view description = {});
 
+    /**
+     * Register a table at @p path: the leaf `path.<row>.<col>` for
+     * every row of @p axes except @p skipRow (an index into
+     * axes->rows, or kNoRow) and every column, read through
+     * @p cells, described by its column's description. The table
+     * must hold at least one leaf. Panics on invalid axes and on the
+     * conflicts addFormula() would find for its leaves.
+     */
+    void addTable(std::string path,
+                  std::shared_ptr<const TableAxes> axes,
+                  CellReader cells, std::size_t skipRow = kNoRow);
+
     /** True when @p path names a registered statistic. */
     bool has(const std::string &path) const;
 
@@ -123,11 +161,12 @@ class V10_DOMAIN_LOCAL StatRegistry
     /** All registered paths in sorted order. */
     std::vector<std::string> paths() const;
 
-    /** Number of registered statistics. */
-    std::size_t size() const { return stats_.size(); }
+    /** Number of registered statistics; a table counts its leaves. */
+    std::size_t size() const { return leaves_; }
 
     /**
-     * Evaluate every formula once and replace it with its value.
+     * Evaluate every formula and table cell once and replace it with
+     * its value.
      * Must be called before the components the formulas read are
      * destroyed. Idempotent.
      */
@@ -154,9 +193,54 @@ class V10_DOMAIN_LOCAL StatRegistry
     void writeJson(JsonWriter &writer) const;
 
   private:
+    /** A table's storage: visible row r is axes row axisRow(r). */
+    struct Table
+    {
+        std::shared_ptr<const TableAxes> axes;
+        std::size_t skipRow = kNoRow;
+        CellReader cells;           ///< released by freeze()
+        std::vector<double> frozen; ///< rows() x columns(), row-major
+
+        std::size_t rows() const;
+        std::size_t columns() const { return axes->columns.size(); }
+        std::size_t axisRow(std::size_t r) const
+        {
+            return r < skipRow ? r : r + 1;
+        }
+        const std::string &rowName(std::size_t r) const
+        {
+            return axes->rows[axisRow(r)];
+        }
+        double cell(std::size_t r, std::size_t c) const;
+        /** Locate leaf "<row>.<col>"; false when it is not one. */
+        bool find(std::string_view rest, std::size_t &r,
+                  std::size_t &c) const;
+
+        /** Call @p visit(leafPath, r, c) for every leaf, in path
+         *  order; @p path is where the table is registered. */
+        template <typename Visit>
+        void
+        forEachLeaf(const std::string &path, Visit &&visit) const
+        {
+            std::string leaf;
+            for (std::size_t r = 0; r < rows(); ++r) {
+                leaf.assign(path).append(1, '.').append(rowName(r));
+                leaf += '.';
+                const std::size_t stem = leaf.size();
+                for (std::size_t c = 0; c < columns(); ++c) {
+                    leaf.resize(stem);
+                    leaf += axes->columns[c];
+                    visit(leaf, r, c);
+                }
+            }
+        }
+    };
+
     /** What a stat holds; freeze() turns a Formula into a Gauge
-     * holding its final value. */
-    using Data = std::variant<Counter, Gauge, Distribution, Formula>;
+     * holding its final value. A Table lives out of line so that it
+     * does not widen every other stat. */
+    using Data = std::variant<Counter, Gauge, Distribution, Formula,
+                              std::unique_ptr<Table>>;
 
     struct Stat
     {
@@ -164,21 +248,33 @@ class V10_DOMAIN_LOCAL StatRegistry
         const std::string *description = nullptr; ///< in descriptions_
     };
 
+    /** A resolved leaf path: a stat, or one cell of a table stat. */
+    struct Leaf
+    {
+        const Stat *stat = nullptr; ///< nullptr: no such leaf
+        const Table *table = nullptr;
+        std::size_t row = 0;
+        std::size_t col = 0;
+    };
+
     /** Validate the path and claim it in the tree (panics on
      * conflicts); returns the created slot. */
     Stat &insert(std::string path, std::string_view description,
                  Data data);
 
+    /** Resolve @p path to a leaf, looking inside tables. */
+    Leaf findLeaf(std::string_view path) const;
+
     static double scalarOf(const Stat &stat);
+    /** The table @p stat holds, or nullptr. */
+    static Table *tableOf(const Stat &stat);
 
     // std::map keeps paths sorted, and node addresses stable so
     // components can hold Counter/Distribution references.
     std::map<std::string, Stat, std::less<>> stats_;
-    /// Slot after the latest insert: where an in-order insert goes.
-    std::map<std::string, Stat, std::less<>>::iterator afterLast_ =
-        stats_.end();
     // Interned descriptions: a few distinct strings serve many stats.
     std::set<std::string, std::less<>> descriptions_;
+    std::size_t leaves_ = 0; ///< size(): each table leaf counts once
     bool frozen_ = false;
 };
 

@@ -12,7 +12,7 @@ TimelineTracer::TimelineTracer(double cyclesPerUs)
     : cycles_per_us_(cyclesPerUs)
 {
     if (cycles_per_us_ <= 0.0)
-        fatal("TimelineTracer: cyclesPerUs must be positive");
+        V10_PANIC("TimelineTracer: cyclesPerUs must be positive");
 }
 
 void
@@ -110,13 +110,16 @@ TimelineTracer::writeChromeTrace(std::ostream &os) const
     os << "\n]\n";
 }
 
-void
+Status
 TimelineTracer::writeChromeTraceFile(const std::string &path) const
 {
     std::ofstream os(path);
     if (!os)
-        fatal("TimelineTracer: cannot open ", path);
+        return parseError("cannot open timeline for writing", path);
     writeChromeTrace(os);
+    if (!os)
+        return parseError("short write on timeline", path);
+    return Status::ok();
 }
 
 } // namespace v10

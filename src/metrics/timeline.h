@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "common/types.h"
 
 namespace v10 {
@@ -96,8 +97,9 @@ class TimelineTracer
     /** Emit Chrome trace-event JSON. */
     void writeChromeTrace(std::ostream &os) const;
 
-    /** writeChromeTrace() to a file path; fatal() if unwritable. */
-    void writeChromeTraceFile(const std::string &path) const;
+    /** writeChromeTrace() to a file path; an error Status if
+     *  unwritable. */
+    Status writeChromeTraceFile(const std::string &path) const;
 
   private:
     struct Slice

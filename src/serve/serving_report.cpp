@@ -299,21 +299,13 @@ registerServingStats(StatRegistry &registry,
                       "time-weighted mean in-service occupancy")
             .set(c.inFlightMean);
     }
-    // De-duplicate sanitized tenant slugs by index: names are unique
-    // but sanitization can merge them, and the registry panics on
-    // path collisions.
-    std::vector<std::string> slugs(report.tenants.size());
-    for (std::size_t i = 0; i < report.tenants.size(); ++i) {
-        std::string slug =
-            sanitizeStatSegment(report.tenants[i].name);
-        for (std::size_t j = 0; j < i; ++j) {
-            if (slugs[j] == slug) {
-                slug += "_" + std::to_string(i);
-                break;
-            }
-        }
-        slugs[i] = std::move(slug);
-    }
+    // Names are unique but sanitization can merge them, and the
+    // registry panics on path collisions.
+    std::vector<std::string> names;
+    names.reserve(report.tenants.size());
+    for (const TenantServingStats &t : report.tenants)
+        names.push_back(t.name);
+    const std::vector<std::string> slugs = uniqueStatSegments(names);
     for (std::size_t i = 0; i < report.tenants.size(); ++i) {
         const TenantServingStats &t = report.tenants[i];
         const std::string base = "serve.tenant." + slugs[i];

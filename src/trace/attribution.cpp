@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <set>
 
@@ -23,6 +24,23 @@ sanitizeStatSegment(const std::string &label)
     }
     if (out.empty())
         out = "_";
+    return out;
+}
+
+std::vector<std::string>
+uniqueStatSegments(const std::vector<std::string> &labels)
+{
+    std::vector<std::string> out(labels.size());
+    std::set<std::string> taken;
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        std::string slug = sanitizeStatSegment(labels[i]);
+        while (taken.count(slug) != 0) {
+            slug += '_';
+            slug += std::to_string(i);
+        }
+        taken.insert(slug);
+        out[i] = std::move(slug);
+    }
     return out;
 }
 
@@ -201,38 +219,33 @@ AttributionCollector::chargedUsAll(std::vector<double> &out) const
 void
 AttributionCollector::registerStats(StatRegistry &registry) const
 {
-    // Pre-compute slugs: two tenants of the same workload must not
-    // collide in the registry (it panics on path conflicts). The
-    // first tenant keeps its slug; a later one whose slug is taken
-    // gets its index appended.
     const std::size_t n = labels_.size();
-    std::vector<std::string> slugs(n);
-    std::set<std::string> taken;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::string slug = sanitizeStatSegment(labels_[i]);
-        if (taken.count(slug)) {
-            slug += '_';
-            slug += std::to_string(i);
-        }
-        taken.insert(slug);
-        slugs[i] = std::move(slug);
-    }
-    // Register in path order, tenants sorted by slug and each
-    // subtree's leaves alphabetically: every insert then lands right
-    // after the previous one, where the registry finds it without a
-    // tree search. Closures capture 32-bit indices so that they fit
-    // std::function's local buffer instead of each taking a heap
-    // allocation.
+    const std::vector<std::string> slugs = uniqueStatSegments(labels_);
+    // Every victim's `from` table shares one row list, the tenants
+    // in slug order, and leaves out the victim's own row.
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
                   return slugs[a] < slugs[b];
               });
-    std::string from;
-    for (const std::uint32_t v : order) {
-        const std::string base =
-            "serve.tenant." + slugs[v] + ".attrib";
+    std::vector<std::size_t> rowOf(n);
+    auto axes = std::make_shared<StatRegistry::TableAxes>();
+    for (std::size_t r = 0; r < n; ++r) {
+        rowOf[order[r]] = r;
+        axes->rows.push_back(slugs[order[r]]);
+    }
+    axes->columns = {"hbm_contention_cycles", "preempt_stall_cycles",
+                     "queue_wait_us"};
+    axes->descriptions = {
+        "HBM contention charged to this co-runner",
+        "preemption stall charged to this co-runner",
+        "serve-layer waiting charged to this co-runner"};
+    const auto tenantAt =
+        std::make_shared<const std::vector<std::uint32_t>>(
+            std::move(order));
+    for (std::uint32_t v = 0; v < n; ++v) {
+        const std::string base = "serve.tenant." + slugs[v] + ".attrib";
         registry.addFormula(
             base + ".charged_us",
             [this, v] { return chargedUs(v); },
@@ -241,23 +254,16 @@ AttributionCollector::registerStats(StatRegistry &registry) const
             base + ".ctx_overhead_cycles",
             [this, v] { return ctxOverhead(v); },
             "context-switch overhead charged on dispatch");
-        for (const std::uint32_t p : order) {
-            if (p == v)
-                continue;
-            from.assign(base).append(".from.").append(slugs[p]);
-            registry.addFormula(
-                from + ".hbm_contention_cycles",
-                [this, v, p] { return hbmContention(v, p); },
-                "HBM contention charged to this co-runner");
-            registry.addFormula(
-                from + ".preempt_stall_cycles",
-                [this, v, p] { return preemptStall(v, p); },
-                "preemption stall charged to this co-runner");
-            registry.addFormula(
-                from + ".queue_wait_us",
-                [this, v, p] { return queueWait(v, p); },
-                "serve-layer waiting charged to this co-runner");
-        }
+        if (n > 1)
+            registry.addTable(
+                base + ".from", axes,
+                [this, v, tenantAt](std::size_t row, std::size_t col) {
+                    const std::uint32_t p = (*tenantAt)[row];
+                    return col == 0   ? hbmContention(v, p)
+                           : col == 1 ? preemptStall(v, p)
+                                      : queueWait(v, p);
+                },
+                rowOf[v]);
         registry.addFormula(
             base + ".hbm_contention_cycles",
             [this, v] { return totalHbmContention(v); },

@@ -9,9 +9,9 @@
  *
  * Totals surface in the registry under the
  * `serve.tenant.<slug>.attrib.*` namespace (with a
- * `.from.<perpetrator>` breakdown), mirroring the serve-layer
- * sojourn decomposition so both stacks answer "who stole my cycles"
- * with the same vocabulary.
+ * `.from.<perpetrator>` breakdown, one registry table per victim),
+ * mirroring the serve-layer sojourn decomposition so both stacks
+ * answer "who stole my cycles" with the same vocabulary.
  */
 
 #ifndef V10_TRACE_ATTRIBUTION_H
@@ -31,6 +31,14 @@ class StatRegistry;
 /** Sanitize a tenant label into a registry path segment
  * ([A-Za-z0-9_] only — "BERT#17" becomes "BERT_17"). */
 std::string sanitizeStatSegment(const std::string &label);
+
+/**
+ * sanitizeStatSegment() of every label, made unique: the first label
+ * keeps its segment, and a later one whose segment is taken gets
+ * "_<its index>" appended (again, until it is free).
+ */
+std::vector<std::string>
+uniqueStatSegments(const std::vector<std::string> &labels);
 
 /**
  * Per-(victim, perpetrator) cycle attribution matrices.
@@ -96,10 +104,13 @@ class AttributionCollector : public HbmContentionObserver
 
     /**
      * Register formulas under
-     * `serve.tenant.<slug>.attrib.{preempt_stall_cycles,
-     * hbm_contention_cycles, ctx_overhead_cycles,
-     * from.<perp>.{preempt_stall_cycles, hbm_contention_cycles}}`.
-     * The collector must outlive the registry's freeze().
+     * `serve.tenant.<slug>.attrib.{charged_us, ctx_overhead_cycles,
+     * hbm_contention_cycles, preempt_stall_cycles, queue_wait_us}`
+     * and, with two or more tenants, one table per victim at
+     * `serve.tenant.<slug>.attrib.from` whose leaves are
+     * `<perp>.{hbm_contention_cycles, preempt_stall_cycles,
+     * queue_wait_us}` for every other tenant. The collector must
+     * outlive the registry's freeze().
      */
     void registerStats(StatRegistry &registry) const;
 

@@ -581,6 +581,81 @@ TEST(Cli, ServeNumericFlagsRejectGarbageAndNonPositives)
               0);
 }
 
+// An output path that cannot be opened, or a sampling interval of
+// 0, is bad input: each exits 2 with a message naming the problem.
+
+/** A path under a directory that does not exist. */
+std::string
+unwritablePath(const std::string &name)
+{
+    return ::testing::TempDir() + "/no_such_dir/" + name;
+}
+
+/** Run @p args; expect exit 2 and @p needle in the output. */
+void
+expectUsageError(const std::string &args, const std::string &needle)
+{
+    const auto [rc, out] = runCli(args, true);
+    EXPECT_EQ(rc, 2) << args;
+    EXPECT_NE(out.find(needle), std::string::npos) << out;
+}
+
+TEST(Cli, ZeroSampleIntervalExitsWithCode2)
+{
+    expectUsageError("run --models MNST,NCF --requests 2 "
+                     "--sample-interval 0",
+                     "--sample-interval");
+}
+
+TEST(Cli, UnwritableRunStatsJsonExitsWithCode2)
+{
+    const std::string path = unwritablePath("stats.json");
+    expectUsageError("run --models MNST,NCF --requests 2 --stats-json " +
+                         path,
+                     path);
+}
+
+TEST(Cli, UnwritableSamplesCsvExitsWithCode2)
+{
+    const std::string path = unwritablePath("samples.csv");
+    expectUsageError(
+        "run --models MNST,NCF --requests 2 --samples-csv " + path,
+        path);
+}
+
+TEST(Cli, UnwritableRunTimelineExitsWithCode2)
+{
+    const std::string path = unwritablePath("timeline.json");
+    expectUsageError(
+        "run --models MNST,NCF --requests 2 --timeline " + path, path);
+}
+
+TEST(Cli, UnwritableServeStatsJsonExitsWithCode2)
+{
+    const std::string path = unwritablePath("serve.json");
+    expectUsageError("serve --tenants 2 --cores 2 --duration 0.05 "
+                     "--stats-json " +
+                         path,
+                     path);
+}
+
+TEST(Cli, UnwritableServeTimelineExitsWithCode2)
+{
+    const std::string path = unwritablePath("serve_timeline.json");
+    expectUsageError("serve --tenants 2 --cores 2 --duration 0.05 "
+                     "--timeline " +
+                         path,
+                     path);
+}
+
+TEST(Cli, UnwritableAdviseStatsJsonExitsWithCode2)
+{
+    const std::string path = unwritablePath("advise.json");
+    expectUsageError("advise --models BERT,NCF --cores 1 --stats-json " +
+                         path,
+                     path);
+}
+
 TEST(Cli, UnknownCommandShowsUsage)
 {
     const auto [rc, out] = runCli("frobnicate --x 1");

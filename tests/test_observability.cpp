@@ -9,6 +9,7 @@
  */
 
 #include <cmath>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/rng.h"
 #include "metrics/interval_sampler.h"
 #include "metrics/run_report.h"
 #include "metrics/stat_registry.h"
@@ -208,6 +210,257 @@ TEST(StatRegistryDeathTest, RejectsDuplicateAndConflictingPaths)
     EXPECT_DEATH(reg.value("no.such.stat"), "");
 }
 
+// --- StatRegistry tables. ---
+
+/** A random matrix registered twice: per-cell formulas and tables. */
+struct TableFixture
+{
+    std::vector<std::string> victims;
+    std::vector<std::size_t> skip; ///< per victim; kNoRow for none
+    std::shared_ptr<StatRegistry::TableAxes> axes =
+        std::make_shared<StatRegistry::TableAxes>();
+    std::vector<double> cells; ///< victim x row x column
+
+    double &
+    at(std::size_t v, std::size_t r, std::size_t c)
+    {
+        const std::size_t rows = axes->rows.size();
+        const std::size_t cols = axes->columns.size();
+        return cells[(v * rows + r) * cols + c];
+    }
+
+    std::string
+    tablePath(std::size_t v) const
+    {
+        return "t." + victims[v] + ".from";
+    }
+
+    /** Register the stats both layouts share around the tables. */
+    void
+    addNeighbours(StatRegistry &reg, std::size_t v) const
+    {
+        const std::string base = "t." + victims[v] + ".";
+        // "fro" sorts before "from", "from0" and "from_a" after
+        // every "from.*" leaf.
+        reg.addGauge(base + "fro", "short").set(1.0);
+        reg.addCounter(base + "from0").set(v);
+        reg.addDistribution(base + "from_a").record(0.5 + v);
+        reg.addFormula(base + "total", [v] { return 2.0 * v; });
+    }
+
+    void
+    registerAsFormulas(StatRegistry &reg)
+    {
+        for (std::size_t v = 0; v < victims.size(); ++v) {
+            addNeighbours(reg, v);
+            for (std::size_t r = 0; r < axes->rows.size(); ++r) {
+                if (r == skip[v])
+                    continue;
+                for (std::size_t c = 0; c < axes->columns.size(); ++c)
+                    reg.addFormula(tablePath(v) + "." + axes->rows[r] +
+                                       "." + axes->columns[c],
+                                   [this, v, r, c] { return at(v, r, c); },
+                                   axes->descriptions[c]);
+            }
+        }
+    }
+
+    void
+    registerAsTables(StatRegistry &reg)
+    {
+        for (std::size_t v = 0; v < victims.size(); ++v) {
+            addNeighbours(reg, v);
+            reg.addTable(
+                tablePath(v), axes,
+                [this, v](std::size_t r, std::size_t c) {
+                    return at(v, r, c);
+                },
+                skip[v]);
+        }
+    }
+
+    /** Paths that are not leaves but lie next to or inside tables. */
+    std::vector<std::string>
+    nearMisses() const
+    {
+        std::vector<std::string> out;
+        for (std::size_t v = 0; v < victims.size(); ++v) {
+            const std::string p = tablePath(v);
+            const std::string &row = axes->rows.front();
+            const std::string &col = axes->columns.front();
+            for (const std::string &miss :
+                 {p, p + ".", p + "." + row, p + "." + row + ".",
+                  p + "." + row + "." + col + ".x",
+                  p + "." + row + "." + col + "0",
+                  p + "." + row + "0." + col, p + ".~." + col,
+                  p + "." + col, p + "x." + row + "." + col,
+                  "t." + victims[v] + "." + row + "." + col})
+                out.push_back(miss);
+            if (skip[v] != StatRegistry::kNoRow)
+                out.push_back(p + "." + axes->rows[skip[v]] + "." + col);
+        }
+        out.push_back("t");
+        out.push_back("u.v");
+        return out;
+    }
+};
+
+/** Random path segment over a small alphabet, so that names often
+ * share prefixes ("A", "A_1", "A0"). */
+std::string
+randomSegment(Rng &rng)
+{
+    static const char kAlphabet[] = "A0_1aZ";
+    std::string out;
+    const std::size_t len = 1 + rng.uniformInt(3);
+    for (std::size_t i = 0; i < len; ++i)
+        out += kAlphabet[rng.uniformInt(sizeof(kAlphabet) - 1)];
+    return out;
+}
+
+/** Sorted, unique random segments. */
+std::vector<std::string>
+randomAxis(Rng &rng, std::size_t n)
+{
+    std::set<std::string> names;
+    while (names.size() < n)
+        names.insert(randomSegment(rng));
+    return {names.begin(), names.end()};
+}
+
+TableFixture
+randomTables(std::uint64_t seed)
+{
+    Rng rng(seed);
+    TableFixture f;
+    f.victims = randomAxis(rng, 2 + rng.uniformInt(4));
+    f.axes->rows = randomAxis(rng, 2 + rng.uniformInt(8));
+    f.axes->columns = randomAxis(rng, 1 + rng.uniformInt(3));
+    for (const std::string &c : f.axes->columns)
+        f.axes->descriptions.push_back("about " + c);
+    for (std::size_t v = 0; v < f.victims.size(); ++v)
+        f.skip.push_back(rng.bernoulli(0.5)
+                             ? StatRegistry::kNoRow
+                             : rng.uniformInt(f.axes->rows.size()));
+    f.cells.resize(f.victims.size() * f.axes->rows.size() *
+                   f.axes->columns.size());
+    for (double &cell : f.cells) {
+        // Mostly zeros, as in a real blame matrix, some integers and
+        // some values that need all 17 digits.
+        const double u = rng.uniform();
+        cell = u < 0.6 ? 0.0 : u < 0.8 ? std::floor(1e4 * u) : u / 3.0;
+    }
+    return f;
+}
+
+std::string
+jsonOf(const StatRegistry &reg, int indent)
+{
+    std::ostringstream os;
+    {
+        JsonWriter w(os, indent);
+        reg.writeJson(w);
+    }
+    return os.str();
+}
+
+/** Every query must see the tables' leaves as the formulas'. */
+void
+expectSameRegistry(const StatRegistry &formulas,
+                   const StatRegistry &tables,
+                   const std::vector<std::string> &misses)
+{
+    EXPECT_EQ(tables.size(), formulas.size());
+    const std::vector<std::string> paths = formulas.paths();
+    EXPECT_EQ(tables.paths(), paths);
+    EXPECT_EQ(tables.snapshot(), formulas.snapshot());
+    EXPECT_EQ(tables.textReport(), formulas.textReport());
+    for (const std::string &path : paths) {
+        ASSERT_TRUE(tables.has(path)) << path;
+        EXPECT_EQ(tables.value(path), formulas.value(path)) << path;
+        EXPECT_EQ(tables.description(path), formulas.description(path))
+            << path;
+    }
+    // Random names can make a "miss" a real leaf; either way the two
+    // registries must agree.
+    for (const std::string &miss : misses)
+        EXPECT_EQ(tables.has(miss), formulas.has(miss)) << miss;
+    EXPECT_EQ(jsonOf(tables, 2), jsonOf(formulas, 2));
+    EXPECT_EQ(jsonOf(tables, 0), jsonOf(formulas, 0));
+}
+
+TEST(StatRegistryTable, LeavesMatchPerCellFormulasBeforeAndAfterFreeze)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE(seed);
+        TableFixture f = randomTables(seed);
+        StatRegistry formulas;
+        StatRegistry tables;
+        f.registerAsFormulas(formulas);
+        f.registerAsTables(tables);
+        const std::vector<std::string> misses = f.nearMisses();
+        expectSameRegistry(formulas, tables, misses);
+
+        // Both read live state until they freeze, and not after.
+        for (double &cell : f.cells)
+            cell += 1.25;
+        expectSameRegistry(formulas, tables, misses);
+        formulas.freeze();
+        tables.freeze();
+        for (double &cell : f.cells)
+            cell = -7.0;
+        expectSameRegistry(formulas, tables, misses);
+    }
+}
+
+TEST(StatRegistryTable, JsonNestsRowsAtTheTablePlace)
+{
+    StatRegistry reg;
+    auto axes = std::make_shared<StatRegistry::TableAxes>();
+    axes->rows = {"a", "a_1", "b"};
+    axes->columns = {"x", "y"};
+    axes->descriptions = {"", ""};
+    reg.addCounter("m.from0").set(9);
+    reg.addTable(
+        "m.from", axes,
+        [](std::size_t r, std::size_t c) { return 10.0 * r + c; }, 1);
+    EXPECT_EQ(reg.size(), 5u);
+    EXPECT_EQ(jsonOf(reg, 0),
+              "{\"m\":{\"from\":{\"a\":{\"x\":0,\"y\":1},"
+              "\"b\":{\"x\":20,\"y\":21}},\"from0\":9}}");
+}
+
+TEST(StatRegistryTableDeathTest, RejectsBadAxesAndLeavesUnderTables)
+{
+    const auto axesOf = [](std::vector<std::string> rows) {
+        auto axes = std::make_shared<StatRegistry::TableAxes>();
+        axes->rows = std::move(rows);
+        axes->columns = {"c"};
+        axes->descriptions = {"d"};
+        return axes;
+    };
+    const auto zero = [](std::size_t, std::size_t) { return 0.0; };
+    StatRegistry reg;
+    EXPECT_DEATH(reg.addTable("p", axesOf({"b", "a"}), zero),
+                 "out of order");
+    EXPECT_DEATH(reg.addTable("p", axesOf({"a", "a"}), zero),
+                 "out of order");
+    EXPECT_DEATH(reg.addTable("p", axesOf({"a", "b.c"}), zero),
+                 "not a path segment");
+    EXPECT_DEATH(reg.addTable("p", axesOf({""}), zero),
+                 "not a path segment");
+    EXPECT_DEATH(reg.addTable("p", axesOf({"a"}), zero, 0),
+                 "no leaves");
+    reg.addTable("p", axesOf({"a", "b"}), zero);
+    EXPECT_DEATH(reg.addCounter("p.a.c"), "extends existing leaf");
+    EXPECT_DEATH(reg.addCounter("p.z"), "extends existing leaf");
+    EXPECT_DEATH(reg.addCounter("p"), "duplicate");
+    reg.addCounter("q.r");
+    EXPECT_DEATH(reg.addTable("q", axesOf({"a"}), zero),
+                 "conflicts with existing");
+    EXPECT_DEATH(reg.value("p.a"), "unknown stat path");
+}
+
 // --- IntervalSampler. ---
 
 TEST(IntervalSampler, LevelRateDeltaSemantics)
@@ -346,6 +599,97 @@ TEST(Json, KeysEscapeQuotesBackslashesAndControlCharacters)
     ASSERT_TRUE(parsed) << parsed.error().toString();
     EXPECT_EQ(parsed.value().object[0].first,
               std::string("q\"b\\s\n\x01") + std::string(1, '\0'));
+}
+
+/** Write a parsed document back out through @p w. */
+void
+writeValue(JsonWriter &w, const JsonValue &v)
+{
+    switch (v.type) {
+    case JsonValue::Type::Null: w.valueNull(); break;
+    case JsonValue::Type::Bool: w.value(v.boolean); break;
+    case JsonValue::Type::Number: w.value(v.number); break;
+    case JsonValue::Type::String: w.value(v.str); break;
+    case JsonValue::Type::Array:
+        w.beginArray();
+        for (const JsonValue &item : v.array)
+            writeValue(w, item);
+        w.endArray();
+        break;
+    case JsonValue::Type::Object:
+        w.beginObject();
+        for (const auto &[key, item] : v.object) {
+            w.key(key);
+            writeValue(w, item);
+        }
+        w.endObject();
+        break;
+    }
+}
+
+TEST(Json, DocumentsPastTheBufferSurviveARoundTrip)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.key("rows");
+    w.beginArray();
+    bool wroteMidDocument = false;
+    for (int i = 0; i < 2000; ++i) {
+        w.beginObject();
+        w.kv("i", i);
+        w.kv("x", i / 7.0);
+        w.kv("name", "row \"" + std::to_string(i) + "\"");
+        w.endObject();
+        // The buffer is bounded: a long document reaches the stream
+        // before it closes.
+        wroteMidDocument |= os.str().size() >= 8192;
+    }
+    w.endArray();
+    w.kv("ok", true);
+    w.endObject();
+    const std::string text = os.str();
+    ASSERT_GT(text.size(), 8u * 8192u);
+    EXPECT_TRUE(wroteMidDocument);
+
+    const Result<JsonValue> parsed = JsonValue::parse(text);
+    ASSERT_TRUE(parsed) << parsed.error().toString();
+    std::ostringstream again;
+    JsonWriter w2(again);
+    writeValue(w2, parsed.value());
+    EXPECT_EQ(again.str(), text);
+}
+
+TEST(Json, RawBytesAfterTheTopLevelValueLandAfterIt)
+{
+    std::ostringstream os;
+    JsonWriter w(os, 0);
+    w.beginObject();
+    w.kv("a", 1);
+    w.endObject();
+    os << '\n';
+    EXPECT_EQ(os.str(), "{\"a\":1}\n");
+    // A top-level scalar is a whole document too.
+    std::ostringstream scalar;
+    JsonWriter ws(scalar);
+    ws.value(2.5);
+    scalar << '\n';
+    EXPECT_EQ(scalar.str(), "2.5\n");
+}
+
+TEST(Json, WriterDestroyedMidDocumentFlushesWhatItHas)
+{
+    std::ostringstream os;
+    {
+        JsonWriter w(os, 0);
+        w.beginObject();
+        w.kv("a", 1);
+        w.key("b");
+        w.beginArray();
+        w.value(true);
+        EXPECT_EQ(os.str(), "");
+    }
+    EXPECT_EQ(os.str(), "{\"a\":1,\"b\":[true");
 }
 
 TEST(Json, NonFiniteDoublesBecomeNull)

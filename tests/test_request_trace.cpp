@@ -411,6 +411,35 @@ TEST(Attribution, CollidingSlugsGetIndexSuffixes)
     EXPECT_EQ(registry.size(), 6u * (5u + 5u * 3u));
 }
 
+TEST(Attribution, SuffixedSlugsNeverCollide)
+{
+    // "A_2" is taken before the third tenant's "A" becomes "A_2", so
+    // that one takes a second suffix.
+    EXPECT_EQ(uniqueStatSegments({"A_2", "A", "A"}),
+              (std::vector<std::string>{"A_2", "A", "A_2_2"}));
+    EXPECT_EQ(uniqueStatSegments({"x#1", "x 1", ""}),
+              (std::vector<std::string>{"x_1", "x_1_1", "_"}));
+}
+
+TEST(Attribution, SingleTenantHasNoFromKey)
+{
+    // With no co-runner there is nothing to blame: the tenant gets
+    // its totals and no `from` subtree, in the registry or the JSON.
+    AttributionCollector attrib;
+    attrib.addTenant(0, "BERT#0");
+    StatRegistry registry;
+    attrib.registerStats(registry);
+    EXPECT_EQ(registry.size(), 5u);
+    for (const std::string &path : registry.paths())
+        EXPECT_EQ(path.find(".from"), std::string::npos) << path;
+    std::ostringstream os;
+    {
+        JsonWriter w(os);
+        registry.writeJson(w);
+    }
+    EXPECT_EQ(os.str().find("\"from\""), std::string::npos) << os.str();
+}
+
 // ---------------------------------------------------------------
 // Engine integration: spans, attribution, flight recorder.
 // ---------------------------------------------------------------

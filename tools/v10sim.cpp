@@ -513,6 +513,9 @@ cmdRun(const Args &args)
     if (args.has("sample-interval") || args.has("samples-csv")) {
         const auto interval = static_cast<Cycles>(
             args.getUint("sample-interval", "10000"));
+        if (interval == 0)
+            usageError("--sample-interval expects a positive integer, "
+                       "got '0'");
         sampler = std::make_unique<IntervalSampler>(interval);
         if (timeline)
             timeline->attachSampler(sampler.get());
@@ -549,7 +552,8 @@ cmdRun(const Args &args)
             writeTraceOut(args, *tracer);
         if (timeline) {
             const std::string path = args.get("timeline", "");
-            timeline->writeChromeTraceFile(path);
+            if (Status s = timeline->writeChromeTraceFile(path); !s)
+                usageError(s.error().toString());
             std::printf("timeline: %zu slices (%zu preemptions) -> "
                         "%s (open in chrome://tracing)\n\n",
                         timeline->sliceCount(),
@@ -576,14 +580,17 @@ cmdRun(const Args &args)
         manifest.wallSeconds = wall_seconds;
         manifest.sampleInterval = sampler ? sampler->interval() : 0;
         const std::string path = args.get("stats-json", "");
-        writeRunReportJsonFile(path, manifest, stats, registry.get(),
-                               sampler.get());
+        const Status written = writeRunReportJsonFile(
+            path, manifest, stats, registry.get(), sampler.get());
+        if (!written)
+            usageError(written.error().toString());
         std::printf("stats: %zu registry entries -> %s\n",
                     registry->size(), path.c_str());
     }
     if (sampler && args.has("samples-csv")) {
         const std::string path = args.get("samples-csv", "");
-        sampler->writeCsvFile(path);
+        if (Status s = sampler->writeCsvFile(path); !s)
+            usageError(s.error().toString());
         std::printf("samples: %zu rows x %zu probes -> %s\n",
                     sampler->rowCount(), sampler->probeCount(),
                     path.c_str());
@@ -717,8 +724,8 @@ cmdAdvise(const Args &args)
         const std::string path = args.get("stats-json", "");
         std::ofstream js(path);
         if (!js)
-            fatal("advise: cannot open stats JSON path '", path,
-                  "'");
+            usageError("advise: cannot open stats JSON path '", path,
+                       "'");
         JsonWriter w(js);
         w.beginObject();
         w.key("manifest");
@@ -987,7 +994,8 @@ cmdServe(const Args &args)
         writeTraceOut(args, *tracer);
     if (timeline) {
         const std::string path = args.get("timeline", "");
-        timeline->writeChromeTraceFile(path);
+        if (Status s = timeline->writeChromeTraceFile(path); !s)
+            usageError(s.error().toString());
         std::printf("timeline: %zu spans, %zu sample rows -> %s "
                     "(open in chrome://tracing)\n",
                     tracer ? tracer->spanCount() : 0,
@@ -1005,8 +1013,8 @@ cmdServe(const Args &args)
         const std::string path = args.get("stats-json", "");
         std::ofstream js(path);
         if (!js)
-            fatal("serve: cannot open stats JSON path '", path,
-                  "'");
+            usageError("serve: cannot open stats JSON path '", path,
+                       "'");
         writeServingDocumentJson(js, manifest, report,
                                  registry.get());
         std::printf("stats JSON written to %s\n", path.c_str());
