@@ -217,6 +217,43 @@ ChurnPlan::check(double durationSec) const
     return Status::ok();
 }
 
+Result<ResolvedChurn>
+ChurnPlan::resolve(const std::vector<std::string> &tenants,
+                   std::size_t numCores) const
+{
+    const std::size_t n = tenants.size();
+    ResolvedChurn out;
+    out.startsDormant.assign(n, false);
+    std::vector<bool> active(n, true);
+    std::vector<bool> seen(n, false);
+    for (const ChurnEvent &ev : events_) {
+        const auto idx = static_cast<std::size_t>(
+            std::find(tenants.begin(), tenants.end(), ev.tenant) -
+            tenants.begin());
+        if (idx == n)
+            return parseError("churn: unknown tenant", "", 0,
+                              ev.tenant);
+        const bool join = ev.action == ChurnAction::Join;
+        if (!seen[idx]) {
+            seen[idx] = true;
+            out.startsDormant[idx] = join;
+            active[idx] = !join;
+        }
+        if (join == active[idx])
+            return parseError(join ? "churn: tenant already joined"
+                                   : "churn: tenant is not active",
+                              "", 0, ev.spec());
+        if (ev.action != ChurnAction::Migrate)
+            active[idx] = join;
+        else if (ev.core >= 0 &&
+                 static_cast<std::size_t>(ev.core) >= numCores)
+            return parseError("churn: migrate core out of range", "",
+                              0, ev.spec());
+        out.tenant.push_back(idx);
+    }
+    return out;
+}
+
 std::string
 ChurnPlan::summary() const
 {

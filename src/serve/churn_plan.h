@@ -25,6 +25,7 @@
 #ifndef V10_SERVE_CHURN_PLAN_H
 #define V10_SERVE_CHURN_PLAN_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -54,6 +55,15 @@ struct ChurnEvent
 
     /** Round-trippable spec fragment. */
     std::string spec() const;
+};
+
+/** A churn plan bound to a tenant pool (ChurnPlan::resolve). */
+struct ResolvedChurn
+{
+    /** Per plan event, in plan order: its tenant's pool index. */
+    std::vector<std::size_t> tenant;
+    /** Per tenant: dormant until its first event, a join. */
+    std::vector<bool> startsDormant;
 };
 
 /**
@@ -87,6 +97,16 @@ class ChurnPlan
 
     /** Events must land inside (0, durationSec). */
     Status check(double durationSec) const;
+
+    /**
+     * Bind each event to its tenant's index in @p tenants and walk the
+     * state machine: a tenant whose first event is a join starts
+     * dormant; a join needs a dormant tenant, leave and migrate an
+     * active one, and a migrate core must lie below @p numCores.
+     */
+    Result<ResolvedChurn>
+    resolve(const std::vector<std::string> &tenants,
+            std::size_t numCores) const;
 
     /** Round-trippable spec string of the whole plan. */
     std::string summary() const;

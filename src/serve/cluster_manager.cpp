@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <utility>
 
+#include "common/annotations.h"
 #include "common/log.h"
 #include "common/parallel_executor.h"
 #include "common/stats.h"
@@ -64,6 +66,14 @@ floodSources(const ServeConfig &config)
         }
     }
     return sources;
+}
+
+/** Index of the smallest load, ties to the lowest index. */
+std::size_t
+leastLoaded(const std::vector<double> &load)
+{
+    return static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
 }
 
 } // namespace
@@ -335,11 +345,7 @@ ClusterManager::placeAdvisor()
     placement.tenantCore.assign(tenants_.size(), 0);
     std::vector<double> load(config_.numCores, 0.0);
     for (const auto &group : groups) {
-        std::size_t best = 0;
-        for (std::size_t c = 1; c < config_.numCores; ++c) {
-            if (load[c] < load[best])
-                best = c;
-        }
+        const std::size_t best = leastLoaded(load);
         for (std::size_t idx : group) {
             placement.coreTenants[best].push_back(idx);
             placement.tenantCore[idx] = best;
@@ -379,8 +385,7 @@ ClusterManager::place()
 
     // LeastLoaded: heaviest tenants first onto the emptiest core.
     std::vector<std::size_t> order(tenants_.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
+    std::iota(order.begin(), order.end(), std::size_t{0});
     std::vector<double> erlangs(tenants_.size());
     for (std::size_t i = 0; i < tenants_.size(); ++i)
         erlangs[i] =
@@ -393,11 +398,7 @@ ClusterManager::place()
               });
     std::vector<double> load(config_.numCores, 0.0);
     for (std::size_t idx : order) {
-        std::size_t best = 0;
-        for (std::size_t c = 1; c < config_.numCores; ++c) {
-            if (load[c] < load[best])
-                best = c;
-        }
+        const std::size_t best = leastLoaded(load);
         placement.coreTenants[best].push_back(idx);
         placement.tenantCore[idx] = best;
         load[best] += erlangs[idx];
@@ -409,311 +410,166 @@ ClusterManager::place()
     return placement;
 }
 
-std::size_t
-ClusterManager::repairCore(
-    std::size_t tenant, std::size_t current,
-    const std::vector<std::vector<std::size_t>> &residents)
+namespace {
+
+/** The serve-layer resilience surface (defaults all pass). */
+Status
+checkResilience(const ServeConfig &config, std::size_t tenants)
 {
-    // Re-pair a recovering tenant: prefer the advisor's best
-    // predicted gain against a candidate core's residents (when the
-    // advisor was trained), break ties toward the emptiest core,
-    // then the lowest index. Never the isolation core it leaves.
-    std::size_t best = current;
-    double bestGain = -1.0;
-    std::size_t bestCount = 0;
-    for (std::size_t c = 0; c < residents.size(); ++c) {
-        if (c == current)
-            continue;
-        double gain = 0.0;
-        if (advisor_fleet_ != nullptr) {
-            for (std::size_t other : residents[c]) {
-                if (other == tenant)
-                    continue;
-                gain = std::max(
-                    gain, advisor_fleet_
-                              ->predictedGain(tenants_[tenant].model,
-                                              tenants_[other].model)
-                              .value());
-            }
-        }
-        const std::size_t count = residents[c].size();
-        if (best == current || gain > bestGain ||
-            (gain == bestGain && count < bestCount)) {
-            best = c;
-            bestGain = gain;
-            bestCount = count;
-        }
-    }
-    return best;
+    if (Status s = config.admission.check(); !s)
+        return s;
+    if (Status s = config.detector.check(); !s)
+        return s;
+    if (Status s = config.ladder.check(); !s)
+        return s;
+    if (Status s = config.churn.check(config.durationSec); !s)
+        return s;
+    return config.antagonists.check(tenants, config.durationSec);
 }
 
-Result<ServingReport>
-ClusterManager::run()
+/** One run's state (flows, cores, the control loop's gate,
+ * controller and attribution, the report) and the phases of
+ * ClusterManager::run() over it. */
+struct ServeRun
 {
-    auto placement_or = place();
-    if (!placement_or.ok())
-        return placement_or.error();
-    const ServePlacement placement = placement_or.take();
-    const std::size_t n = tenants_.size();
-
-    // Validate the resilience surface up front (defaults all pass).
-    if (Status s = config_.admission.check(); !s)
-        return s.error();
-    if (Status s = config_.detector.check(); !s)
-        return s.error();
-    if (Status s = config_.ladder.check(); !s)
-        return s.error();
-    if (Status s = config_.churn.check(config_.durationSec); !s)
-        return s.error();
-    if (Status s = config_.antagonists.check(n,
-                                             config_.durationSec);
-        !s)
-        return s.error();
-
-    // Resolve churn tenant names and walk the plan's state machine:
-    // a tenant whose first event is a join starts dormant; joins
-    // require a dormant tenant, leaves/migrates an active one.
-    struct PlannedChurn
-    {
-        ChurnEvent event;
-        std::size_t tenant = 0;
-        std::size_t epoch = 0; ///< boundary index on the epoch grid
-    };
-    std::vector<PlannedChurn> churn;
-    std::vector<bool> startsInactive(n, false);
-    {
-        std::vector<bool> active(n, true);
-        std::vector<bool> seen(n, false);
-        for (const ChurnEvent &ev : config_.churn.events()) {
-            std::size_t idx = n;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (tenants_[i].name == ev.tenant) {
-                    idx = i;
-                    break;
-                }
-            }
-            if (idx == n)
-                return parseError("churn: unknown tenant", "", 0,
-                                  ev.tenant);
-            if (!seen[idx]) {
-                seen[idx] = true;
-                if (ev.action == ChurnAction::Join) {
-                    startsInactive[idx] = true;
-                    active[idx] = false;
-                }
-            }
-            if (ev.action == ChurnAction::Join) {
-                if (active[idx])
-                    return parseError(
-                        "churn: tenant already joined", "", 0,
-                        ev.spec());
-                active[idx] = true;
-            } else {
-                if (!active[idx])
-                    return parseError(
-                        "churn: tenant is not active", "", 0,
-                        ev.spec());
-                if (ev.action == ChurnAction::Leave)
-                    active[idx] = false;
-                if (ev.action == ChurnAction::Migrate &&
-                    ev.core >= 0 &&
-                    static_cast<std::size_t>(ev.core) >=
-                        config_.numCores)
-                    return parseError(
-                        "churn: migrate core out of range", "", 0,
-                        ev.spec());
-            }
-            churn.push_back(PlannedChurn{ev, idx, 0});
-        }
-    }
-
-    // Control grid: one epoch per SLO-monitor bucket when any
-    // resilience feature is live, else the classic single pass.
-    const bool resilience = config_.resilienceActive();
-    const std::size_t E = resilience ? SloMonitor::kBuckets : 1;
-    const double epochSec =
-        config_.durationSec / static_cast<double>(E);
-    for (PlannedChurn &pc : churn) {
-        const auto snapped = static_cast<std::size_t>(
-            std::llround(pc.event.atSec / epochSec));
-        pc.epoch = std::min(std::max<std::size_t>(snapped, 1),
-                            E > 1 ? E - 1 : 1);
-    }
-
-    // Lazy per-tenant arrival feeds: base process plus flood bursts,
-    // a pure function of (run seed, tenant index).
-    std::vector<ArrivalSpec> specs;
-    specs.reserve(n);
-    for (const ServeTenant &t : tenants_)
-        specs.push_back(t.arrival);
-    const ArrivalPlan arrivals(std::move(specs), config_.seed,
-                               config_.durationSec,
-                               floodSources(config_));
-
-    // Resolve service means up front (cache fills are not
-    // thread-safe, and the fan-out workers read them).
-    for (std::size_t i = 0; i < n; ++i)
-        (void)serviceUs(i);
-
-    // Static antagonist context, admission gate, attribution
-    // collector (external when attached), quarantine controller.
-    std::vector<TenantStatic> statics(n);
-    for (const AntagonistProfile &p :
-         config_.antagonists.profiles()) {
-        if (p.kind == AntagonistKind::HbmHog)
-            statics[static_cast<std::size_t>(p.tenant)]
-                .hogs.push_back(p);
-        else if (p.kind == AntagonistKind::Thrash)
-            statics[static_cast<std::size_t>(p.tenant)]
-                .thrash.push_back(p);
-    }
-
-    AdmissionGate gate(n, config_.admission);
-    for (std::size_t i = 0; i < n; ++i)
-        gate.configure(i, tenants_[i].arrival.rps);
-
+    const ServeConfig &config;
+    const std::vector<ServeTenant> &tenants;
+    const std::size_t n;
+    const ServePlacement placement;
+    const ResolvedChurn churn;
+    /** Trained advisor (Advisor policy), else nullptr. */
+    NpuCluster *const advisor;
+    /** Control grid: one epoch per SLO-monitor bucket when any
+     * resilience feature is live, else the classic single pass. */
+    const std::size_t epochs;
+    const double epochSec;
     AttributionCollector internalAttrib;
-    AttributionCollector *attrib =
-        attribution_ != nullptr ? attribution_ : &internalAttrib;
-    const bool needCharges = resilience || attribution_ != nullptr;
-    if (needCharges) {
-        for (std::size_t i = 0; i < n; ++i) {
-            // The detector reads chargedUs() by dense index, so the
-            // collector must be fresh (dense index == serve index).
-            const std::size_t dense = attrib->addTenant(
-                static_cast<WorkloadId>(i), tenants_[i].name);
-            if (dense != i)
-                return parseError(
-                    "serve: attribution collector already holds "
-                    "tenants; attach a fresh one",
-                    "", 0, tenants_[i].name);
-        }
-    }
-
-    QuarantineController controller(n, config_.detector,
-                                    config_.ladder);
-
-    // Per-tenant flows (they never move in memory; a core lists its
-    // residents) and the SLO monitor the core workers fold into.
+    AttributionCollector *const attrib; ///< external when attached
+    const bool needCharges;
+    std::vector<TenantStatic> statics;
+    AdmissionGate gate;
+    QuarantineController controller;
+    SloMonitor monitor;
+    /** Per-tenant flows (they never move in memory; a core lists its
+     * residents) and the persistent per-core simulations: an epoch's
+     * fan-out worker c touches sims[c] only. */
     std::vector<TenantFlow> flows;
-    flows.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        TenantFlow &f = flows.emplace_back(arrivals.feed(i));
-        f.tenant = static_cast<std::uint32_t>(i);
-        f.soloMeanSec = serviceUs(i) * 1e-6;
-        f.serviceMeanSec = f.soloMeanSec / placement.tenantSpeed[i];
-        f.weight = tenants_[i].slo.weight;
-        f.sloTargetUs = tenants_[i].slo.latencyTargetUs;
-        f.bucket = gate.bucket(i);
-        f.stat = &statics[i];
-        f.active = !startsInactive[i];
-    }
-    SloMonitor monitor(n, config_.durationSec, config_.sloPolicy);
-
-    // Persistent per-core simulations seeded from the placement.
-    const std::uint64_t spanSampleN =
-        tracer_ != nullptr ? tracer_->sampler().n : 0;
-    std::vector<CoreSim> sims(config_.numCores);
-    std::vector<std::size_t> tenantCore = placement.tenantCore;
-    for (std::size_t c = 0; c < config_.numCores; ++c) {
-        CoreSim &sim = sims[c];
-        sim.index = c;
-        sim.rng = Rng(
-            Rng::deriveStream(config_.seed, kCoreStreamSalt + c));
-        sim.traceSeed = config_.seed;
-        sim.spanSampleN = spanSampleN;
-        sim.spanSampler = TraceSampler{spanSampleN};
-        sim.dist = config_.serviceDist;
-        sim.cv = config_.serviceCv;
-        sim.queueCapacity = config_.queueCapacity;
-        sim.durationSec = config_.durationSec;
-        sim.sampleTicks = config_.queueSampleTicks;
-        sim.tickSec =
-            config_.queueSampleTicks > 0
-                ? config_.durationSec /
-                      static_cast<double>(config_.queueSampleTicks)
-                : 0.0;
-        sim.needCharges = needCharges;
-        sim.endSec = config_.durationSec;
-        sim.flowTable = &flows;
-        sim.monitor = &monitor;
-        for (std::size_t idx : placement.coreTenants[c])
-            sim.residents.push_back(static_cast<std::uint32_t>(idx));
-        std::sort(sim.residents.begin(), sim.residents.end());
-    }
-
-    // Churn/quarantine bookkeeping surfaced in the report.
-    std::vector<char> activeNow(n, 1);
-    for (std::size_t i = 0; i < n; ++i)
-        activeNow[i] = startsInactive[i] ? 0 : 1;
-    std::vector<double> joinSecV(n, 0.0);
-    std::vector<double> leaveSecV(n, 0.0);
-    std::vector<std::uint64_t> migrationsV(n, 0);
-
-    // Hand one tenant's flow (waiting queue included) to another
-    // core at an epoch boundary; the in-flight request, if any,
-    // finishes on the source core from captured parameters.
-    auto migrateFlow = [&](std::size_t t, std::size_t dest,
-                           double now) {
-        const std::size_t src = tenantCore[t];
-        if (dest == src)
-            return;
-        CoreSim &s = sims[src];
-        CoreSim &d = sims[dest];
-        TenantFlow &f = flows[t];
-        s.removeResident(f.tenant);
-        d.addResident(f.tenant);
-        s.waiting -= f.queued();
-        d.waiting += f.queued();
-        d.depthPeak = std::max(d.depthPeak,
-                               static_cast<double>(d.waiting));
-        f.vtime = 0.0; // SCFQ state is per-core: rejoin at vclock
-        tenantCore[t] = dest;
-        if (f.queued() > 0)
-            d.kickIdle(now); // idle server must notice the handoff
-    };
-
-    // Dedicated core for an isolated antagonist: the emptiest other
-    // core (ties to the lowest index); stay if already alone.
-    auto isolationCore = [&](std::size_t t) {
-        const std::size_t cur = tenantCore[t];
-        if (sims[cur].residents.size() <= 1)
-            return cur;
-        std::size_t best = cur;
-        std::size_t bestCount =
-            std::numeric_limits<std::size_t>::max();
-        for (std::size_t c = 0; c < config_.numCores; ++c) {
-            if (c == cur)
-                continue;
-            if (sims[c].residents.size() < bestCount) {
-                best = c;
-                bestCount = sims[c].residents.size();
-            }
-        }
-        return best;
-    };
-
-    auto residentLists = [&]() {
-        std::vector<std::vector<std::size_t>> lists(
-            config_.numCores);
-        for (std::size_t c = 0; c < config_.numCores; ++c)
-            lists[c].assign(sims[c].residents.begin(),
-                            sims[c].residents.end());
-        return lists;
-    };
-
-    std::vector<double> prevCharged(n, 0.0);
+    std::vector<CoreSim> sims V10_SHARED_STATE;
+    std::vector<std::size_t> tenantCore;
+    std::vector<double> prevCharged;
     std::vector<double> charged;
-
-    ServingReport report;
-    std::size_t churnCursor = 0;
     std::vector<std::uint32_t> splitTenants;
-    ParallelExecutor exec(config_.jobs);
+    std::size_t churnCursor = 0;
+    ServingReport report;
+    ParallelExecutor exec;
 
-    for (std::size_t e = 0; e < E; ++e) {
-        const bool isFinal = e + 1 == E;
+    /** Set up the flows and the per-core simulations. */
+    ServeRun(const ServeConfig &config,
+             const std::vector<ServeTenant> &tenants,
+             const std::vector<double> &serviceUs,
+             ServePlacement placed, ResolvedChurn resolved,
+             NpuCluster *advisor, AttributionCollector *external,
+             std::uint64_t spanSampleN)
+        : config(config), tenants(tenants), n(tenants.size()),
+          placement(std::move(placed)), churn(std::move(resolved)),
+          advisor(advisor),
+          epochs(config.resilienceActive() ? SloMonitor::kBuckets : 1),
+          epochSec(config.durationSec / static_cast<double>(epochs)),
+          attrib(external != nullptr ? external : &internalAttrib),
+          needCharges(config.resilienceActive() ||
+                      external != nullptr),
+          statics(n),
+          gate(n, config.admission),
+          controller(n, config.detector, config.ladder),
+          monitor(n, config.durationSec, config.sloPolicy),
+          sims(config.numCores),
+          tenantCore(placement.tenantCore), prevCharged(n, 0.0),
+          exec(config.jobs)
+    {
+        for (const AntagonistProfile &p :
+             config.antagonists.profiles()) {
+            TenantStatic &st =
+                statics[static_cast<std::size_t>(p.tenant)];
+            if (p.kind == AntagonistKind::HbmHog)
+                st.hogs.push_back(p);
+            else if (p.kind == AntagonistKind::Thrash)
+                st.thrash.push_back(p);
+        }
+        // Lazy per-tenant arrival feeds: base process plus flood
+        // bursts, a pure function of (run seed, tenant index).
+        std::vector<ArrivalSpec> specs;
+        for (const ServeTenant &t : tenants)
+            specs.push_back(t.arrival);
+        const ArrivalPlan arrivals(std::move(specs), config.seed,
+                                   config.durationSec,
+                                   floodSources(config));
+        flows.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            gate.configure(i, tenants[i].arrival.rps);
+            TenantFlow &f = flows.emplace_back(arrivals.feed(i));
+            f.tenant = static_cast<std::uint32_t>(i);
+            f.soloMeanSec = serviceUs[i] * 1e-6;
+            f.serviceMeanSec =
+                f.soloMeanSec / placement.tenantSpeed[i];
+            f.weight = tenants[i].slo.weight;
+            f.sloTargetUs = tenants[i].slo.latencyTargetUs;
+            f.bucket = gate.bucket(i);
+            f.stat = &statics[i];
+            f.active = !churn.startsDormant[i];
+        }
+        for (std::size_t c = 0; c < sims.size(); ++c) {
+            CoreSim &sim = sims[c];
+            sim.index = c;
+            sim.rng = Rng(
+                Rng::deriveStream(config.seed, kCoreStreamSalt + c));
+            sim.traceSeed = config.seed;
+            sim.spanSampler = TraceSampler{spanSampleN};
+            sim.dist = config.serviceDist;
+            sim.cv = config.serviceCv;
+            sim.queueCapacity = config.queueCapacity;
+            sim.sampleTicks = config.queueSampleTicks;
+            sim.tickSec =
+                config.queueSampleTicks > 0
+                    ? config.durationSec /
+                          static_cast<double>(config.queueSampleTicks)
+                    : 0.0;
+            sim.needCharges = needCharges;
+            sim.endSec = config.durationSec;
+            sim.flowTable = &flows;
+            sim.monitor = &monitor;
+            for (std::size_t idx : placement.coreTenants[c])
+                sim.addResident(static_cast<std::uint32_t>(idx));
+        }
+        report.tenants.resize(n);
+    }
+
+    /** The cores point into flows and monitor: never copied. */
+    ServeRun(const ServeRun &) = delete;
+    ServeRun &operator=(const ServeRun &) = delete;
+
+    Status
+    registerTenants()
+    {
+        if (!needCharges)
+            return Status::ok();
+        // The detector reads chargedUs() by dense index, so the
+        // collector must be fresh: then tenant i gets dense index i.
+        if (attrib->tenantCount() != 0)
+            return parseError("serve: attribution collector already "
+                              "holds tenants; attach a fresh one",
+                              "", 0, tenants.front().name);
+        for (std::size_t i = 0; i < n; ++i)
+            (void)attrib->addTenant(static_cast<WorkloadId>(i),
+                                    tenants[i].name);
+        return Status::ok();
+    }
+
+    void
+    simulateEpoch(std::size_t e)
+    {
+        const bool isFinal = e + 1 == epochs;
         const double epochEnd =
-            isFinal ? config_.durationSec
+            isFinal ? config.durationSec
                     : static_cast<double>(e + 1) * epochSec;
 
         // A tenant still in service on a core it migrated away from
@@ -724,7 +580,7 @@ ClusterManager::run()
         for (std::uint32_t t : splitTenants)
             flows[t].foldSerially = false;
         splitTenants.clear();
-        for (std::size_t c = 0; c < config_.numCores; ++c) {
+        for (std::size_t c = 0; c < sims.size(); ++c) {
             const CoreSim &sim = sims[c];
             if (sim.busy && tenantCore[sim.servedTenant] != c &&
                 !flows[sim.servedTenant].foldSerially) {
@@ -736,219 +592,246 @@ ClusterManager::run()
         // Independent per-core epoch simulations; each worker only
         // touches its own CoreSim, its residents' flows and token
         // buckets, and their SLO monitor rows.
-        exec.forEach(config_.numCores, [&](std::size_t c) {
+        exec.forEach(sims.size(), [&](std::size_t c) {
             sims[c].completions.clear();
             sims[c].charges.clear();
             sims[c].runEpoch(epochEnd, isFinal);
         });
 
-        for (std::size_t c = 0; c < config_.numCores; ++c) {
-            for (const CompletionRec &r : sims[c].completions)
+        // Cores buffer charges only when needCharges is set.
+        for (const CoreSim &sim : sims) {
+            for (const CompletionRec &r : sim.completions)
                 foldCompletion(r, flows[r.tenant].acc, monitor);
-            if (needCharges) {
-                for (const WaitCharge &ch : sims[c].charges)
-                    attrib->chargeQueueWait(ch.victim, ch.perp,
-                                            ch.us);
+            for (const WaitCharge &ch : sim.charges)
+                attrib->chargeQueueWait(ch.victim, ch.perp, ch.us);
+        }
+    }
+
+    void
+    migrateFlow(std::size_t t, std::size_t dest, double now)
+    {
+        // Hand one tenant's flow (waiting queue included) to another
+        // core at an epoch boundary; the in-flight request, if any,
+        // finishes on the source core from captured parameters.
+        const std::size_t src = tenantCore[t];
+        if (dest == src)
+            return;
+        CoreSim &s = sims[src];
+        CoreSim &d = sims[dest];
+        TenantFlow &f = flows[t];
+        s.removeResident(f.tenant);
+        d.addResident(f.tenant);
+        s.waiting -= f.queued();
+        d.waiting += f.queued();
+        d.depthPeak =
+            std::max(d.depthPeak, static_cast<double>(d.waiting));
+        f.vtime = 0.0; // SCFQ state is per-core: rejoin at vclock
+        tenantCore[t] = dest;
+        if (f.queued() > 0)
+            d.kickIdle(now); // idle server must notice the handoff
+    }
+
+    /** The core with the fewest residents other than @p except, ties
+     * to the lowest index (@p except on a one-core fleet). */
+    std::size_t
+    emptiestOtherCore(std::size_t except) const
+    {
+        std::size_t best = except;
+        std::size_t bestCount = std::numeric_limits<std::size_t>::max();
+        for (std::size_t c = 0; c < sims.size(); ++c) {
+            if (c != except && sims[c].residents.size() < bestCount) {
+                best = c;
+                bestCount = sims[c].residents.size();
             }
         }
-        if (isFinal)
-            break;
+        return best;
+    }
 
-        // --- serial control step at the boundary ------------------
-        const double boundary = epochEnd;
+    /** Re-pair target core for recovering tenant @p t: the advisor's
+     * best predicted gain against a core's residents (when the
+     * advisor was trained), ties toward the emptiest core, then the
+     * lowest index; never the isolation core it leaves. */
+    std::size_t
+    repairCore(std::size_t t) const
+    {
+        const std::size_t current = tenantCore[t];
+        std::size_t best = current;
+        double bestGain = -1.0;
+        std::size_t bestCount = 0;
+        for (std::size_t c = 0; c < sims.size(); ++c) {
+            if (c == current)
+                continue;
+            double gain = 0.0;
+            for (std::uint32_t other : sims[c].residents) {
+                if (advisor != nullptr && other != t)
+                    gain = std::max(
+                        gain, advisor
+                                  ->predictedGain(tenants[t].model,
+                                                  tenants[other].model)
+                                  .value());
+            }
+            const std::size_t count = sims[c].residents.size();
+            if (best == current || gain > bestGain ||
+                (gain == bestGain && count < bestCount)) {
+                best = c;
+                bestGain = gain;
+                bestCount = count;
+            }
+        }
+        return best;
+    }
 
-        // 1) Churn events snapped to this boundary, in plan order.
-        while (churnCursor < churn.size() &&
-               churn[churnCursor].epoch == e + 1) {
-            const PlannedChurn &pc = churn[churnCursor++];
-            const std::size_t t = pc.tenant;
-            const std::size_t cur = tenantCore[t];
+    /** Control step at boundary @p b: churn events snapped to it (the
+     * nearest inner boundary), in plan order. */
+    void
+    applyChurn(std::size_t b)
+    {
+        const double boundary = static_cast<double>(b) * epochSec;
+        for (; churnCursor < churn.tenant.size(); ++churnCursor) {
+            const ChurnEvent &ev = config.churn.events()[churnCursor];
+            const auto snapped = static_cast<std::size_t>(
+                std::llround(ev.atSec / epochSec));
+            if (std::clamp<std::size_t>(snapped, 1, epochs - 1) != b)
+                break;
+            const std::size_t t = churn.tenant[churnCursor];
+            TenantFlow &f = flows[t];
+            TenantServingStats &ts = report.tenants[t];
             ChurnRecord rec;
             rec.timeSec = boundary;
-            rec.action = churnActionName(pc.event.action);
-            rec.tenant = tenants_[t].name;
-            rec.fromCore = cur;
-            rec.toCore = cur;
-            switch (pc.event.action) {
-              case ChurnAction::Join: {
-                TenantFlow &f = flows[t];
+            rec.action = churnActionName(ev.action);
+            rec.tenant = tenants[t].name;
+            rec.fromCore = rec.toCore = tenantCore[t];
+            switch (ev.action) {
+              case ChurnAction::Join:
                 f.active = true;
-                // Arrivals before the join never happened: skip
-                // them un-counted.
+                // Arrivals before the join never happened: skip them
+                // un-counted.
                 while (f.nextArrival < boundary) {
                     f.nextArrival = f.arrivals.next();
                     ++f.seq;
                 }
-                activeNow[t] = 1;
-                joinSecV[t] = boundary;
-                leaveSecV[t] = 0.0;
+                ts.joinSec = boundary;
+                ts.leaveSec = 0.0;
                 break;
-              }
-              case ChurnAction::Leave: {
-                flows[t].active = false; // queue drains gracefully
-                activeNow[t] = 0;
-                leaveSecV[t] = boundary;
+              case ChurnAction::Leave:
+                f.active = false; // queue drains gracefully
+                ts.leaveSec = boundary;
                 break;
-              }
-              case ChurnAction::Migrate: {
-                std::size_t dest;
-                if (pc.event.core >= 0) {
-                    dest =
-                        static_cast<std::size_t>(pc.event.core);
-                } else {
-                    // Least-loaded: fewest resident flows, ties to
-                    // the lowest index, never the source core.
-                    dest = cur;
-                    std::size_t bestCount =
-                        std::numeric_limits<std::size_t>::max();
-                    for (std::size_t c = 0; c < config_.numCores;
-                         ++c) {
-                        if (c == cur)
-                            continue;
-                        if (sims[c].residents.size() < bestCount) {
-                            dest = c;
-                            bestCount = sims[c].residents.size();
-                        }
-                    }
-                }
-                rec.toCore = dest;
-                ++migrationsV[t];
-                migrateFlow(t, dest, boundary);
+              case ChurnAction::Migrate:
+                rec.toCore = ev.core >= 0
+                                 ? static_cast<std::size_t>(ev.core)
+                                 : emptiestOtherCore(rec.fromCore);
+                ++ts.migrations;
+                migrateFlow(t, rec.toCore, boundary);
                 break;
-              }
             }
             report.churnEvents.push_back(std::move(rec));
         }
+    }
 
-        // 2) AIMD admission adaptation from the online burn-rate
-        //    signal (SLO monitor data through this epoch).
-        if (gate.enabled()) {
-            for (std::size_t t = 0; t < n; ++t) {
-                if (!activeNow[t] ||
-                    controller.stage(t) ==
-                        QuarantineStage::Evicted)
-                    continue;
-                const BurnRateStatus st =
-                    monitor.statusAt(t, boundary);
-                const AdmissionGate::Change change =
-                    gate.adapt(t, st.alert);
-                if (change == AdmissionGate::Change::Held)
-                    continue;
-                AdmissionRecord rec;
-                rec.timeSec = boundary;
-                rec.epoch = e + 1;
-                rec.tenant = tenants_[t].name;
-                rec.action =
-                    change == AdmissionGate::Change::Decreased
-                        ? "decrease"
-                        : "recover";
-                rec.rateRps = gate.rateRps(t);
-                report.admissionEvents.push_back(std::move(rec));
-            }
-        }
-
-        // 3) Antagonist detection and the quarantine ladder: the
-        //    epoch perpetrator score is the queue-wait the tenant
-        //    inflicted this epoch per microsecond of epoch (mean
-        //    co-runner requests stalled behind it).
-        if (needCharges) {
-            const double epochUs = epochSec * 1e6;
-            attrib->chargedUsAll(charged);
-            for (std::size_t t = 0; t < n; ++t) {
-                const double total = charged[t];
-                const double score =
-                    (total - prevCharged[t]) / epochUs;
-                prevCharged[t] = total;
-                QuarantineController::Transition tr;
-                if (!controller.observe(t, score, &tr))
-                    continue;
-                QuarantineRecord rec;
-                rec.timeSec = boundary;
-                rec.epoch = e + 1;
-                rec.tenant = tenants_[t].name;
-                rec.from = quarantineStageName(tr.from);
-                rec.to = quarantineStageName(tr.to);
-                rec.strikes = tr.strikes;
-                rec.score = tr.score;
-                report.quarantineEvents.push_back(std::move(rec));
-                auto refreshBucket = [&] {
-                    flows[t].bucket = gate.bucket(t);
-                };
-                switch (tr.to) {
-                  case QuarantineStage::Throttled:
-                    if (tr.from == QuarantineStage::Isolated) {
-                        // De-escalation: keep the throttle, re-pair
-                        // with the best-matched survivors.
-                        migrateFlow(t,
-                                    repairCore(t, tenantCore[t],
-                                               residentLists()),
-                                    boundary);
-                    } else {
-                        gate.throttle(
-                            t, config_.ladder.throttleFactor);
-                        refreshBucket();
-                    }
-                    break;
-                  case QuarantineStage::Isolated:
-                    migrateFlow(t, isolationCore(t), boundary);
-                    break;
-                  case QuarantineStage::Evicted: {
-                    gate.block(t);
-                    refreshBucket();
-                    TenantFlow &f = flows[t];
-                    f.active = false;
-                    activeNow[t] = 0;
-                    const std::size_t dropped = f.queued();
-                    f.shed += dropped; // queue dropped
-                    sims[tenantCore[t]].waiting -= dropped;
-                    f.clearQueue();
-                    break;
-                  }
-                  case QuarantineStage::Healthy:
-                    gate.release(t);
-                    refreshBucket();
-                    break;
-                }
-            }
+    /** Control step at boundary @p b: AIMD admission adaptation from
+     * the online burn-rate signal (SLO monitor data so far). */
+    void
+    adaptAdmission(std::size_t b)
+    {
+        if (!gate.enabled())
+            return;
+        const double boundary = static_cast<double>(b) * epochSec;
+        for (std::size_t t = 0; t < n; ++t) {
+            if (!flows[t].active ||
+                controller.stage(t) == QuarantineStage::Evicted)
+                continue;
+            const BurnRateStatus st = monitor.statusAt(t, boundary);
+            const AdmissionGate::Change change =
+                gate.adapt(t, st.alert);
+            if (change == AdmissionGate::Change::Held)
+                continue;
+            AdmissionRecord rec;
+            rec.timeSec = boundary;
+            rec.epoch = b;
+            rec.tenant = tenants[t].name;
+            rec.action = change == AdmissionGate::Change::Decreased
+                             ? "decrease"
+                             : "recover";
+            rec.rateRps = gate.rateRps(t);
+            report.admissionEvents.push_back(std::move(rec));
         }
     }
 
-    report.policy = placementPolicyName(config_.policy);
-    report.durationSec = config_.durationSec;
-    report.cores = config_.numCores;
-    report.controlEpochs = E;
-    report.admissionEnabled = gate.enabled();
-    report.tenants.resize(n);
-
-    double util_sum = 0.0;
-    for (std::size_t c = 0; c < config_.numCores; ++c) {
-        const CoreSim &sim = sims[c];
-        CoreServingStats core;
-        core.index = c;
-        core.served = sim.served;
-        core.busySec = sim.busySec;
-        core.util =
-            sim.endSec > 0.0 ? sim.busySec / sim.endSec : 0.0;
-        const double horizon =
-            std::max(sim.endSec, config_.durationSec);
-        if (horizon > 0.0) {
-            core.queueDepthMean = sim.depthArea / horizon;
-            core.inFlightMean = sim.busyArea / horizon;
+    /** Control step at boundary @p b: antagonist detection and the
+     * quarantine ladder. The epoch perpetrator score is the
+     * queue-wait the tenant inflicted this epoch per microsecond of
+     * epoch (mean co-runner requests stalled behind it). */
+    void
+    stepQuarantine(std::size_t b)
+    {
+        if (!needCharges)
+            return;
+        const double boundary = static_cast<double>(b) * epochSec;
+        const double epochUs = epochSec * 1e6;
+        attrib->chargedUsAll(charged);
+        for (std::size_t t = 0; t < n; ++t) {
+            const double score = (charged[t] - prevCharged[t]) / epochUs;
+            prevCharged[t] = charged[t];
+            QuarantineController::Transition tr;
+            if (!controller.observe(t, score, &tr))
+                continue;
+            QuarantineRecord rec;
+            rec.timeSec = boundary;
+            rec.epoch = b;
+            rec.tenant = tenants[t].name;
+            rec.from = quarantineStageName(tr.from);
+            rec.to = quarantineStageName(tr.to);
+            rec.strikes = tr.strikes;
+            rec.score = tr.score;
+            report.quarantineEvents.push_back(std::move(rec));
+            applyTransition(t, tr, boundary);
         }
-        core.queueDepthPeak = sim.depthPeak;
-        for (std::uint32_t idx : sim.residents) {
-            core.tenants.push_back(tenants_[idx].name);
-            core.speedFactor = placement.tenantSpeed[idx];
-        }
-        if (!sim.residents.empty()) {
-            ++report.coresUsed;
-            util_sum += core.util;
-        }
-        report.coreStats.push_back(std::move(core));
     }
 
-    for (std::size_t i = 0; i < n; ++i) {
-        const ServeTenant &t = tenants_[i];
+    void
+    applyTransition(std::size_t t,
+                    const QuarantineController::Transition &tr,
+                    double boundary)
+    {
+        TenantFlow &f = flows[t];
+        const std::size_t cur = tenantCore[t];
+        switch (tr.to) {
+          case QuarantineStage::Throttled:
+            if (tr.from == QuarantineStage::Isolated) {
+                // De-escalation: keep the throttle, re-pair with the
+                // best-matched survivors.
+                migrateFlow(t, repairCore(t), boundary);
+                return;
+            }
+            gate.throttle(t, config.ladder.throttleFactor);
+            break;
+          case QuarantineStage::Isolated:
+            // A dedicated core; stay if already alone.
+            migrateFlow(t,
+                        sims[cur].residents.size() <= 1
+                            ? cur
+                            : emptiestOtherCore(cur),
+                        boundary);
+            return;
+          case QuarantineStage::Evicted:
+            gate.block(t);
+            f.active = false;
+            f.shed += f.queued(); // queue dropped
+            sims[cur].waiting -= f.queued();
+            f.clearQueue();
+            break;
+          case QuarantineStage::Healthy:
+            gate.release(t);
+            break;
+        }
+        f.bucket = gate.bucket(t);
+    }
+
+    const TenantServingStats &
+    tenantStats(std::size_t i)
+    {
+        const ServeTenant &t = tenants[i];
         const TenantFlow &f = flows[i];
         const TenantAccum &a = f.acc;
         TenantServingStats &ts = report.tenants[i];
@@ -963,11 +846,11 @@ ClusterManager::run()
         ts.sloViolations = a.violations;
         ts.sloTargetUs = t.slo.latencyTargetUs;
         ts.weight = t.slo.weight;
-        ts.offeredRps = static_cast<double>(ts.offered) /
-                        config_.durationSec;
+        ts.offeredRps =
+            static_cast<double>(ts.offered) / config.durationSec;
         ts.goodputRps =
             static_cast<double>(ts.completed - ts.sloViolations) /
-            config_.durationSec;
+            config.durationSec;
         ts.meanUs = a.latencyUs.mean();
         ts.p50Us = a.latencyUs.percentile(50.0);
         ts.p99Us = a.latencyUs.percentile(99.0);
@@ -985,50 +868,77 @@ ClusterManager::run()
             ts.admitDecreases = gate.decreases(i);
             ts.admitIncreases = gate.increases(i);
         }
-        ts.quarantineStage =
-            quarantineStageName(controller.stage(i));
+        ts.quarantineStage = quarantineStageName(controller.stage(i));
         ts.strikes = controller.strikes(i);
         ts.peakAntagonistScore = controller.peakScore(i);
-        ts.joinSec = joinSecV[i];
-        ts.leaveSec = leaveSecV[i];
-        ts.migrations = migrationsV[i];
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
         const BurnRateStatus burn = monitor.status(i);
-        report.tenants[i].burnShort = burn.shortBurn;
-        report.tenants[i].burnLong = burn.longBurn;
-        report.tenants[i].sloAlert = burn.alert;
-        if (burn.alert)
-            ++report.sloAlerts;
+        ts.burnShort = burn.shortBurn;
+        ts.burnLong = burn.longBurn;
+        ts.sloAlert = burn.alert;
+        return ts;
     }
-    for (const TenantServingStats &ts : report.tenants) {
-        report.offered += ts.offered;
-        report.completed += ts.completed;
-        report.shed += ts.shed;
-        report.rejected += ts.rejected;
-        report.inFlightAtEnd += ts.inFlightAtEnd;
-        report.sloViolations += ts.sloViolations;
-        report.goodputRps += ts.goodputRps;
-    }
-    report.meanCoreUtil =
-        report.coresUsed > 0
-            ? util_sum / static_cast<double>(report.coresUsed)
-            : 0.0;
-    // Conservation self-check: a leaked shed/reject path is a bug,
-    // surfaced as a structured error rather than silent drift.
-    if (Status s = report.checkConservation(); !s)
-        return s.error();
 
-    if (tracer_ != nullptr) {
+    Status
+    assembleReport()
+    {
+        report.policy = placementPolicyName(config.policy);
+        report.durationSec = config.durationSec;
+        report.cores = config.numCores;
+        report.controlEpochs = epochs;
+        report.admissionEnabled = gate.enabled();
+        double utilSum = 0.0;
+        for (const CoreSim &sim : sims) {
+            // endSec starts at the duration and only grows: it is the
+            // horizon of the occupancy integrals.
+            CoreServingStats &core = report.coreStats.emplace_back();
+            core.index = sim.index;
+            core.served = sim.served;
+            core.busySec = sim.busySec;
+            core.util = sim.busySec / sim.endSec;
+            core.queueDepthMean = sim.depthArea / sim.endSec;
+            core.inFlightMean = sim.busyArea / sim.endSec;
+            core.queueDepthPeak = sim.depthPeak;
+            for (std::uint32_t idx : sim.residents) {
+                core.tenants.push_back(tenants[idx].name);
+                core.speedFactor = placement.tenantSpeed[idx];
+            }
+            if (!sim.residents.empty()) {
+                ++report.coresUsed;
+                utilSum += core.util;
+            }
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            const TenantServingStats &ts = tenantStats(i);
+            report.offered += ts.offered;
+            report.completed += ts.completed;
+            report.shed += ts.shed;
+            report.rejected += ts.rejected;
+            report.inFlightAtEnd += ts.inFlightAtEnd;
+            report.sloViolations += ts.sloViolations;
+            report.goodputRps += ts.goodputRps;
+            report.sloAlerts += ts.sloAlert ? 1 : 0;
+        }
+        report.meanCoreUtil =
+            report.coresUsed > 0
+                ? utilSum / static_cast<double>(report.coresUsed)
+                : 0.0;
+        // Conservation self-check: a leaked shed/reject path is a
+        // bug, surfaced as a structured error, not silent drift.
+        return report.checkConservation();
+    }
+
+    void
+    emitSpans(RequestTracer *tracer) const
+    {
+        if (tracer == nullptr)
+            return;
         // Merge per-core span lists into one deterministic total
         // order: (arrival, tenant, seq) — identical for any jobs
         // value because the per-core lists themselves are.
         std::vector<RequestSpan> merged;
         for (const CoreSim &sim : sims) {
-            for (const RequestSpan &s : sim.spans) {
-                RequestSpan span = s;
-                span.tenant = tenants_[span.ctx.tenant].name;
+            for (RequestSpan span : sim.spans) {
+                span.tenant = tenants[span.ctx.tenant].name;
                 merged.push_back(std::move(span));
             }
         }
@@ -1041,44 +951,78 @@ ClusterManager::run()
                       return a.ctx.seq < b.ctx.seq;
                   });
         for (RequestSpan &span : merged)
-            tracer_->add(std::move(span));
+            tracer->add(std::move(span));
     }
 
-    if (sampler_ != nullptr && config_.queueSampleTicks > 0) {
+    void
+    emitQueueSamples(IntervalSampler *sampler) const
+    {
+        if (sampler == nullptr || config.queueSampleTicks == 0)
+            return;
         // Per-core occupancy series as sampler columns, one row per
         // tick; cycle timestamps come from the core clock so the
         // Chrome counter tracks line up with the rest of the trace.
-        for (std::size_t c = 0; c < config_.numCores; ++c) {
-            const std::string prefix =
-                "core" + std::to_string(c);
-            sampler_->addManualColumn(prefix + ".queue_depth");
-            sampler_->addManualColumn(prefix + ".in_flight");
+        for (std::size_t c = 0; c < sims.size(); ++c) {
+            const std::string prefix = "core" + std::to_string(c);
+            sampler->addManualColumn(prefix + ".queue_depth");
+            sampler->addManualColumn(prefix + ".in_flight");
         }
-        const double cyclesPerSec = config_.core.freqGHz * 1e9;
-        const double tickSec =
-            config_.durationSec /
-            static_cast<double>(config_.queueSampleTicks);
-        std::vector<double> row(config_.numCores * 2, 0.0);
-        for (std::size_t k = 0; k < config_.queueSampleTicks; ++k) {
-            for (std::size_t c = 0; c < config_.numCores; ++c) {
-                const CoreSim &sim = sims[c];
-                row[c * 2] = k < sim.depthSamples.size()
-                                 ? sim.depthSamples[k]
-                                 : 0.0;
-                row[c * 2 + 1] = k < sim.inflightSamples.size()
-                                     ? sim.inflightSamples[k]
-                                     : 0.0;
+        const double cyclesPerSec = config.core.freqGHz * 1e9;
+        std::vector<double> row(sims.size() * 2, 0.0);
+        for (std::size_t k = 0; k < config.queueSampleTicks; ++k) {
+            // The final epoch pads every series to the tick count.
+            for (std::size_t c = 0; c < sims.size(); ++c) {
+                row[c * 2] = sims[c].depthSamples[k];
+                row[c * 2 + 1] = sims[c].inflightSamples[k];
             }
             const auto cycle = static_cast<Cycles>(
-                static_cast<double>(k + 1) * tickSec *
+                static_cast<double>(k + 1) * sims.front().tickSec *
                 cyclesPerSec);
-            sampler_->appendRow(cycle, row);
+            sampler->appendRow(cycle, row);
         }
     }
+};
 
+} // namespace
+
+Result<ServingReport>
+ClusterManager::run()
+{
+    auto placement = place();
+    if (!placement.ok())
+        return placement.error();
+    if (Status s = checkResilience(config_, tenants_.size()); !s)
+        return s.error();
+    std::vector<std::string> names;
+    for (const ServeTenant &t : tenants_)
+        names.push_back(t.name);
+    auto churn = config_.churn.resolve(names, config_.numCores);
+    if (!churn.ok())
+        return churn.error();
+    // Resolve service means up front (cache fills are not
+    // thread-safe, and the fan-out workers read them).
+    for (std::size_t i = 0; i < tenants_.size(); ++i)
+        (void)serviceUs(i);
+    ServeRun run(config_, tenants_, service_us_cache_, placement.take(),
+                 churn.take(), advisor_fleet_.get(), attribution_,
+                 tracer_ != nullptr ? tracer_->sampler().n : 0);
+    if (Status s = run.registerTenants(); !s)
+        return s.error();
+    // Each epoch but the last ends in the serial control step.
+    for (std::size_t b = 1; b < run.epochs; ++b) {
+        run.simulateEpoch(b - 1);
+        run.applyChurn(b);
+        run.adaptAdmission(b);
+        run.stepQuarantine(b);
+    }
+    run.simulateEpoch(run.epochs - 1);
+    if (Status s = run.assembleReport(); !s)
+        return s.error();
+    run.emitSpans(tracer_);
+    run.emitQueueSamples(sampler_);
     if (stats_ != nullptr)
-        registerServingStats(*stats_, report);
-    return report;
+        registerServingStats(*stats_, run.report);
+    return std::move(run.report);
 }
 
 } // namespace v10

@@ -276,13 +276,6 @@ class ClusterManager
     Status checkConfig() const;
     Result<ServePlacement> placeAdvisor();
 
-    /** Re-pair target core for a recovering tenant (advisor gain
-     * when trained, else fewest residents); @p residents lists the
-     * current tenants per core. */
-    std::size_t
-    repairCore(std::size_t tenant, std::size_t current,
-               const std::vector<std::vector<std::size_t>> &residents);
-
     ServeConfig config_;
     ExperimentRunner runner_;
     std::vector<ServeTenant> tenants_;

@@ -183,47 +183,34 @@ CoreSim::finish()
             charges.push_back(WaitCharge{ti, servedTenant, serviceUs});
         }
     }
-    if (spanSampleN > 0) {
-        const TraceContext ctx =
-            TraceContext::make(traceSeed, servedTenant, servedSeq);
-        if (spanSampler.sampled(ctx.traceId)) {
-            RequestSpan span;
-            span.ctx = ctx;
-            span.core = index;
-            span.arrivalUs = servedArrival * 1e6;
-            span.startUs = servedStart * 1e6;
-            span.endUs = busyUntil * 1e6;
-            span.soloUs = soloUs;
-            span.sloTargetUs = target;
-            span.violated = violated;
-            spans.push_back(std::move(span));
-        }
+    if (RequestSpan *span = sampledSpan(servedTenant, servedSeq,
+                                        servedArrival, target)) {
+        span->startUs = servedStart * 1e6;
+        span->endUs = busyUntil * 1e6;
+        span->soloUs = soloUs;
+        span->violated = violated;
     }
     endSec = std::max(endSec, busyUntil);
     busy = false;
 }
 
-void
-CoreSim::dropSpan(const TenantFlow &f, double atSec, std::uint64_t seq,
-                  bool wasRejected)
+RequestSpan *
+CoreSim::sampledSpan(std::uint32_t tenant, std::uint64_t seq,
+                     double arrivalSec, double sloTargetUs)
 {
-    // A span for an arrival that never entered the queue (admission
-    // rejection or queue-full shed).
-    if (spanSampleN == 0)
-        return;
-    const TraceContext ctx = TraceContext::make(traceSeed, f.tenant, seq);
+    if (spanSampler.n == 0)
+        return nullptr;
+    const TraceContext ctx = TraceContext::make(traceSeed, tenant, seq);
     if (!spanSampler.sampled(ctx.traceId))
-        return;
-    RequestSpan span;
+        return nullptr;
+    RequestSpan &span = spans.emplace_back();
     span.ctx = ctx;
     span.core = index;
-    span.arrivalUs = atSec * 1e6;
+    span.arrivalUs = arrivalSec * 1e6;
     span.startUs = span.arrivalUs;
     span.endUs = span.arrivalUs;
-    span.sloTargetUs = f.sloTargetUs;
-    span.shed = !wasRejected;
-    span.rejected = wasRejected;
-    spans.push_back(std::move(span));
+    span.sloTargetUs = sloTargetUs;
+    return &span;
 }
 
 void
@@ -261,10 +248,12 @@ CoreSim::runEpoch(double epochEnd, bool isFinal)
         advanceTime(atTime);
         if (f.bucket != nullptr && !f.bucket->tryAdmit(atTime)) {
             ++f.rejected;
-            dropSpan(f, atTime, seq, /*wasRejected=*/true);
+            if (RequestSpan *s = sampledSpan(t, seq, atTime, f.sloTargetUs))
+                s->rejected = true;
         } else if (f.queued() >= queueCapacity) {
             ++f.shed; // bounded queue: load-shed
-            dropSpan(f, atTime, seq, /*wasRejected=*/false);
+            if (RequestSpan *s = sampledSpan(t, seq, atTime, f.sloTargetUs))
+                s->shed = true;
         } else {
             if (f.queued() == 0)
                 backlog_.push(f.vtime, t); // empty -> backlogged
@@ -283,7 +272,7 @@ CoreSim::runEpoch(double epochEnd, bool isFinal)
     }
     // Close the integrals at the drain point and emit any remaining
     // (idle) ticks.
-    advanceTime(std::max(endSec, durationSec));
+    advanceTime(endSec);
     while (sampleTicks > 0 && nextTick <= sampleTicks) {
         depthSamples.push_back(0.0);
         inflightSamples.push_back(0.0);

@@ -252,12 +252,10 @@ class V10_DOMAIN_LOCAL CoreSim
     std::size_t index = 0;
     Rng rng{0};
     std::uint64_t traceSeed = 0;
-    std::uint64_t spanSampleN = 0;
-    TraceSampler spanSampler{1};
+    TraceSampler spanSampler{0}; ///< n = 0: no spans
     ServiceDist dist{};
     double cv = 1.0;
     std::size_t queueCapacity = 64;
-    double durationSec = 1.0;
     std::size_t sampleTicks = 0;
     double tickSec = 0.0;
     bool needCharges = false;
@@ -295,7 +293,9 @@ class V10_DOMAIN_LOCAL CoreSim
     double busyArea = 0.0;
     double depthPeak = 0.0;
     double busySec = 0.0;
-    double endSec = 0.0; ///< last completion (>= duration horizon)
+    /** The duration, or the last completion when one lands past it:
+     * the horizon of the occupancy integrals. */
+    double endSec = 0.0;
     std::uint64_t served = 0;
     std::vector<double> depthSamples;
     std::vector<double> inflightSamples;
@@ -332,8 +332,10 @@ class V10_DOMAIN_LOCAL CoreSim
     double drawService(const TenantFlow &f, double now);
     void startNext(double now);
     void finish();
-    void dropSpan(const TenantFlow &f, double atSec, std::uint64_t seq,
-                  bool wasRejected);
+    /** Append the span of request (tenant, seq) when it is sampled,
+     * with its end at its arrival; nullptr when it is not. */
+    RequestSpan *sampledSpan(std::uint32_t tenant, std::uint64_t seq,
+                             double arrivalSec, double sloTargetUs);
 
     TenantHeap arrivals_; ///< (next arrival, tenant), active flows
     TenantHeap backlog_;  ///< (vtime, tenant), flows with a queue

@@ -423,6 +423,29 @@ TEST(Cli, ServeMigrateFloodStatsJsonMatchesGolden)
               golden("serve_migrate_flood_stats.json"));
 }
 
+TEST(Cli, ServeAdvisorEvictStatsJsonMatchesGolden)
+{
+    // Advisor placement (pair speed factors), an hbm-hog that climbs
+    // the ladder to eviction, isolated tenants re-paired through the
+    // advisor's gains, and a migrate without core= (the emptiest
+    // other core): paths the other serve goldens never reach.
+    const std::string json =
+        ::testing::TempDir() + "/cli_golden_advisor_evict.json";
+    ASSERT_EQ(runCli("serve --tenants 12 --cores 4 --duration 1 "
+                     "--util 0.8 --arrivals mixed --slo 25x:1,50x:2 "
+                     "--models BERT,NCF,RsNt --policy advisor --seed 5 "
+                     "--antagonist hbm-hog:tenant=2:mag=4:after=0.1 "
+                     "--strikes-throttle 1 --strikes-isolate 2 "
+                     "--strikes-evict 3 "
+                     "--churn migrate:tenant=NCF#1:at=0.4 "
+                     "--stats-json " +
+                     json)
+                  .first,
+              0);
+    EXPECT_EQ(stripWallSeconds(readFile(json)),
+              golden("serve_advisor_evict_stats.json"));
+}
+
 TEST(Cli, RunStatsJsonHasSchemaAndAgreesWithItself)
 {
     const std::string path =

@@ -450,6 +450,58 @@ TEST(ServeChurn, PlanValidationFailsStructured)
     EXPECT_FALSE(run_with_plan("leave:tenant=a:at=5").ok());
 }
 
+TEST(ChurnPlanResolve, BindsTenantsInPlanOrderAndStartsJoinersDormant)
+{
+    // No fleet: the plan is resolved against a list of tenant names.
+    auto plan = ChurnPlan::parse("migrate:tenant=c:at=0.7,"
+                                 "join:tenant=b:at=0.2,"
+                                 "leave:tenant=b:at=0.9,"
+                                 "leave:tenant=a:at=0.5,"
+                                 "join:tenant=a:at=0.8");
+    ASSERT_TRUE(plan.ok());
+    const auto resolved =
+        plan.value().resolve({"a", "b", "c", "d"}, /*numCores=*/2);
+    ASSERT_TRUE(resolved.ok()) << resolved.error().toString();
+    // One index per event, in the plan's (time-sorted) order.
+    EXPECT_EQ(resolved.value().tenant,
+              (std::vector<std::size_t>{1, 0, 2, 0, 1}));
+    // b's first event is a join, so b starts dormant; a leaves and
+    // rejoins, so it starts active, like the untouched c and d.
+    EXPECT_EQ(resolved.value().startsDormant,
+              (std::vector<bool>{false, true, false, false}));
+}
+
+TEST(ChurnPlanResolve, RejectsEachBadTransitionStructured)
+{
+    const std::vector<std::string> tenants{"a", "b"};
+    auto resolveError = [&](const std::string &spec) {
+        auto plan = ChurnPlan::parse(spec);
+        EXPECT_TRUE(plan.ok()) << spec;
+        const auto resolved =
+            plan.value().resolve(tenants, /*numCores=*/2);
+        EXPECT_FALSE(resolved.ok()) << spec;
+        return resolved.ok() ? ParseError{} : resolved.error();
+    };
+    ParseError e = resolveError("leave:tenant=nope:at=1");
+    EXPECT_EQ(e.message, "churn: unknown tenant");
+    EXPECT_EQ(e.token, "nope");
+    e = resolveError("join:tenant=a:at=0.5,join:tenant=a:at=1");
+    EXPECT_EQ(e.message, "churn: tenant already joined");
+    EXPECT_EQ(e.token, "join:tenant=a:at=1");
+    e = resolveError(
+        "leave:tenant=a:at=0.5,migrate:tenant=a:at=1:core=1");
+    EXPECT_EQ(e.message, "churn: tenant is not active");
+    EXPECT_EQ(e.token, "migrate:tenant=a:at=1:core=1");
+    e = resolveError("migrate:tenant=b:at=1:core=2");
+    EXPECT_EQ(e.message, "churn: migrate core out of range");
+    EXPECT_EQ(e.token, "migrate:tenant=b:at=1:core=2");
+    // The last legal core and a pick-for-me migrate both resolve.
+    auto ok = ChurnPlan::parse("migrate:tenant=b:at=1:core=1,"
+                               "migrate:tenant=a:at=1");
+    ASSERT_TRUE(ok.ok());
+    EXPECT_TRUE(ok.value().resolve(tenants, 2).ok());
+}
+
 // ---------------------------------------------------------------
 // Quarantine inside a run
 // ---------------------------------------------------------------
@@ -767,6 +819,33 @@ TEST(ServeChaosScenario, AttributionMatrixNamesThePerpetrator)
         registry.has("serve.tenant.BERT_11.attrib.charged_us"));
     EXPECT_GT(registry.value("serve.tenant.BERT_11.attrib.charged_us"),
               0.0);
+}
+
+TEST(ServeChaosScenario, UsedAttributionCollectorIsRefusedUntouched)
+{
+    // The detector reads the collector by dense index, so a collector
+    // that already holds tenants is a structured run() error, and the
+    // refused run registers nothing in it.
+    ServeConfig cfg = smallConfig(2);
+    cfg.admission.enabled = true;
+    ClusterManager manager(cfg);
+    ASSERT_TRUE(manager.addTenant(tenant("a", 100.0, 100.0)));
+    ASSERT_TRUE(manager.addTenant(tenant("b", 100.0, 100.0)));
+    AttributionCollector attribution;
+    attribution.addTenant(static_cast<WorkloadId>(7), "earlier");
+    manager.setAttribution(&attribution);
+    const auto report_or = manager.run();
+    ASSERT_FALSE(report_or.ok());
+    EXPECT_EQ(report_or.error().message,
+              "serve: attribution collector already holds tenants; "
+              "attach a fresh one");
+    EXPECT_EQ(report_or.error().token, "a");
+    EXPECT_EQ(attribution.tenantCount(), 1u);
+
+    AttributionCollector fresh;
+    manager.setAttribution(&fresh);
+    ASSERT_TRUE(manager.run().ok());
+    EXPECT_EQ(fresh.tenantCount(), 2u);
 }
 
 } // namespace

@@ -30,6 +30,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -239,6 +240,39 @@ schedulerFromArgs(const Args &args)
     return *kind;
 }
 
+/** Load the --@p fileFlag JSON plan into @p plan, then hand the
+ * --@p specFlag plan to @p merge; whether either flag was given. */
+template <typename Plan, typename Merge>
+bool
+planFromArgs(const Args &args, const std::string &fileFlag,
+             const std::string &specFlag, Plan &plan, Merge merge)
+{
+    if (args.has(fileFlag)) {
+        auto loaded = Plan::fromJsonFile(args.get(fileFlag, ""));
+        if (!loaded.ok())
+            usageError(loaded.error().toString());
+        plan = loaded.take();
+    }
+    if (args.has(specFlag)) {
+        auto parsed = Plan::parse(args.get(specFlag, ""));
+        if (!parsed.ok())
+            usageError(parsed.error().toString());
+        merge(parsed.value());
+    }
+    return args.has(fileFlag) || args.has(specFlag);
+}
+
+/** --fault-plan, then the --faults sites merged into @p plan. */
+bool
+faultPlanFromArgs(const Args &args, FaultPlan &plan)
+{
+    return planFromArgs(args, "fault-plan", "faults", plan,
+                        [&](const FaultPlan &spec) {
+                            for (const FaultSite &site : spec.sites())
+                                plan.add(site);
+                        });
+}
+
 /**
  * --faults/--fault-plan/--fault-seed plus the degradation knobs.
  * The returned plan must stay alive while @p res is in use.
@@ -246,25 +280,8 @@ schedulerFromArgs(const Args &args)
 ResilienceOptions
 resilienceFromArgs(const Args &args, FaultPlan &plan)
 {
-    bool have_faults = false;
-    if (args.has("fault-plan")) {
-        auto loaded =
-            FaultPlan::fromJsonFile(args.get("fault-plan", ""));
-        if (!loaded.ok())
-            usageError(loaded.error().toString());
-        plan = loaded.take();
-        have_faults = true;
-    }
-    if (args.has("faults")) {
-        auto parsed = FaultPlan::parse(args.get("faults", ""));
-        if (!parsed.ok())
-            usageError(parsed.error().toString());
-        for (const FaultSite &site : parsed.value().sites())
-            plan.add(site);
-        have_faults = true;
-    }
     ResilienceOptions res;
-    if (have_faults)
+    if (faultPlanFromArgs(args, plan))
         res.faults = &plan;
     res.faultSeed = args.getUint("fault-seed", "0");
     res.watchdogInterval =
@@ -290,36 +307,16 @@ void
 serveResilienceFromArgs(const Args &args, ServeConfig &cfg,
                         FaultPlan &faults)
 {
-    if (args.has("churn-plan")) {
-        auto loaded =
-            ChurnPlan::fromJsonFile(args.get("churn-plan", ""));
-        if (!loaded.ok())
-            usageError(loaded.error().toString());
-        cfg.churn = loaded.take();
-    }
-    if (args.has("churn")) {
-        auto parsed = ChurnPlan::parse(args.get("churn", ""));
-        if (!parsed.ok())
-            usageError(parsed.error().toString());
-        for (const ChurnEvent &event : parsed.value().events())
-            cfg.churn.add(event);
-    }
-
-    if (args.has("antagonist-plan")) {
-        auto loaded = AntagonistPlan::fromJsonFile(
-            args.get("antagonist-plan", ""));
-        if (!loaded.ok())
-            usageError(loaded.error().toString());
-        cfg.antagonists = loaded.take();
-    }
-    if (args.has("antagonist")) {
-        auto parsed =
-            AntagonistPlan::parse(args.get("antagonist", ""));
-        if (!parsed.ok())
-            usageError(parsed.error().toString());
-        for (const AntagonistProfile &p : parsed.value().profiles())
-            cfg.antagonists.add(p);
-    }
+    planFromArgs(args, "churn-plan", "churn", cfg.churn,
+                 [&](const ChurnPlan &spec) {
+                     for (const ChurnEvent &event : spec.events())
+                         cfg.churn.add(event);
+                 });
+    planFromArgs(args, "antagonist-plan", "antagonist",
+                 cfg.antagonists, [&](const AntagonistPlan &spec) {
+                     for (const AntagonistProfile &p : spec.profiles())
+                         cfg.antagonists.add(p);
+                 });
 
     if (args.get("admission", "0") != "0") {
         cfg.admission.enabled = true;
@@ -350,20 +347,8 @@ serveResilienceFromArgs(const Args &args, ServeConfig &cfg,
     cfg.ladder.recoveryEpochs = static_cast<std::uint32_t>(
         args.getUint("recovery-epochs", "4"));
 
-    if (args.has("fault-plan")) {
-        auto loaded =
-            FaultPlan::fromJsonFile(args.get("fault-plan", ""));
-        if (!loaded.ok())
-            usageError(loaded.error().toString());
-        faults = loaded.take();
-    }
-    if (args.has("faults")) {
-        auto parsed = FaultPlan::parse(args.get("faults", ""));
-        if (!parsed.ok())
-            usageError(parsed.error().toString());
-        for (const FaultSite &site : parsed.value().sites())
-            faults.add(site);
-    }
+    // A serve plan counts only when it holds sites.
+    faultPlanFromArgs(args, faults);
     if (!faults.empty())
         cfg.faults = &faults;
 }
@@ -761,13 +746,10 @@ cmdAdvise(const Args &args)
     return 0;
 }
 
-/**
- * Fleet-scale open-loop serving (docs/SERVING.md): generate a
- * many-tenant scenario over the model zoo, place it onto simulated
- * cores, and report per-tenant tail latency / goodput / shedding.
- */
-int
-cmdServe(const Args &args)
+/** The serve configuration, resilience loop included; @p faults
+ * must stay alive while the configuration is in use. */
+ServeConfig
+serveConfigFromArgs(const Args &args, FaultPlan &faults)
 {
     ServeConfig cfg;
     cfg.core = configFromArgs(args);
@@ -799,7 +781,15 @@ cmdServe(const Args &args)
                    dist_name, "' (expected det|exp|lognormal)");
     cfg.serviceDist = *dist;
     cfg.serviceCv = args.getDouble("cv", "1");
+    serveResilienceFromArgs(args, cfg, faults);
+    return cfg;
+}
 
+/** The generated tenant pool, cycling through the zoo (or
+ * --models), with arrival kinds, rates and SLO tiers from flags. */
+std::vector<ServeTenant>
+serveTenantsFromArgs(const Args &args, const ServeConfig &cfg)
+{
     const auto num_tenants =
         static_cast<std::size_t>(args.getUint("tenants", "8"));
     if (num_tenants == 0)
@@ -808,14 +798,10 @@ cmdServe(const Args &args)
     const std::string arrivals_name =
         args.get("arrivals", "poisson");
     const bool mixed = arrivals_name == "mixed";
-    std::optional<ArrivalKind> fixed_kind;
-    if (!mixed) {
-        fixed_kind = tryArrivalKindFromName(arrivals_name);
-        if (!fixed_kind)
-            usageError("serve: unknown arrival kind '",
-                       arrivals_name,
-                       "' (expected poisson|diurnal|bursty|mixed)");
-    }
+    const auto fixed_kind = tryArrivalKindFromName(arrivals_name);
+    if (!mixed && !fixed_kind)
+        usageError("serve: unknown arrival kind '", arrivals_name,
+                   "' (expected poisson|diurnal|bursty|mixed)");
 
     // SLO tiers round-robin over the tenant list.
     std::vector<SloTier> tiers;
@@ -826,10 +812,9 @@ cmdServe(const Args &args)
         tiers = parsed.take();
     }
 
-    // The tenant pool cycles through the zoo (or an explicit model
-    // list). Mean service time comes from --service-us when given,
-    // else from the cycle-accurate single-tenant calibration — the
-    // same source ClusterManager uses, so relative SLO targets and
+    // Mean service time comes from --service-us when given, else
+    // from the cycle-accurate single-tenant calibration — the same
+    // source ClusterManager uses, so relative SLO targets and
     // offered rates agree with the simulation.
     std::vector<std::string> models;
     if (args.has("models")) {
@@ -865,32 +850,26 @@ cmdServe(const Args &args)
         util * static_cast<double>(cfg.numCores) /
         static_cast<double>(num_tenants);
 
-    // Resilience loop: churn, antagonists, admission control, and
-    // serve-granularity fault injection. The fault plan must outlive
-    // manager.run(), so it lives in this scope.
-    FaultPlan faults;
-    serveResilienceFromArgs(args, cfg, faults);
+    // The arrival-shape flags apply to every tenant.
+    ArrivalSpec shape;
+    shape.amplitude = args.getDouble("amplitude", "0.5");
+    shape.periodSec = args.getDouble("period", "60");
+    shape.meanOnSec = args.getDouble("on", "0.5");
+    shape.meanOffSec = args.getDouble("off", "1");
 
-    ClusterManager manager(cfg);
+    std::vector<ServeTenant> pool(num_tenants);
     for (std::size_t i = 0; i < num_tenants; ++i) {
-        ServeTenant t;
+        ServeTenant &t = pool[i];
         t.model = models[i % models.size()];
         t.name = t.model + "#" + std::to_string(i);
         t.serviceUsOverride = service_us[t.model];
         const double service_sec = t.serviceUsOverride * 1e-6;
+        t.arrival = shape;
         t.arrival.kind =
             mixed ? static_cast<ArrivalKind>(i % 3) : *fixed_kind;
         t.arrival.rps = fixed_rps > 0.0
                             ? fixed_rps
                             : erlangs_per_tenant / service_sec;
-        if (args.has("amplitude"))
-            t.arrival.amplitude = args.getDouble("amplitude", "0.5");
-        if (args.has("period"))
-            t.arrival.periodSec = args.getDouble("period", "60");
-        if (args.has("on"))
-            t.arrival.meanOnSec = args.getDouble("on", "0.5");
-        if (args.has("off"))
-            t.arrival.meanOffSec = args.getDouble("off", "1");
         if (!tiers.empty()) {
             const SloTier &tier = tiers[i % tiers.size()];
             t.slo.latencyTargetUs =
@@ -898,51 +877,61 @@ cmdServe(const Args &args)
                               : tier.value;
             t.slo.weight = tier.weight;
         }
-        if (Status s = manager.addTenant(std::move(t)); !s)
-            usageError(s.error().toString());
     }
+    return pool;
+}
 
+/** The serve observers the flags ask for (null when not asked). */
+struct ServeObservers
+{
     std::unique_ptr<StatRegistry> registry;
-    if (args.has("stats-json")) {
-        registry = std::make_unique<StatRegistry>();
-        manager.setStats(registry.get());
-    }
+    std::unique_ptr<AttributionCollector> attribution;
+    std::unique_ptr<RequestTracer> tracer;
+    std::unique_ptr<TimelineTracer> timeline;
+    std::unique_ptr<IntervalSampler> sampler;
+};
 
+/** Create the observers and attach them to @p manager. Passive:
+ * the report is byte-identical with or without them. */
+ServeObservers
+attachServeObservers(const Args &args, const ServeConfig &cfg,
+                     ClusterManager &manager)
+{
+    ServeObservers obs;
+    if (args.has("stats-json")) {
+        obs.registry = std::make_unique<StatRegistry>();
+        manager.setStats(obs.registry.get());
+    }
     // Interference attribution: always collected when the resilience
     // loop is active (the antagonist detector reads it); exported to
     // the registry so the blame matrix lands in --stats-json.
-    std::unique_ptr<AttributionCollector> attribution;
-    if (registry && cfg.resilienceActive()) {
-        attribution = std::make_unique<AttributionCollector>();
-        manager.setAttribution(attribution.get());
+    if (obs.registry && cfg.resilienceActive()) {
+        obs.attribution = std::make_unique<AttributionCollector>();
+        manager.setAttribution(obs.attribution.get());
     }
-
     // Request tracing (--trace-out spans.jsonl, --trace-sample 1/N)
     // and the Chrome-trace timeline with counter tracks + async
-    // request spans. Passive: the report is byte-identical with or
-    // without them, for any --jobs value.
-    std::unique_ptr<RequestTracer> tracer = tracerFromArgs(args);
-    if (tracer)
-        manager.setRequestTracer(tracer.get());
-    std::unique_ptr<TimelineTracer> timeline;
-    std::unique_ptr<IntervalSampler> sampler;
+    // request spans.
+    obs.tracer = tracerFromArgs(args);
+    if (obs.tracer)
+        manager.setRequestTracer(obs.tracer.get());
     if (args.has("timeline")) {
-        timeline = std::make_unique<TimelineTracer>(
+        obs.timeline = std::make_unique<TimelineTracer>(
             cfg.core.freqGHz * 1e3);
-        sampler = std::make_unique<IntervalSampler>(10'000);
-        manager.setSampler(sampler.get());
-        timeline->attachSampler(sampler.get());
-        if (tracer)
-            timeline->attachSpans(tracer.get());
+        obs.sampler = std::make_unique<IntervalSampler>(10'000);
+        manager.setSampler(obs.sampler.get());
+        obs.timeline->attachSampler(obs.sampler.get());
+        if (obs.tracer)
+            obs.timeline->attachSpans(obs.tracer.get());
     }
+    return obs;
+}
 
-    auto report_or = manager.run();
-    if (!report_or.ok())
-        usageError(report_or.error().toString());
-    const ServingReport report = report_or.take();
-    if (attribution)
-        attribution->registerStats(*registry);
-
+/** The summary line, then every tenant (small fleets or --detail 1)
+ * or the five worst p99 tenants. */
+void
+printServeReport(const Args &args, const ServingReport &report)
+{
     std::printf("%s\n", report.summary().c_str());
     const bool detail = args.get("detail", "0") != "0" ||
                         report.tenants.size() <= 16;
@@ -964,61 +953,86 @@ cmdServe(const Args &args)
             table.cell(formatPct(t.sloAttainment()));
         }
         table.print();
-    } else {
-        // Large fleet: show the tail — the five worst p99 tenants.
-        std::vector<std::size_t> order(report.tenants.size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (report.tenants[a].p99Us !=
-                          report.tenants[b].p99Us)
-                          return report.tenants[a].p99Us >
-                                 report.tenants[b].p99Us;
-                      return a < b;
-                  });
-        std::printf("worst p99 tenants (of %zu; --detail 1 for "
-                    "all):\n",
-                    report.tenants.size());
-        for (std::size_t i = 0; i < 5 && i < order.size(); ++i) {
-            const TenantServingStats &t = report.tenants[order[i]];
-            std::printf("  %-12s core %zu  p50 %.1f  p99 %.1f  "
-                        "p999 %.1f us  shed %llu\n",
-                        t.name.c_str(), t.core, t.p50Us, t.p99Us,
-                        t.p999Us,
-                        static_cast<unsigned long long>(t.shed));
-        }
+        return;
     }
+    std::vector<std::size_t> order(report.tenants.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return report.tenants[a].p99Us >
+                                report.tenants[b].p99Us;
+                     });
+    std::printf("worst p99 tenants (of %zu; --detail 1 for all):\n",
+                report.tenants.size());
+    for (std::size_t i = 0; i < 5 && i < order.size(); ++i) {
+        const TenantServingStats &t = report.tenants[order[i]];
+        std::printf("  %-12s core %zu  p50 %.1f  p99 %.1f  "
+                    "p999 %.1f us  shed %llu\n",
+                    t.name.c_str(), t.core, t.p50Us, t.p99Us,
+                    t.p999Us, static_cast<unsigned long long>(t.shed));
+    }
+}
 
-    if (tracer)
-        writeTraceOut(args, *tracer);
-    if (timeline) {
+/** Write --trace-out, --timeline and --stats-json. */
+void
+writeServeOutputs(const Args &args, const ServeConfig &cfg,
+                  const ServingReport &report,
+                  const ServeObservers &obs)
+{
+    if (obs.tracer)
+        writeTraceOut(args, *obs.tracer);
+    if (obs.timeline) {
         const std::string path = args.get("timeline", "");
-        if (Status s = timeline->writeChromeTraceFile(path); !s)
+        if (Status s = obs.timeline->writeChromeTraceFile(path); !s)
             usageError(s.error().toString());
         std::printf("timeline: %zu spans, %zu sample rows -> %s "
                     "(open in chrome://tracing)\n",
-                    tracer ? tracer->spanCount() : 0,
-                    sampler ? sampler->rowCount() : 0, path.c_str());
+                    obs.tracer ? obs.tracer->spanCount() : 0,
+                    obs.sampler->rowCount(), path.c_str());
     }
+    if (!obs.registry)
+        return;
+    ServeManifest manifest;
+    manifest.policy = placementPolicyName(cfg.policy);
+    manifest.arrivals = args.get("arrivals", "poisson");
+    manifest.cores = cfg.numCores;
+    manifest.tenants = report.tenants.size();
+    manifest.durationSec = cfg.durationSec;
+    manifest.seed = cfg.seed;
+    const std::string path = args.get("stats-json", "");
+    std::ofstream js(path);
+    if (!js)
+        usageError("serve: cannot open stats JSON path '", path, "'");
+    writeServingDocumentJson(js, manifest, report, obs.registry.get());
+    std::printf("stats JSON written to %s\n", path.c_str());
+}
 
-    if (registry) {
-        ServeManifest manifest;
-        manifest.policy = placementPolicyName(cfg.policy);
-        manifest.arrivals = arrivals_name;
-        manifest.cores = cfg.numCores;
-        manifest.tenants = num_tenants;
-        manifest.durationSec = cfg.durationSec;
-        manifest.seed = cfg.seed;
-        const std::string path = args.get("stats-json", "");
-        std::ofstream js(path);
-        if (!js)
-            usageError("serve: cannot open stats JSON path '", path,
-                       "'");
-        writeServingDocumentJson(js, manifest, report,
-                                 registry.get());
-        std::printf("stats JSON written to %s\n", path.c_str());
+/**
+ * Fleet-scale open-loop serving (docs/SERVING.md): generate a
+ * many-tenant scenario over the model zoo, place it onto simulated
+ * cores, and report per-tenant tail latency / goodput / shedding.
+ */
+int
+cmdServe(const Args &args)
+{
+    // Serve-granularity fault injection: the plan must outlive
+    // manager.run(), so it lives in this scope.
+    FaultPlan faults;
+    const ServeConfig cfg = serveConfigFromArgs(args, faults);
+    ClusterManager manager(cfg);
+    for (ServeTenant &t : serveTenantsFromArgs(args, cfg)) {
+        if (Status s = manager.addTenant(std::move(t)); !s)
+            usageError(s.error().toString());
     }
+    const ServeObservers obs = attachServeObservers(args, cfg, manager);
+    auto report_or = manager.run();
+    if (!report_or.ok())
+        usageError(report_or.error().toString());
+    const ServingReport report = report_or.take();
+    if (obs.attribution)
+        obs.attribution->registerStats(*obs.registry);
+    printServeReport(args, report);
+    writeServeOutputs(args, cfg, report, obs);
     return kExitOk;
 }
 
