@@ -187,6 +187,33 @@ BM_AttributionStatsJson(benchmark::State &state)
 }
 BENCHMARK(BM_AttributionStatsJson)->Arg(200)->Unit(benchmark::kMillisecond);
 
+/** The antagonist detector's per-epoch read: every tenant's
+ * chargedUs() column sum over a state.range(0)-tenant fleet whose
+ * tenants each wait behind about 7 co-residents of their core. */
+void
+BM_AttributionEpochSweep(benchmark::State &state)
+{
+    const auto n = static_cast<WorkloadId>(state.range(0));
+    constexpr WorkloadId kCoResidents = 8;
+    AttributionCollector attribution;
+    for (WorkloadId i = 0; i < n; ++i)
+        attribution.addTenant(i, "T#" + std::to_string(i));
+    for (WorkloadId v = 0; v < n; ++v) {
+        const WorkloadId core = v / kCoResidents * kCoResidents;
+        for (WorkloadId p = core; p < core + kCoResidents && p < n; ++p)
+            attribution.chargeQueueWait(v, p, 1.5 + v + p);
+    }
+    std::vector<double> charged;
+    for (auto _ : state) {
+        attribution.chargedUsAll(charged);
+        benchmark::DoNotOptimize(charged.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            n);
+}
+BENCHMARK(BM_AttributionEpochSweep)->Arg(1000);
+
 } // namespace
 
 int

@@ -1,31 +1,33 @@
 /**
  * @file
- * Domain-isolation annotation vocabulary for the parallel-in-run
- * refactor (ROADMAP "Deterministic parallel-in-run simulation").
+ * Ownership annotation vocabulary for state that threads can reach.
  *
- * The future multi-core engine partitions per-core event queues onto
- * worker threads; the correctness contract is that no event callback
- * touches cross-domain mutable state outside the sanctioned coupling
- * interfaces. These macros let a declaration state which side of
- * that contract it is on, and v10lint's semantic rule pack
- * (docs/STATIC_ANALYSIS.md) enforces the claims mechanically:
+ * A run owns one Simulator and drains its events on one thread;
+ * ParallelExecutor runs many runs side by side (sweep cells, the
+ * serve layer's per-core workers). `--jobs N` output is
+ * byte-identical to serial because no run mutates state another run
+ * can see, except state declared shared below. These macros let a
+ * declaration state which side of that contract it is on, and
+ * v10lint's semantic rule pack (docs/STATIC_ANALYSIS.md) enforces
+ * the claims mechanically:
  *
- *  - V10_DOMAIN_LOCAL      — owned by one simulation domain (one
- *                            run, one core, one ParallelExecutor
- *                            cell); never observed concurrently.
+ *  - V10_DOMAIN_LOCAL      — owned by one run (its Simulator, core,
+ *                            scheduler and registry) or one
+ *                            ParallelExecutor task; never observed
+ *                            concurrently.
  *  - V10_SHARED_STATE      — deliberately visible to more than one
- *                            domain/worker; every access needs
- *                            external synchronization or a merge
- *                            protocol spelled out at the decl.
+ *                            run or worker thread; every access
+ *                            needs external synchronization or a
+ *                            merge protocol spelled out at the decl.
  *  - V10_GUARDED_BY(m)     — shared, and every access must hold the
  *                            named mutex member (lock_guard /
  *                            scoped_lock / unique_lock recognized;
  *                            constructors and destructors are exempt
  *                            as single-threaded).
- *  - V10_COUPLING_POINT    — a declared cross-domain coupling
- *                            interface (e.g. shared-HBM bandwidth
- *                            arbitration): the sanctioned place
- *                            where domains are allowed to interact.
+ *  - V10_COUPLING_POINT    — where the tenants of one run contend
+ *                            for a shared resource (the HBM
+ *                            bandwidth arbiter): the paper's
+ *                            resource coupling, in one place.
  *
  * Placement: on a class (`class V10_DOMAIN_LOCAL Simulator`) the
  * annotation covers every member; on a member it goes after the
@@ -44,16 +46,16 @@
 #ifndef V10_COMMON_ANNOTATIONS_H
 #define V10_COMMON_ANNOTATIONS_H
 
-/** State owned by exactly one simulation domain. */
+/** State owned by exactly one run or ParallelExecutor task. */
 #define V10_DOMAIN_LOCAL
 
-/** State deliberately shared across domains/workers. */
+/** State deliberately shared across runs or worker threads. */
 #define V10_SHARED_STATE
 
 /** Shared state whose every access must hold mutex member @p m. */
 #define V10_GUARDED_BY(m)
 
-/** A sanctioned cross-domain coupling interface or its state. */
+/** Where one run's tenants contend for a shared resource. */
 #define V10_COUPLING_POINT
 
 #endif // V10_COMMON_ANNOTATIONS_H

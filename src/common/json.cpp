@@ -37,8 +37,22 @@ formatNumber(double v, char (&buf)[40])
                                      static_cast<std::int64_t>(v));
         return {buf, static_cast<std::size_t>(r.ptr - buf)};
     }
-    const int len = std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return {buf, static_cast<std::size_t>(len)};
+    // The same characters as "%.17g" in the C locale.
+    const auto r = std::to_chars(buf, std::end(buf), v,
+                                 std::chars_format::general, 17);
+    return {buf, static_cast<std::size_t>(r.ptr - buf)};
+}
+
+/** Append @p s to @p out quoted, escaping only when it needs it. */
+void
+appendQuoted(std::string &out, std::string_view s)
+{
+    out += '"';
+    if (std::any_of(s.begin(), s.end(), needsEscape))
+        out += jsonEscape(s);
+    else
+        out += s;
+    out += '"';
 }
 
 } // namespace
@@ -110,23 +124,18 @@ JsonWriter::flush()
 }
 
 void
-JsonWriter::newlineIndent()
+JsonWriter::appendLineBreak(std::string &out, std::size_t depth) const
 {
     if (indent_ <= 0)
         return;
-    out_ += '\n';
-    out_.append(stack_.size() * static_cast<std::size_t>(indent_), ' ');
+    out += '\n';
+    out.append(depth * static_cast<std::size_t>(indent_), ' ');
 }
 
 void
-JsonWriter::quoted(std::string_view s)
+JsonWriter::newlineIndent()
 {
-    out_ += '"';
-    if (std::any_of(s.begin(), s.end(), needsEscape))
-        out_ += jsonEscape(s);
-    else
-        out_ += s;
-    out_ += '"';
+    appendLineBreak(out_, stack_.size());
 }
 
 void
@@ -156,7 +165,7 @@ JsonWriter::key(std::string_view k)
         out_ += ',';
     newlineIndent();
     has_items_.back() = true;
-    quoted(k);
+    appendQuoted(out_, k);
     out_ += indent_ > 0 ? ": " : ":";
     key_pending_ = true;
     emit();
@@ -213,10 +222,53 @@ JsonWriter::endArray()
 }
 
 void
+JsonWriter::tableRows(
+    std::size_t rows, const std::vector<std::string> &columns,
+    const std::function<std::string_view(std::size_t)> &rowName,
+    const std::function<double(std::size_t, std::size_t)> &cell)
+{
+    if (stack_.empty() || stack_.back() != Scope::Object)
+        panic("JsonWriter: tableRows() outside an object");
+    if (key_pending_)
+        panic("JsonWriter: tableRows() follows a dangling key");
+    // What key(), kv() and endObject() would append around the names
+    // and numbers: the row key's line break, and for each column the
+    // separator, line break, quoted key and colon before its value.
+    const char *colon = indent_ > 0 ? ": " : ":";
+    std::string rowBreak;
+    appendLineBreak(rowBreak, stack_.size());
+    std::vector<std::string> keys(columns.size());
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+        if (c > 0)
+            keys[c] += ',';
+        appendLineBreak(keys[c], stack_.size() + 1);
+        appendQuoted(keys[c], columns[c]);
+        keys[c] += colon;
+    }
+    const std::string close = (columns.empty() ? "" : rowBreak) + '}';
+    char buf[40];
+    for (std::size_t r = 0; r < rows; ++r) {
+        if (has_items_.back())
+            out_ += ',';
+        has_items_.back() = true;
+        out_ += rowBreak;
+        appendQuoted(out_, rowName(r));
+        out_ += colon;
+        out_ += '{';
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            out_ += keys[c];
+            out_ += formatNumber(cell(r, c), buf);
+        }
+        out_ += close;
+        emit();
+    }
+}
+
+void
 JsonWriter::value(std::string_view v)
 {
     preValue();
-    quoted(v);
+    appendQuoted(out_, v);
     emit();
 }
 

@@ -7,16 +7,21 @@
  * external dependency).
  *
  * The writer produces strict JSON: keys are escaped, doubles print
- * with round-trip precision, and non-finite doubles degrade to null
- * (JSON has no NaN/Inf literal). It buffers its text and writes it
- * to the stream in blocks, and in full once the top-level value
- * closes: write raw bytes to the stream only after that.
+ * with round-trip precision (the bytes of printf "%.17g" in the C
+ * locale, whatever the process locale), and non-finite doubles
+ * degrade to null (JSON has no NaN/Inf literal). It buffers its text
+ * and writes it to the stream in blocks, and in full once the
+ * top-level value closes: write raw bytes to the stream only after
+ * that. tableRows() writes a rows x columns block of numbers (the
+ * stats registry's tables) with its key fragments rendered once per
+ * block instead of once per leaf.
  */
 
 #ifndef V10_COMMON_JSON_H
 #define V10_COMMON_JSON_H
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -77,6 +82,17 @@ class JsonWriter
         value(std::forward<T>(v));
     }
 
+    /**
+     * Write @p rows members into the open object, the same bytes as
+     * key(rowName(r)), beginObject(), kv(columns[c], cell(r, c)) for
+     * every column and endObject() for each row r in turn. The
+     * quoted, indented column keys are rendered once per call.
+     */
+    void tableRows(
+        std::size_t rows, const std::vector<std::string> &columns,
+        const std::function<std::string_view(std::size_t)> &rowName,
+        const std::function<double(std::size_t, std::size_t)> &cell);
+
     /** Nesting depth (0 once every container is closed). */
     std::size_t depth() const { return stack_.size(); }
 
@@ -86,8 +102,9 @@ class JsonWriter
     /** Append separators/indentation before a value or key. */
     void preValue();
     void newlineIndent();
-    /** Append @p s quoted, escaping only when it needs escaping. */
-    void quoted(std::string_view s);
+    /** Append to @p out the line break and indentation of nesting
+     *  depth @p depth (nothing when compact). */
+    void appendLineBreak(std::string &out, std::size_t depth) const;
     /** End of a public call: write out_ to the stream once it
      *  passes kFlushBytes or the top-level value has closed. */
     void emit();

@@ -203,12 +203,16 @@ StatRegistry::addTable(std::string path,
     if (!axes || !cells)
         V10_PANIC("StatRegistry: null axes or cell reader for table '",
                   path, "'");
-    validateAxis(path, "row", axes->rows);
-    validateAxis(path, "column", axes->columns);
-    if (axes->descriptions.size() != axes->columns.size())
-        V10_PANIC("StatRegistry: table '", path, "' has ",
-                  axes->descriptions.size(), " descriptions for ",
-                  axes->columns.size(), " columns");
+    // Tables usually share their axes: check each copy once.
+    if (axes != checkedAxes_) {
+        validateAxis(path, "row", axes->rows);
+        validateAxis(path, "column", axes->columns);
+        if (axes->descriptions.size() != axes->columns.size())
+            V10_PANIC("StatRegistry: table '", path, "' has ",
+                      axes->descriptions.size(), " descriptions for ",
+                      axes->columns.size(), " columns");
+        checkedAxes_ = axes;
+    }
     if (skipRow != kNoRow && skipRow >= axes->rows.size())
         V10_PANIC("StatRegistry: table '", path, "' skips row ",
                   skipRow, " of ", axes->rows.size());
@@ -417,14 +421,14 @@ StatRegistry::writeJson(JsonWriter &writer) const
             writer.kv("max", dist->max());
             writer.kv("mean", dist->mean());
         } else if (table) {
-            for (std::size_t r = 0; r < table->rows(); ++r) {
-                writer.key(table->rowName(r));
-                writer.beginObject();
-                for (std::size_t c = 0; c < table->columns(); ++c)
-                    writer.kv(table->axes->columns[c],
-                              table->cell(r, c));
-                writer.endObject();
-            }
+            writer.tableRows(
+                table->rows(), table->axes->columns,
+                [table](std::size_t r) -> std::string_view {
+                    return table->rowName(r);
+                },
+                [table](std::size_t r, std::size_t c) {
+                    return table->cell(r, c);
+                });
         } else {
             writer.kv(rest, scalarOf(stat));
         }

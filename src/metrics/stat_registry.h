@@ -274,6 +274,9 @@ class V10_DOMAIN_LOCAL StatRegistry
     std::map<std::string, Stat, std::less<>> stats_;
     // Interned descriptions: a few distinct strings serve many stats.
     std::set<std::string, std::less<>> descriptions_;
+    /// The axes addTable() last validated; held, so that no later
+    /// axes can take its address.
+    std::shared_ptr<const TableAxes> checkedAxes_;
     std::size_t leaves_ = 0; ///< size(): each table leaf counts once
     bool frozen_ = false;
 };

@@ -65,10 +65,16 @@ std::size_t
 AttributionCollector::addTenant(WorkloadId id, std::string label)
 {
     const std::size_t idx = labels_.size();
-    // The first tenant registered under an id keeps it.
-    dense_.emplace(id, idx);
+    if (id != kNoWorkload) {
+        if (id >= denseOf_.size())
+            denseOf_.resize(std::size_t{id} + 1, kUnknown);
+        // The first tenant registered under an id keeps it.
+        if (denseOf_[id] == kUnknown)
+            denseOf_[id] = idx;
+    }
     labels_.push_back(std::move(label));
     ctx_.push_back(0.0);
+    waitVictims_.emplace_back();
     if (idx == stride_) {
         const std::size_t grown = std::max<std::size_t>(4, 2 * stride_);
         relayout(preempt_, idx, stride_, grown);
@@ -82,11 +88,8 @@ AttributionCollector::addTenant(WorkloadId id, std::string label)
 std::size_t
 AttributionCollector::indexOf(WorkloadId id) const
 {
-    if (id == kNoWorkload)
-        return static_cast<std::size_t>(-1);
-    const auto it = dense_.find(id);
-    return it == dense_.end() ? static_cast<std::size_t>(-1)
-                              : it->second;
+    // kNoWorkload is never registered, so it is never in range.
+    return id < denseOf_.size() ? denseOf_[id] : kUnknown;
 }
 
 void
@@ -96,8 +99,7 @@ AttributionCollector::chargePreemptStall(WorkloadId victim,
 {
     const std::size_t v = indexOf(victim);
     const std::size_t p = indexOf(perp);
-    if (v == static_cast<std::size_t>(-1) ||
-        p == static_cast<std::size_t>(-1))
+    if (v == kUnknown || p == kUnknown)
         return;
     preempt_[cell(v, p)] += cycles;
 }
@@ -108,10 +110,18 @@ AttributionCollector::chargeQueueWait(WorkloadId victim,
 {
     const std::size_t v = indexOf(victim);
     const std::size_t p = indexOf(perp);
-    if (v == static_cast<std::size_t>(-1) ||
-        p == static_cast<std::size_t>(-1))
+    if (v == kUnknown || p == kUnknown)
         return;
-    wait_[cell(v, p)] += us;
+    double &wait = wait_[cell(v, p)];
+    const bool wasZero = wait == 0.0;
+    wait += us;
+    if (!wasZero || wait == 0.0 || v == p)
+        return;
+    // The cell leaves zero, perhaps not for the first time.
+    std::vector<std::uint32_t> &victims = waitVictims_[p];
+    const auto at = std::lower_bound(victims.begin(), victims.end(), v);
+    if (at == victims.end() || *at != v)
+        victims.insert(at, static_cast<std::uint32_t>(v));
 }
 
 void
@@ -119,7 +129,7 @@ AttributionCollector::chargeCtxOverhead(WorkloadId victim,
                                         double cycles)
 {
     const std::size_t v = indexOf(victim);
-    if (v == static_cast<std::size_t>(-1))
+    if (v == kUnknown)
         return;
     ctx_[v] += cycles;
 }
@@ -130,8 +140,7 @@ AttributionCollector::onHbmContention(WorkloadId owner,
 {
     const std::size_t v = indexOf(owner);
     const std::size_t p = indexOf(other);
-    if (v == static_cast<std::size_t>(-1) ||
-        p == static_cast<std::size_t>(-1))
+    if (v == kUnknown || p == kUnknown)
         return;
     hbm_[cell(v, p)] += cycles;
 }
@@ -194,26 +203,17 @@ double
 AttributionCollector::chargedUs(std::size_t perp) const
 {
     double sum = 0.0;
-    for (std::size_t v = 0; v < labels_.size(); ++v) {
-        if (v != perp)
-            sum += queueWait(v, perp);
-    }
+    for (const std::uint32_t v : waitVictims_[perp])
+        sum += queueWait(v, perp);
     return sum;
 }
 
 void
 AttributionCollector::chargedUsAll(std::vector<double> &out) const
 {
-    const std::size_t n = labels_.size();
-    out.assign(n, 0.0);
-    // Victims in ascending order, as chargedUs() adds them.
-    for (std::size_t v = 0; v < n; ++v) {
-        const double *row = &wait_[cell(v, 0)];
-        for (std::size_t p = 0; p < n; ++p) {
-            if (p != v)
-                out[p] += row[p];
-        }
-    }
+    out.resize(labels_.size());
+    for (std::size_t p = 0; p < out.size(); ++p)
+        out[p] = chargedUs(p);
 }
 
 void

@@ -12,13 +12,19 @@
  * `.from.<perpetrator>` breakdown, one registry table per victim),
  * mirroring the serve-layer sojourn decomposition so both stacks
  * answer "who stole my cycles" with the same vocabulary.
+ *
+ * The matrices are dense, but a fleet tenant waits behind only the
+ * few co-residents of its core: each perpetrator also keeps the
+ * ascending list of victims whose queue-wait cell it has made
+ * non-zero, so the antagonist detector's column sums (chargedUs())
+ * cost the charged pairs, not tenants^2.
  */
 
 #ifndef V10_TRACE_ATTRIBUTION_H
 #define V10_TRACE_ATTRIBUTION_H
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -47,7 +53,9 @@ class AttributionCollector : public HbmContentionObserver
 {
   public:
     /**
-     * Register a tenant; call once per tenant before the run.
+     * Register a tenant; call once per tenant before the run. Ids
+     * are small (tenant indices): they index a vector. The first
+     * tenant registered under an id keeps it.
      * @return dense index assigned to @p id.
      */
     std::size_t addTenant(WorkloadId id, std::string label);
@@ -92,14 +100,13 @@ class AttributionCollector : public HbmContentionObserver
     /**
      * Column sum: total queue-wait us charged TO @p perp across all
      * other victims — the serve-layer antagonist score numerator
-     * (self-inflicted waiting is excluded).
+     * (self-inflicted waiting is excluded). Adds only the cells
+     * @p perp has charged, in ascending victim order: the same
+     * double as the dense column sum, whose other terms are +0.0.
      */
     double chargedUs(std::size_t perp) const;
 
-    /**
-     * chargedUs() of every tenant in one victim-major sweep:
-     * @p out[p] == chargedUs(p), summed in the same order.
-     */
+    /** chargedUs() of every tenant: @p out[p] == chargedUs(p). */
     void chargedUsAll(std::vector<double> &out) const;
 
     /**
@@ -124,10 +131,10 @@ class AttributionCollector : public HbmContentionObserver
         return victim * stride_ + perp;
     }
 
-    /// id -> dense index. Only looked up, never iterated, so its
-    /// order cannot reach any output.
-    /// v10lint: allow(determinism-unordered)
-    std::unordered_map<WorkloadId, std::size_t> dense_;
+    static constexpr std::size_t kUnknown = static_cast<std::size_t>(-1);
+
+    /// WorkloadId -> dense index; kUnknown for unregistered ids.
+    std::vector<std::size_t> denseOf_;
     std::vector<std::string> labels_;
     /// Row stride of the matrices: a capacity that doubles, so
     /// adding tenants relays them out O(log n) times in total.
@@ -136,6 +143,10 @@ class AttributionCollector : public HbmContentionObserver
     std::vector<double> hbm_;       ///< victim-major stride^2
     std::vector<double> wait_;      ///< victim-major stride^2 (us)
     std::vector<double> ctx_;       ///< per victim
+    /// Per perpetrator: the other victims whose wait_ cell it has
+    /// made non-zero, ascending. Every other cell of its column is
+    /// +0.0.
+    std::vector<std::vector<std::uint32_t>> waitVictims_;
 };
 
 } // namespace v10

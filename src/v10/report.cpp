@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/json.h"
-#include "common/log.h"
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "metrics/run_report.h"
@@ -39,9 +38,18 @@ separator(std::ostream &os, std::size_t cols)
 
 } // namespace
 
-void
+Status
 writeEvaluationReport(std::ostream &os, const ReportOptions &options)
 {
+    // Open the JSON companion before the grid runs, so that a bad
+    // path fails in a moment, not after the whole evaluation.
+    std::ofstream js;
+    if (!options.statsJsonPath.empty()) {
+        js.open(options.statsJsonPath);
+        if (!js)
+            return parseError("cannot open stats JSON for writing",
+                              options.statsJsonPath);
+    }
     ExperimentRunner runner(options.config);
 
     os << "# " << options.title << "\n\n";
@@ -162,11 +170,7 @@ writeEvaluationReport(std::ostream &os, const ReportOptions &options)
           "full paper-vs-measured discussion.\n";
 
     // --- Structured JSON companion (--stats-json). ---
-    if (!options.statsJsonPath.empty()) {
-        std::ofstream js(options.statsJsonPath);
-        if (!js)
-            fatal("report: cannot open stats JSON path '",
-                  options.statsJsonPath, "'");
+    if (js.is_open()) {
         JsonWriter w(js);
         w.beginObject();
         w.key("manifest");
@@ -195,16 +199,24 @@ writeEvaluationReport(std::ostream &os, const ReportOptions &options)
         w.endObject();
         js << '\n';
     }
+    if (js.is_open() && !js)
+        return parseError("short write on stats JSON",
+                          options.statsJsonPath);
+    return Status::ok();
 }
 
-void
+Status
 writeEvaluationReportFile(const std::string &path,
                           const ReportOptions &options)
 {
     std::ofstream os(path);
     if (!os)
-        fatal("writeEvaluationReportFile: cannot open ", path);
-    writeEvaluationReport(os, options);
+        return parseError("cannot open report for writing", path);
+    if (Status s = writeEvaluationReport(os, options); !s)
+        return s;
+    if (!os)
+        return parseError("short write on report", path);
+    return Status::ok();
 }
 
 } // namespace v10

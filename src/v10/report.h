@@ -14,6 +14,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "common/result.h"
 #include "npu/npu_config.h"
 
 namespace v10 {
@@ -37,13 +38,16 @@ struct ReportOptions
  * Run the headline evaluation and write a markdown report.
  * @param os output stream
  * @param options run parameters
+ * @return an error naming options.statsJsonPath when it cannot be
+ *         written; an unwritable path fails before the grid runs
  */
-void writeEvaluationReport(std::ostream &os,
-                           const ReportOptions &options);
+Status writeEvaluationReport(std::ostream &os,
+                             const ReportOptions &options);
 
-/** writeEvaluationReport() to a file path; fatal() if unwritable. */
-void writeEvaluationReportFile(const std::string &path,
-                               const ReportOptions &options);
+/** writeEvaluationReport() to a file path; an error naming @p path
+ *  when it cannot be opened (before the grid runs) or written. */
+Status writeEvaluationReportFile(const std::string &path,
+                                 const ReportOptions &options);
 
 } // namespace v10
 

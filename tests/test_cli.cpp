@@ -679,6 +679,20 @@ TEST(Cli, UnwritableAdviseStatsJsonExitsWithCode2)
                      path);
 }
 
+TEST(Cli, ReportUnwritableOutputsExitWithCode2)
+{
+    const std::string md = unwritablePath("report.md");
+    expectUsageError("report --requests 2 --out " + md, md);
+    // The stats JSON is opened before the grid runs: the writable
+    // report is created but nothing is written to it.
+    const std::string out = ::testing::TempDir() + "/cli_report_first.md";
+    const std::string json = unwritablePath("report.json");
+    std::remove(out.c_str());
+    expectUsageError("report --out " + out + " --stats-json " + json,
+                     json);
+    EXPECT_EQ(readFile(out), "");
+}
+
 TEST(Cli, UnknownCommandShowsUsage)
 {
     const auto [rc, out] = runCli("frobnicate --x 1");

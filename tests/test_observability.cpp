@@ -8,7 +8,10 @@
  * run-report JSON has its documented schema.
  */
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -696,6 +699,125 @@ TEST(Json, NonFiniteDoublesBecomeNull)
 {
     EXPECT_EQ(jsonNumber(std::nan("")), "null");
     EXPECT_EQ(jsonNumber(1.0 / 0.0), "null");
+}
+
+TEST(Json, NumbersMatchPrintfPercent17g)
+{
+    // Every finite double prints as "%.17g" would in the C locale
+    // (integers below 1e15 take a shorter path to the same digits).
+    const auto printf17g = [](double v) {
+        char buf[40];
+        const int len = std::snprintf(buf, sizeof buf, "%.17g", v);
+        return std::string(buf, static_cast<std::size_t>(len));
+    };
+    std::vector<double> values = {
+        0.0, -0.0, 0.1, -0.1, 1.0 / 3.0, 0.5, 1.5, -2.25, 1e-5, 1e16,
+        1e17, 1e21, 1e22, 1e-300, 123456789.125,
+        DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, DBL_TRUE_MIN,
+        -DBL_TRUE_MIN, std::nextafter(DBL_MIN, 0.0), 1e15, -1e15,
+        std::nextafter(1e15, 0.0), std::nextafter(1e15, 2e15),
+        std::nextafter(-1e15, 0.0), std::nextafter(-1e15, -2e15),
+        std::nextafter(1.0, 0.0), std::nextafter(3.0, 0.0),
+        std::nextafter(-7.0, 0.0), std::nextafter(1e14, 0.0),
+        std::nextafter(1.0, 2.0), 9007199254740993.0};
+    Rng rng(17);
+    while (values.size() < 200000) {
+        const std::uint64_t bits = rng.next();
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof v);
+        if (std::isfinite(v))
+            values.push_back(v);
+        // Ordinary magnitudes too, which random bits rarely reach.
+        values.push_back(rng.uniform(-1e6, 1e6));
+    }
+    for (const double v : values)
+        ASSERT_EQ(jsonNumber(v), printf17g(v)) << std::hexfloat << v;
+}
+
+/** A table for tableRows(): names, and which row to leave out. */
+struct RowsCase
+{
+    std::vector<std::string> rows;
+    std::vector<std::string> columns;
+    std::size_t skip; ///< an index into rows, or rows.size() for none
+};
+
+/** Write @p c at @p depth (objects open around its rows) with the
+ * generic calls, or with tableRows() when @p bulk. */
+std::string
+tableJson(const RowsCase &c, int indent, std::size_t depth,
+          bool before, bool bulk)
+{
+    const std::size_t shown = c.rows.size() - (c.skip < c.rows.size());
+    const auto rowName = [&](std::size_t r) -> std::string_view {
+        return c.rows[r < c.skip ? r : r + 1];
+    };
+    const auto cell = [](std::size_t r, std::size_t col) {
+        const double x = static_cast<double>(r * 7 + col);
+        return col % 3 == 0 ? x : col % 3 == 1 ? x / 3.0 : -x;
+    };
+    std::ostringstream os;
+    {
+        JsonWriter w(os, indent);
+        w.beginObject();
+        for (std::size_t d = 1; d < depth; ++d) {
+            w.kv("pad", d);
+            w.key("level");
+            w.beginObject();
+        }
+        if (before)
+            w.kv("first", 1.5);
+        if (bulk) {
+            w.tableRows(shown, c.columns, rowName, cell);
+        } else {
+            for (std::size_t r = 0; r < shown; ++r) {
+                w.key(rowName(r));
+                w.beginObject();
+                for (std::size_t col = 0; col < c.columns.size(); ++col)
+                    w.kv(c.columns[col], cell(r, col));
+                w.endObject();
+            }
+        }
+        w.kv("after", true);
+        for (std::size_t d = 1; d < depth; ++d)
+            w.endObject();
+        w.endObject();
+    }
+    return os.str();
+}
+
+TEST(Json, TableRowsMatchGenericWriterCalls)
+{
+    std::vector<RowsCase> cases;
+    const std::vector<std::string> rows = {"a", "b_1", "c", "d9"};
+    const std::vector<std::string> columns = {
+        "hbm_contention_cycles", "preempt_stall_cycles", "queue_wait_us"};
+    for (std::size_t skip = 0; skip <= rows.size(); ++skip)
+        cases.push_back({rows, columns, skip});
+    cases.push_back({rows, {"only"}, 2});
+    cases.push_back({{"solo"}, columns, 1});
+    cases.push_back({{"x", "solo"}, columns, 0});
+    cases.push_back({{"q\"uote", "back\\slash", "tab\tnl\n\x01"},
+                     {"c\"1", "c\\2", "c\n3"},
+                     3});
+    cases.push_back({rows, {}, 1});
+    for (const RowsCase &c : cases) {
+        for (const int indent : {0, 2}) {
+            for (std::size_t depth = 1; depth <= 4; ++depth) {
+                for (const bool before : {false, true}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << c.rows.front() << " skip " << c.skip
+                                 << " indent " << indent << " depth "
+                                 << depth << " before " << before);
+                    const std::string generic =
+                        tableJson(c, indent, depth, before, false);
+                    EXPECT_EQ(tableJson(c, indent, depth, before, true),
+                              generic);
+                    EXPECT_TRUE(JsonValue::parse(generic));
+                }
+            }
+        }
+    }
 }
 
 TEST(Json, ParserReportsErrors)

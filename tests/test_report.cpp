@@ -19,7 +19,7 @@ TEST(Report, ContainsHeadlineAndAllPairs)
     options.requests = 4;
     options.title = "test report";
     std::ostringstream os;
-    writeEvaluationReport(os, options);
+    ASSERT_TRUE(writeEvaluationReport(os, options));
     const std::string text = os.str();
 
     EXPECT_NE(text.find("# test report"), std::string::npos);
@@ -40,7 +40,7 @@ TEST(Report, WritesToFile)
     options.requests = 3;
     const std::string path =
         ::testing::TempDir() + "/v10_report_test.md";
-    writeEvaluationReportFile(path, options);
+    ASSERT_TRUE(writeEvaluationReportFile(path, options));
     std::ifstream is(path);
     ASSERT_TRUE(is.good());
     std::stringstream ss;
@@ -48,14 +48,21 @@ TEST(Report, WritesToFile)
     EXPECT_GT(ss.str().size(), 1000u);
 }
 
-TEST(ReportDeath, UnwritablePath)
+TEST(Report, UnwritablePathsReturnErrorsNamingThem)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ReportOptions options;
     options.requests = 3;
-    EXPECT_DEATH(
-        writeEvaluationReportFile("/nonexistent/dir/x.md", options),
-        "cannot open");
+    const Status md =
+        writeEvaluationReportFile("/nonexistent/dir/x.md", options);
+    ASSERT_FALSE(md);
+    EXPECT_EQ(md.error().source, "/nonexistent/dir/x.md");
+    options.statsJsonPath = "/nonexistent/dir/x.json";
+    std::ostringstream os;
+    const Status json = writeEvaluationReport(os, options);
+    ASSERT_FALSE(json);
+    EXPECT_EQ(json.error().source, "/nonexistent/dir/x.json");
+    // The path is checked before the grid runs.
+    EXPECT_EQ(os.str(), "");
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/rng.h"
 #include "metrics/run_report.h"
 #include "metrics/stat_registry.h"
 #include "trace/attribution.h"
@@ -378,6 +380,117 @@ TEST(Attribution, OneSweepColumnSumsMatchChargedUsBitForBit)
     ASSERT_EQ(sums.size(), n);
     for (std::size_t p = 0; p < n; ++p)
         EXPECT_EQ(sums[p], attrib.chargedUs(p)) << p;
+}
+
+TEST(Attribution, SparseColumnSumsMatchDenseReferenceBitForBit)
+{
+    // chargedUs() adds only the cells its perpetrator has charged.
+    // Against a dense reference that adds every cell in ascending
+    // victim order, the doubles must match bit for bit: through zero
+    // charges, cells charged back to zero, repeated cells, tenants
+    // that join after charges, and charges in any order.
+    const auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        AttributionCollector attrib;
+        std::vector<std::vector<double>> ref; // [victim][perp]
+        // Tenant i has id 3i, so some charged ids are unknown.
+        const auto addTenant = [&] {
+            const std::size_t i = ref.size();
+            EXPECT_EQ(attrib.addTenant(static_cast<WorkloadId>(3 * i),
+                                       "T"),
+                      i);
+            for (auto &row : ref)
+                row.push_back(0.0);
+            ref.emplace_back(i + 1, 0.0);
+        };
+        for (std::size_t i = 0, n0 = 1 + rng.uniformInt(6); i < n0; ++i)
+            addTenant();
+        const std::size_t steps = 50 + rng.uniformInt(400);
+        for (std::size_t step = 0; step < steps; ++step) {
+            if (rng.bernoulli(0.05)) {
+                addTenant();
+                continue;
+            }
+            const std::size_t n = ref.size();
+            // Few perpetrators per victim, as on a fleet core.
+            const std::size_t v = rng.uniformInt(n);
+            const std::size_t p = rng.bernoulli(0.2)
+                                      ? v
+                                      : (v + 1 + rng.uniformInt(3)) % n;
+            const auto id = static_cast<WorkloadId>(
+                3 * (rng.bernoulli(0.05) ? n + 1 : p) +
+                (rng.bernoulli(0.05) ? 1 : 0));
+            const double u = rng.uniform();
+            const double us = u < 0.1   ? 0.0
+                              : u < 0.15 ? -0.0
+                              : u < 0.25 ? -ref[v][p]
+                              : u < 0.3  ? -rng.uniform(0.0, 50.0)
+                                         : rng.uniform(0.0, 1e4) / 7.0;
+            attrib.chargeQueueWait(static_cast<WorkloadId>(3 * v), id,
+                                   us);
+            if (id == 3 * p)
+                ref[v][p] += us;
+        }
+        const std::size_t n = ref.size();
+        ASSERT_EQ(attrib.tenantCount(), n);
+        std::vector<double> all;
+        attrib.chargedUsAll(all);
+        ASSERT_EQ(all.size(), n);
+        for (std::size_t p = 0; p < n; ++p) {
+            double column = 0.0;
+            double row = 0.0;
+            for (std::size_t v = 0; v < n; ++v) {
+                if (v != p)
+                    column += ref[v][p];
+                row += ref[p][v];
+                EXPECT_TRUE(same(attrib.queueWait(v, p), ref[v][p]))
+                    << v << ' ' << p;
+            }
+            EXPECT_TRUE(same(attrib.chargedUs(p), column)) << p;
+            EXPECT_TRUE(same(all[p], column)) << p;
+            EXPECT_TRUE(same(attrib.totalQueueWait(p), row)) << p;
+        }
+    }
+}
+
+TEST(Attribution, IdsIndexDenselyAndFirstRegistrationWins)
+{
+    AttributionCollector attrib;
+    EXPECT_EQ(attrib.addTenant(5, "A"), 0u);
+    EXPECT_EQ(attrib.addTenant(2, "B"), 1u);
+    // A second tenant under id 5 gets a row but not the id.
+    EXPECT_EQ(attrib.addTenant(5, "C"), 2u);
+    EXPECT_EQ(attrib.addTenant(kNoWorkload, "D"), 3u);
+    EXPECT_EQ(attrib.tenantCount(), 4u);
+    EXPECT_EQ(attrib.label(2), "C");
+    attrib.chargePreemptStall(5, 2, 1.0);
+    attrib.chargeQueueWait(2, 5, 4.0);
+    attrib.onHbmContention(2, 5, 8.0);
+    attrib.chargeCtxOverhead(5, 16.0);
+    EXPECT_EQ(attrib.preemptStall(0, 1), 1.0);
+    EXPECT_EQ(attrib.queueWait(1, 0), 4.0);
+    EXPECT_EQ(attrib.hbmContention(1, 0), 8.0);
+    EXPECT_EQ(attrib.ctxOverhead(0), 16.0);
+    EXPECT_EQ(attrib.chargedUs(0), 4.0);
+    // Ids in the gaps, past the end and kNoWorkload charge nobody.
+    for (const WorkloadId id : {WorkloadId{0}, WorkloadId{3},
+                                WorkloadId{6}, WorkloadId{1000},
+                                kNoWorkload}) {
+        attrib.chargePreemptStall(id, 2, 1.0);
+        attrib.chargeQueueWait(2, id, 1.0);
+        attrib.onHbmContention(id, 5, 1.0);
+        attrib.chargeCtxOverhead(id, 1.0);
+    }
+    double sum = 0.0;
+    for (std::size_t v = 0; v < 4; ++v) {
+        sum += attrib.ctxOverhead(v) + attrib.totalPreemptStall(v) +
+               attrib.totalQueueWait(v) + attrib.totalHbmContention(v);
+    }
+    EXPECT_EQ(sum, 29.0);
 }
 
 TEST(Attribution, CollidingSlugsGetIndexSuffixes)

@@ -640,7 +640,8 @@ cmdReport(const Args &args)
                 "per tenant per run, %zu job%s)...\n",
                 static_cast<unsigned long long>(options.requests),
                 options.jobs, options.jobs == 1 ? "" : "s");
-    writeEvaluationReportFile(out, options);
+    if (Status s = writeEvaluationReportFile(out, options); !s)
+        usageError(s.error().toString());
     std::printf("report written to %s\n", out.c_str());
     if (!options.statsJsonPath.empty())
         std::printf("stats JSON written to %s\n",
