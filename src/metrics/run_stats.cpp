@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "metrics/stat_registry.h"
+
 namespace v10 {
 
 double
@@ -62,7 +64,7 @@ RunStats::fairness() const
 }
 
 std::string
-RunStats::detailedReport() const
+RunStats::detailedReport(const StatRegistry *registry) const
 {
     std::ostringstream os;
     os << std::fixed << std::setprecision(6);
@@ -110,8 +112,10 @@ RunStats::detailedReport() const
             os << p << "fault_strikes    " << w.faultStrikes << '\n';
         }
     }
-    for (const auto &[path, value] : registrySnapshot)
-        os << "registry." << path << "  " << value << '\n';
+    if (registry != nullptr) {
+        for (const auto &[path, value] : registry->snapshot())
+            os << "registry." << path << "  " << value << '\n';
+    }
     return os.str();
 }
 

@@ -10,12 +10,13 @@
 #define V10_METRICS_RUN_STATS_H
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
 
 namespace v10 {
+
+class StatRegistry;
 
 /**
  * Per-tenant outcomes of a run.
@@ -91,13 +92,6 @@ struct RunStats
 
     std::vector<WorkloadRunStats> workloads;
 
-    /**
-     * Flat (path, value) dump of the run's StatRegistry, taken after
-     * freeze(); appended to detailedReport() and exported by the
-     * JSON run report. Empty when no registry was attached.
-     */
-    std::vector<std::pair<std::string, double>> registrySnapshot;
-
     /** System throughput: sum of normalized progress (STP). */
     double stp() const;
 
@@ -124,9 +118,10 @@ struct RunStats
     /**
      * Multi-line gem5-style statistics dump: every whole-run and
      * per-tenant quantity as `name value` lines, suitable for
-     * diffing runs or feeding scripts.
+     * diffing runs or feeding scripts, then one `registry.<path>`
+     * line per entry of the run's frozen @p registry, if given.
      */
-    std::string detailedReport() const;
+    std::string detailedReport(const StatRegistry *registry = nullptr) const;
 };
 
 } // namespace v10

@@ -771,22 +771,36 @@ SchedulerEngine::countPreemption(Tenant &tenant)
         ++tenant.preemptions;
 }
 
-Cycles
-SchedulerEngine::windowBusyCycles(bool sa) const
+SchedulerEngine::WindowTotals
+SchedulerEngine::windowTotals() const
 {
-    Cycles busy = 0;
-    if (sa) {
-        for (auto &unit : core_.sas())
-            busy += unit->busyComputeCycles();
-    } else {
-        for (auto &unit : core_.vus())
-            busy += unit->busyComputeCycles();
+    WindowTotals totals;
+    for (auto &sa : core_.sas())
+        totals.saBusyCycles += sa->busyComputeCycles();
+    for (auto &vu : core_.vus())
+        totals.vuBusyCycles += vu->busyComputeCycles();
+    for (const auto &t : tenants_) {
+        totals.preemptions += t.preemptions;
+        totals.ctxOverheadCycles += t.ctxOverheadCycles;
+        totals.requests += t.windowRequests;
+        totals.quarantinedTenants += t.quarantined ? 1 : 0;
+        totals.flops += t.doneFlops;
     }
+    // Settle the pre-window compute of operators that straddled the
+    // measurement boundary (credited in full at completion).
+    double flops_debt = 0.0;
     for (const WindowDebt &debt : window_debts_) {
-        if (debt.isSa == sa)
-            busy -= std::min(busy, debt.cycles);
+        Cycles &bucket =
+            debt.isSa ? totals.saBusyCycles : totals.vuBusyCycles;
+        bucket -= std::min(bucket, debt.cycles);
+        flops_debt += debt.flops;
     }
-    return busy;
+    totals.flops = std::max(0.0, totals.flops - flops_debt);
+    totals.windowCycles = sim_.now() - window_start_;
+    totals.faultsInjected = injector_ ? injector_->injectedCount() : 0;
+    totals.dmaRetries = dma_retries_total_;
+    totals.saReplays = sa_replays_;
+    return totals;
 }
 
 void
@@ -804,79 +818,42 @@ SchedulerEngine::registerStats()
     core_.hbm().registerStats(reg, "core.hbm");
     core_.vmem().registerStats(reg, "core.vmem");
 
-    // Engine-level aggregates mirror collectStats() exactly (same
-    // window-debt adjustment), so the frozen registry agrees with
-    // the RunStats the run returns.
-    reg.addFormula(
-        "sched.sa_busy_cycles",
-        [this] {
-            return static_cast<double>(windowBusyCycles(true));
-        },
-        "SA useful compute cycles in the measured window");
-    reg.addFormula(
-        "sched.vu_busy_cycles",
-        [this] {
-            return static_cast<double>(windowBusyCycles(false));
-        },
-        "VU useful compute cycles in the measured window");
-    reg.addFormula(
-        "sched.window_cycles",
-        [this] {
-            return static_cast<double>(sim_.now() - window_start_);
-        },
-        "measured window length");
-    reg.addFormula(
-        "sched.preemptions",
-        [this] {
-            std::uint64_t n = 0;
-            for (const auto &t : tenants_)
-                n += t.preemptions;
-            return static_cast<double>(n);
-        },
-        "preemptions in the measured window");
-    reg.addFormula(
-        "sched.ctx_overhead_cycles",
-        [this] {
-            Cycles n = 0;
-            for (const auto &t : tenants_)
-                n += t.ctxOverheadCycles;
-            return static_cast<double>(n);
-        },
-        "context-switch cycles charged in the measured window");
-    reg.addFormula(
-        "sched.requests",
-        [this] {
-            std::uint64_t n = 0;
-            for (const auto &t : tenants_)
-                n += t.windowRequests;
-            return static_cast<double>(n);
-        },
-        "requests completed in the measured window");
-    reg.addFormula(
-        "sched.faults_injected",
-        [this] {
-            return injector_ ? static_cast<double>(
-                                   injector_->injectedCount())
-                             : 0.0;
-        },
-        "faults injected by the fault plan");
-    reg.addFormula(
-        "sched.dma_retries",
-        [this] { return static_cast<double>(dma_retries_total_); },
-        "timed-out DMA transfers reissued");
-    reg.addFormula(
-        "sched.sa_replays",
-        [this] { return static_cast<double>(sa_replays_); },
-        "operators replayed after context-save corruption");
-    reg.addFormula(
-        "sched.quarantined_tenants",
-        [this] {
-            std::uint64_t n = 0;
-            for (const auto &t : tenants_)
-                n += t.quarantined ? 1 : 0;
-            return static_cast<double>(n);
-        },
-        "tenants quarantined by the degradation policy");
+    // The whole-run totals are the ones collectStats() reads.
+    static const struct
+    {
+        const char *path;
+        std::uint64_t WindowTotals::*field;
+        const char *desc;
+    } kTotals[] = {
+        {"sched.sa_busy_cycles", &WindowTotals::saBusyCycles,
+         "SA useful compute cycles in the measured window"},
+        {"sched.vu_busy_cycles", &WindowTotals::vuBusyCycles,
+         "VU useful compute cycles in the measured window"},
+        {"sched.window_cycles", &WindowTotals::windowCycles,
+         "measured window length"},
+        {"sched.preemptions", &WindowTotals::preemptions,
+         "preemptions in the measured window"},
+        {"sched.ctx_overhead_cycles", &WindowTotals::ctxOverheadCycles,
+         "context-switch cycles charged in the measured window"},
+        {"sched.requests", &WindowTotals::requests,
+         "requests completed in the measured window"},
+        {"sched.faults_injected", &WindowTotals::faultsInjected,
+         "faults injected by the fault plan"},
+        {"sched.dma_retries", &WindowTotals::dmaRetries,
+         "timed-out DMA transfers reissued"},
+        {"sched.sa_replays", &WindowTotals::saReplays,
+         "operators replayed after context-save corruption"},
+        {"sched.quarantined_tenants", &WindowTotals::quarantinedTenants,
+         "tenants quarantined by the degradation policy"},
+    };
+    for (const auto &total : kTotals) {
+        reg.addFormula(
+            total.path,
+            [this, field = total.field] {
+                return static_cast<double>(windowTotals().*field);
+            },
+            total.desc);
+    }
 
     for (const Tenant &tenant : tenants_) {
         const Tenant *t = &tenant;
@@ -1045,19 +1022,17 @@ SchedulerEngine::run(std::uint64_t targetRequests,
     }
 
     RunStats stats = collectStats();
-    if (stats_ != nullptr) {
-        // Settle every live formula now, while the engine and core
-        // are guaranteed alive; the registry then outlives the run.
+    // Settle every live formula now, while the engine and core are
+    // guaranteed alive; the registry then outlives the run.
+    if (stats_ != nullptr)
         stats_->freeze();
-        stats.registrySnapshot = stats_->snapshot();
-    }
     if (aborted_ && !resilience_.diagnosticDir.empty())
-        writeDiagnostics(stats);
+        writeDiagnostics();
     return stats;
 }
 
 void
-SchedulerEngine::writeDiagnostics(const RunStats &stats) const
+SchedulerEngine::writeDiagnostics() const
 {
     namespace fs = std::filesystem;
     std::error_code ec;
@@ -1116,12 +1091,14 @@ SchedulerEngine::writeDiagnostics(const RunStats &stats) const
         flight_->writeJson(w);
     else
         w.valueNull();
-    // The frozen registry snapshot: every hardware and scheduler
-    // statistic at abort time (the observability layer's view).
+    // The frozen registry: every hardware and scheduler statistic at
+    // abort time (the observability layer's view).
     w.key("registry");
     w.beginObject();
-    for (const auto &[stat_path, value] : stats.registrySnapshot)
-        w.kv(stat_path, value);
+    if (stats_ != nullptr) {
+        for (const auto &[stat_path, value] : stats_->snapshot())
+            w.kv(stat_path, value);
+    }
     w.endObject();
     w.endObject();
     os << '\n';
@@ -1132,42 +1109,27 @@ RunStats
 SchedulerEngine::collectStats()
 {
     const NpuConfig &cfg = core_.config();
+    const WindowTotals totals = windowTotals();
     RunStats stats;
-    stats.windowCycles = sim_.now() - window_start_;
+    stats.windowCycles = totals.windowCycles;
     stats.windowSeconds = cfg.cyclesToSeconds(stats.windowCycles);
     stats.aborted = aborted_;
     stats.abortReason = abort_reason_;
-    stats.faultsInjected =
-        injector_ ? injector_->injectedCount() : 0;
-    stats.dmaRetries = dma_retries_total_;
-    stats.saReplays = sa_replays_;
-    for (const auto &t : tenants_)
-        stats.quarantinedTenants += t.quarantined ? 1 : 0;
+    stats.faultsInjected = totals.faultsInjected;
+    stats.dmaRetries = totals.dmaRetries;
+    stats.saReplays = totals.saReplays;
+    stats.quarantinedTenants =
+        static_cast<std::uint32_t>(totals.quarantinedTenants);
     const auto window = static_cast<double>(stats.windowCycles);
     if (stats.windowCycles == 0)
         return stats;
 
-    Cycles sa_busy = 0;
-    Cycles vu_busy = 0;
-    for (auto &sa : core_.sas())
-        sa_busy += sa->busyComputeCycles();
-    for (auto &vu : core_.vus())
-        vu_busy += vu->busyComputeCycles();
-    // Settle the pre-window compute of operators that straddled the
-    // measurement boundary (credited in full at completion).
-    double flops_debt_total = 0.0;
-    for (const WindowDebt &debt : window_debts_) {
-        Cycles &bucket = debt.isSa ? sa_busy : vu_busy;
-        bucket -= std::min(bucket, debt.cycles);
-        flops_debt_total += debt.flops;
-    }
-    stats.saUtil =
-        static_cast<double>(sa_busy) / (window * cfg.numSa);
-    stats.vuUtil =
-        static_cast<double>(vu_busy) / (window * cfg.numVu);
-    stats.combinedUtil = (static_cast<double>(sa_busy) +
-                          static_cast<double>(vu_busy)) /
-                         (window * (cfg.numSa + cfg.numVu));
+    const auto sa_busy = static_cast<double>(totals.saBusyCycles);
+    const auto vu_busy = static_cast<double>(totals.vuBusyCycles);
+    stats.saUtil = sa_busy / (window * cfg.numSa);
+    stats.vuUtil = vu_busy / (window * cfg.numVu);
+    stats.combinedUtil =
+        (sa_busy + vu_busy) / (window * (cfg.numSa + cfg.numVu));
     stats.hbmUtil = core_.hbm().utilization(window_start_);
 
     stats.overlapBothFrac =
@@ -1179,7 +1141,6 @@ SchedulerEngine::collectStats()
     stats.idleFrac =
         overlap_.bucketFrac(OverlapTracker::Bucket::Idle);
 
-    double total_flops = 0.0;
     for (auto &t : tenants_) {
         WorkloadRunStats ws;
         ws.label = t.wl->label();
@@ -1215,12 +1176,10 @@ SchedulerEngine::collectStats()
                 : static_cast<double>(t.ctxOverheadCycles) /
                       (static_cast<double>(ws.requests) *
                        static_cast<double>(t.wl->computeCycles()));
-        total_flops += t.doneFlops;
         stats.workloads.push_back(std::move(ws));
     }
-    total_flops = std::max(0.0, total_flops - flops_debt_total);
     stats.flopsUtil =
-        total_flops / (window * cfg.peakFlopsPerCycle());
+        totals.flops / (window * cfg.peakFlopsPerCycle());
     return stats;
 }
 

@@ -183,10 +183,11 @@ class V10_DOMAIN_LOCAL SchedulerEngine
 
     /**
      * Attach a statistics registry (not owned; may be nullptr).
-     * run() registers the hardware and scheduler statistics into it,
-     * freezes it at the end of the run (formulas capture pointers
-     * into this engine and its core), and copies its snapshot into
-     * RunStats::registrySnapshot.
+     * run() registers the hardware and scheduler statistics into it
+     * and freezes it at the end of the run (formulas capture pointers
+     * into this engine and its core), so the caller reads the frozen
+     * registry after the run. Its top-level sched.* totals are the
+     * window totals collectStats() reads.
      */
     void setStats(StatRegistry *stats) { stats_ = stats; }
 
@@ -489,7 +490,7 @@ class V10_DOMAIN_LOCAL SchedulerEngine
     void abortRun(const std::string &reason);
 
     /** Write diagnostics.json into resilience_.diagnosticDir. */
-    void writeDiagnostics(const RunStats &stats) const;
+    void writeDiagnostics() const;
 
     /** Set the Ready bit and notify once the current operator is
      * staged, the dispatch gap has elapsed, and (open loop) a
@@ -508,6 +509,26 @@ class V10_DOMAIN_LOCAL SchedulerEngine
     /** Zero every measured statistic (end of warmup). */
     void resetMeasurement();
 
+    /** Whole-run totals of the measured window, summed once. */
+    struct WindowTotals
+    {
+        Cycles saBusyCycles = 0; ///< after the window-debt adjustment
+        Cycles vuBusyCycles = 0; ///< after the window-debt adjustment
+        Cycles windowCycles = 0;
+        std::uint64_t preemptions = 0;
+        Cycles ctxOverheadCycles = 0;
+        std::uint64_t requests = 0;
+        std::uint64_t faultsInjected = 0;
+        std::uint64_t dmaRetries = 0;
+        std::uint64_t saReplays = 0;
+        std::uint64_t quarantinedTenants = 0;
+        double flops = 0.0; ///< after the window-debt adjustment
+    };
+
+    /** The window totals; collectStats() and the sched.* registry
+     * formulas both read them. */
+    WindowTotals windowTotals() const;
+
     /** Collect the RunStats at the end of the measured window. */
     RunStats collectStats();
 
@@ -516,10 +537,6 @@ class V10_DOMAIN_LOCAL SchedulerEngine
 
     /** Install the default probe set into sampler_. */
     void registerDefaultProbes();
-
-    /** Window-debt-adjusted busy-cycle sum (same arithmetic as
-     * collectStats, exposed to the registry formulas). */
-    Cycles windowBusyCycles(bool sa) const;
 
     Simulator &sim_;
     NpuCore &core_;

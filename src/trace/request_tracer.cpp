@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "common/json.h"
-#include "common/log.h"
 
 namespace v10 {
 
@@ -46,16 +45,16 @@ RequestTracer::writeJsonl(std::ostream &os) const
     }
 }
 
-void
+Status
 RequestTracer::writeJsonlFile(const std::string &path) const
 {
     std::ofstream os(path);
-    // Unwritable output path is an environment error surfaced at the
-    // CLI layer, same convention as TimelineTracer's file writer.
     if (!os)
-        // v10lint: allow(error-no-fatal)
-        fatal("RequestTracer: cannot open ", path);
+        return parseError("cannot open trace output for writing", path);
     writeJsonl(os);
+    if (!os)
+        return parseError("short write on trace output", path);
+    return Status::ok();
 }
 
 bool

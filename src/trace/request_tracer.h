@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "metrics/timeline.h"
 #include "trace/trace_context.h"
 
@@ -75,8 +76,9 @@ class RequestTracer : public AsyncSpanSource
     /** One compact JSON object per line, in recorded order. */
     void writeJsonl(std::ostream &os) const;
 
-    /** writeJsonl() to a path; fatal() if unwritable. */
-    void writeJsonlFile(const std::string &path) const;
+    /** writeJsonl() to a path; an error Status if the path cannot
+     * be opened or the write comes up short. */
+    Status writeJsonlFile(const std::string &path) const;
 
     /**
      * Emit each span as a Chrome async "b"/"e" pair (plus a nested

@@ -26,6 +26,7 @@
 #include "metrics/run_report.h"
 #include "metrics/stat_registry.h"
 #include "metrics/timeline.h"
+#include "sim/fault_plan.h"
 #include "sim/simulator.h"
 #include "v10/experiment.h"
 
@@ -833,52 +834,124 @@ TEST(Json, ParserReportsErrors)
 
 TEST(Observability, FrozenRegistryAgreesWithRunStats)
 {
-    ExperimentRunner runner;
-    StatRegistry reg;
-    SchedulerOptions so;
-    so.stats = &reg;
-    const RunStats stats = runner.runPair(
-        SchedulerKind::V10Full, "MNST", "NCF", 1.0, 1.0, 4, so);
-
-    ASSERT_TRUE(reg.frozen());
-    std::uint64_t sa = 0;
-    std::uint64_t vu = 0;
-    std::uint64_t preempts = 0;
-    std::uint64_t requests = 0;
-    for (const auto &w : stats.workloads) {
-        sa += w.saComputeCycles;
-        vu += w.vuComputeCycles;
-        preempts += w.preemptions;
-        requests += w.requests;
+    // Every top-level sched.* leaf equals its RunStats field, or the
+    // sum of the per-tenant fields, bit for bit: under all five
+    // schedulers, with a warmup (so operators straddle the window
+    // and leave window debts), and under a fault plan that injects,
+    // retries DMA, replays SA operators and quarantines a tenant.
+    const auto plan = FaultPlan::parse(
+        "runaway:rate=0.01:mag=4,dma-timeout:rate=0.05,"
+        "sa-corrupt:rate=0.3");
+    ASSERT_TRUE(plan.ok()) << plan.error().toString();
+    struct Case
+    {
+        SchedulerKind kind;
+        std::uint64_t warmup;
+        const FaultPlan *faults;
+    };
+    std::vector<Case> cases;
+    for (const SchedulerKind kind :
+         {SchedulerKind::Pmt, SchedulerKind::V10Base,
+          SchedulerKind::V10Fair, SchedulerKind::V10Full,
+          SchedulerKind::Prema}) {
+        cases.push_back({kind, 0, nullptr});
+        cases.push_back({kind, 3, nullptr});
     }
-    EXPECT_DOUBLE_EQ(reg.value("sched.sa_busy_cycles"),
-                     static_cast<double>(sa));
-    EXPECT_DOUBLE_EQ(reg.value("sched.vu_busy_cycles"),
-                     static_cast<double>(vu));
-    EXPECT_DOUBLE_EQ(reg.value("sched.preemptions"),
-                     static_cast<double>(preempts));
-    EXPECT_DOUBLE_EQ(reg.value("sched.requests"),
-                     static_cast<double>(requests));
-    EXPECT_DOUBLE_EQ(reg.value("sched.window_cycles"),
-                     static_cast<double>(stats.windowCycles));
-    ASSERT_EQ(stats.workloads.size(), 2u);
-    EXPECT_DOUBLE_EQ(reg.value("sched.tenant0.requests"),
-                     static_cast<double>(stats.workloads[0].requests));
-    EXPECT_DOUBLE_EQ(reg.value("sched.tenant1.requests"),
-                     static_cast<double>(stats.workloads[1].requests));
+    cases.push_back({SchedulerKind::V10Full, 3, &plan.value()});
+    cases.push_back({SchedulerKind::Pmt, 3, &plan.value()});
 
-    // The engine also mirrors its frozen snapshot into RunStats for
-    // detailedReport().
-    EXPECT_EQ(stats.registrySnapshot, reg.snapshot());
-    EXPECT_NE(stats.detailedReport().find("registry.sched"),
-              std::string::npos);
+    ExperimentRunner runner;
+    bool saw_window_debt = false;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << schedulerKindName(c.kind) << " warmup "
+                     << c.warmup << (c.faults ? " faults" : ""));
+        StatRegistry reg;
+        SchedulerOptions so;
+        so.stats = &reg;
+        so.resilience.faults = c.faults;
+        so.resilience.quarantineThreshold = c.faults ? 3 : 0;
+        const RunStats stats = runner.run(
+            c.kind, {TenantRequest{"MNST", 0, 1.0},
+                     TenantRequest{"NCF", 0, 1.0}},
+            4, c.warmup, so);
+        ASSERT_TRUE(reg.frozen());
+        ASSERT_EQ(stats.workloads.size(), 2u);
 
-    // Per-unit stats exist and sum to at least the windowed cycles.
-    EXPECT_TRUE(reg.has("core.sa0.busy_cycles"));
-    EXPECT_TRUE(reg.has("core.vu0.busy_cycles"));
-    EXPECT_TRUE(reg.has("core.hbm.bytes_moved"));
-    EXPECT_TRUE(reg.has("core.vmem.capacity_bytes"));
-    EXPECT_GT(reg.value("core.hbm.bytes_moved"), 0.0);
+        Cycles sa = 0;
+        Cycles vu = 0;
+        Cycles ctx = 0;
+        std::uint64_t preempts = 0;
+        std::uint64_t requests = 0;
+        for (std::size_t i = 0; i < stats.workloads.size(); ++i) {
+            const WorkloadRunStats &w = stats.workloads[i];
+            sa += w.saComputeCycles;
+            vu += w.vuComputeCycles;
+            ctx += w.overheadCycles;
+            preempts += w.preemptions;
+            requests += w.requests;
+            const std::string t = "sched.tenant" + std::to_string(i);
+            EXPECT_EQ(reg.value(t + ".requests"),
+                      static_cast<double>(w.requests));
+            EXPECT_EQ(reg.value(t + ".preemptions"),
+                      static_cast<double>(w.preemptions));
+            EXPECT_EQ(reg.value(t + ".ctx_overhead_cycles"),
+                      static_cast<double>(w.overheadCycles));
+            EXPECT_EQ(reg.value(t + ".fault_strikes"),
+                      static_cast<double>(w.faultStrikes));
+        }
+        EXPECT_EQ(reg.value("sched.sa_busy_cycles"),
+                  static_cast<double>(sa));
+        EXPECT_EQ(reg.value("sched.vu_busy_cycles"),
+                  static_cast<double>(vu));
+        EXPECT_EQ(reg.value("sched.window_cycles"),
+                  static_cast<double>(stats.windowCycles));
+        EXPECT_EQ(reg.value("sched.preemptions"),
+                  static_cast<double>(preempts));
+        EXPECT_EQ(reg.value("sched.ctx_overhead_cycles"),
+                  static_cast<double>(ctx));
+        EXPECT_EQ(reg.value("sched.requests"),
+                  static_cast<double>(requests));
+        EXPECT_EQ(reg.value("sched.faults_injected"),
+                  static_cast<double>(stats.faultsInjected));
+        EXPECT_EQ(reg.value("sched.dma_retries"),
+                  static_cast<double>(stats.dmaRetries));
+        EXPECT_EQ(reg.value("sched.sa_replays"),
+                  static_cast<double>(stats.saReplays));
+        EXPECT_EQ(reg.value("sched.quarantined_tenants"),
+                  static_cast<double>(stats.quarantinedTenants));
+        if (c.faults != nullptr) {
+            EXPECT_GT(stats.faultsInjected, 0u);
+            EXPECT_GT(stats.dmaRetries, 0u);
+            EXPECT_GT(stats.saReplays, 0u);
+            EXPECT_GT(stats.quarantinedTenants, 0u);
+        }
+        // The per-unit counters hold the raw window compute; the
+        // sched.* totals have the straddling operators' debts taken
+        // off.
+        const double raw = reg.value("core.sa0.busy_cycles") +
+                           reg.value("core.vu0.busy_cycles");
+        EXPECT_GE(raw, static_cast<double>(sa + vu));
+        saw_window_debt |= raw > static_cast<double>(sa + vu);
+
+        // --detail prints the frozen registry after the RunStats
+        // lines, one registry.<path> line per snapshot entry.
+        const std::string detail = stats.detailedReport(&reg);
+        EXPECT_EQ(stats.detailedReport().find("registry."),
+                  std::string::npos);
+        for (const auto &[path, value] : reg.snapshot()) {
+            char line[256];
+            std::snprintf(line, sizeof(line), "\nregistry.%s  %.6f\n",
+                          path.c_str(), value);
+            EXPECT_NE(detail.find(line), std::string::npos) << line;
+        }
+
+        // Per-unit stats exist.
+        EXPECT_TRUE(reg.has("core.hbm.bytes_moved"));
+        EXPECT_TRUE(reg.has("core.vmem.capacity_bytes"));
+        EXPECT_GT(reg.value("core.hbm.bytes_moved"), 0.0);
+    }
+    EXPECT_TRUE(saw_window_debt);
 }
 
 TEST(Observability, SamplingLeavesSchedulingBitIdentical)

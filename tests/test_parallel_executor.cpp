@@ -202,7 +202,6 @@ expectRunStatsEq(const RunStats &a, const RunStats &b)
     ASSERT_EQ(a.workloads.size(), b.workloads.size());
     for (std::size_t i = 0; i < a.workloads.size(); ++i)
         expectWorkloadStatsEq(a.workloads[i], b.workloads[i]);
-    expectSnapshotEq(a.registrySnapshot, b.registrySnapshot);
 }
 
 /** The sweep grid used by the determinism proof: mixed tenant
@@ -325,7 +324,10 @@ TEST(SweepDeterminism, FaultsAndRegistrySnapshotsBitIdentical)
         SCOPED_TRACE(std::string("kind ") +
                      schedulerKindName(kinds[i]));
         expectRunStatsEq(expected[i], got[i]);
-        EXPECT_FALSE(expected[i].registrySnapshot.empty());
+        const auto serial_snapshot = serial_registries[i]->snapshot();
+        EXPECT_FALSE(serial_snapshot.empty());
+        expectSnapshotEq(serial_snapshot,
+                         parallel_registries[i]->snapshot());
     }
 }
 

@@ -231,8 +231,8 @@ TEST(StressParallel, FaultInjectionSnapshotsBitIdentical)
     ASSERT_EQ(expected.size(), got_parallel.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
         SCOPED_TRACE("cell " + std::to_string(i));
-        const auto &a = expected[i].registrySnapshot;
-        const auto &b = got_parallel[i].registrySnapshot;
+        const auto a = serial_registries[i]->snapshot();
+        const auto b = parallel_registries[i]->snapshot();
         ASSERT_FALSE(a.empty());
         ASSERT_EQ(a.size(), b.size());
         for (std::size_t s = 0; s < a.size(); ++s) {
