@@ -1,15 +1,17 @@
 #include "v10/report.h"
 
+#include <algorithm>
 #include <fstream>
-#include <map>
 #include <ostream>
 #include <vector>
 
 #include "common/json.h"
+#include "common/log.h"
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "metrics/run_report.h"
 #include "v10/experiment.h"
+#include "v10/figures.h"
 #include "v10/sweep.h"
 #include "workload/model_zoo.h"
 
@@ -38,8 +40,33 @@ separator(std::ostream &os, std::size_t cols)
 
 } // namespace
 
-Status
-writeEvaluationReport(std::ostream &os, const ReportOptions &options)
+std::size_t
+EvaluationGrid::pairs() const
+{
+    return evaluationPairs().size();
+}
+
+std::string
+EvaluationGrid::label(std::size_t pair) const
+{
+    const auto &[a, b] = evaluationPairs().at(pair);
+    return a + "+" + b;
+}
+
+const RunStats &
+EvaluationGrid::at(std::size_t pair, SchedulerKind kind) const
+{
+    const auto it = std::find(kinds.begin(), kinds.end(), kind);
+    if (it == kinds.end())
+        panic("EvaluationGrid::at: design ", schedulerKindName(kind),
+              " is not in the grid");
+    return cells.at(pair * kinds.size() +
+                    static_cast<std::size_t>(it - kinds.begin()));
+}
+
+Result<EvaluationGrid>
+runEvaluationGrid(const std::vector<SchedulerKind> &kinds,
+                  const ReportOptions &options, const std::string &tool)
 {
     // Open the JSON companion before the grid runs, so that a bad
     // path fails in a moment, not after the whole evaluation.
@@ -51,6 +78,60 @@ writeEvaluationReport(std::ostream &os, const ReportOptions &options)
                               options.statsJsonPath);
     }
     ExperimentRunner runner(options.config);
+    SweepRunner sweep(runner, options.jobs);
+    EvaluationGrid grid{
+        kinds, sweep.runPairs(evaluationPairs(), kinds, options.requests)};
+    if (!js.is_open())
+        return grid;
+
+    JsonWriter w(js);
+    w.beginObject();
+    w.key("manifest");
+    w.beginObject();
+    w.kv("tool", tool);
+    w.kv("config", options.config.summary());
+    w.kv("requests", options.requests);
+    w.key("schedulers");
+    w.beginArray();
+    for (SchedulerKind kind : kinds)
+        w.value(schedulerKindName(kind));
+    w.endArray();
+    w.endObject();
+    w.key("grid");
+    w.beginObject();
+    for (std::size_t p = 0; p < grid.pairs(); ++p) {
+        w.key(grid.label(p));
+        w.beginObject();
+        for (SchedulerKind kind : kinds) {
+            w.key(schedulerKindName(kind));
+            writeRunStatsJson(w, grid.at(p, kind));
+        }
+        w.endObject();
+    }
+    w.endObject();
+    w.endObject();
+    js << '\n';
+    if (!js)
+        return parseError("short write on stats JSON",
+                          options.statsJsonPath);
+    return grid;
+}
+
+Status
+writeEvaluationReport(std::ostream &os, const ReportOptions &options)
+{
+    const auto &kinds = allSchedulerKinds();
+    Result<EvaluationGrid> ran =
+        runEvaluationGrid(kinds, options, "v10sim report");
+    if (!ran)
+        return ran.error();
+    const EvaluationGrid grid = ran.take();
+    auto pmtOf = [&](std::size_t p) -> const RunStats & {
+        return grid.at(p, SchedulerKind::Pmt);
+    };
+    auto fullOf = [&](std::size_t p) -> const RunStats & {
+        return grid.at(p, SchedulerKind::V10Full);
+    };
 
     os << "# " << options.title << "\n\n";
     os << "Hardware: `" << options.config.summary() << "`\n\n";
@@ -58,36 +139,14 @@ writeEvaluationReport(std::ostream &os, const ReportOptions &options)
        << options.requests << " (after warmup). All numbers are "
        << "deterministic.\n\n";
 
-    // --- Run everything once (pair x design grid, fanned over
-    // options.jobs threads; the grid is bit-identical for any jobs
-    // count). ---
-    struct PairData
-    {
-        std::string label;
-        std::map<SchedulerKind, RunStats> byKind;
-    };
-    SweepRunner sweep(runner, options.jobs);
-    const auto &kinds = allSchedulerKinds();
-    std::vector<RunStats> grid =
-        sweep.runPairs(evaluationPairs(), kinds, options.requests);
-    std::vector<PairData> pairs;
-    std::size_t cell = 0;
-    for (const auto &[a, b] : evaluationPairs()) {
-        PairData data;
-        data.label = a + "+" + b;
-        for (SchedulerKind kind : kinds)
-            data.byKind.emplace(kind, std::move(grid[cell++]));
-        pairs.push_back(std::move(data));
-    }
-
     // --- Headline geomeans. ---
     std::vector<double> util_gain;
     std::vector<double> stp_gain;
     std::vector<double> lat_gain;
     std::vector<double> tail_gain;
-    for (const auto &p : pairs) {
-        const RunStats &pmt = p.byKind.at(SchedulerKind::Pmt);
-        const RunStats &full = p.byKind.at(SchedulerKind::V10Full);
+    for (std::size_t p = 0; p < grid.pairs(); ++p) {
+        const RunStats &pmt = pmtOf(p);
+        const RunStats &full = fullOf(p);
         if (pmt.combinedUtil > 0.0)
             util_gain.push_back(full.combinedUtil /
                                 pmt.combinedUtil);
@@ -101,18 +160,19 @@ writeEvaluationReport(std::ostream &os, const ReportOptions &options)
         }
     }
 
+    auto times = [](double v) { return formatDouble(v, 2) + "x"; };
     os << "## Headline (V10-Full vs PMT, geomean over "
-       << pairs.size() << " pairs)\n\n";
+       << grid.pairs() << " pairs)\n\n";
     row(os, {"metric", "paper", "this run"});
     separator(os, 3);
-    row(os, {"NPU utilization", "1.64x",
-             formatDouble(geomean(util_gain), 2) + "x"});
-    row(os, {"aggregated throughput", "1.57x",
-             formatDouble(geomean(stp_gain), 2) + "x"});
-    row(os, {"average latency", "1.56x",
-             formatDouble(geomean(lat_gain), 2) + "x"});
-    row(os, {"95th-percentile latency", "1.74x",
-             formatDouble(geomean(tail_gain), 2) + "x"});
+    row(os, {"NPU utilization", times(kPaper.utilization),
+             times(geomean(util_gain))});
+    row(os, {"aggregated throughput", times(kPaper.throughput),
+             times(geomean(stp_gain))});
+    row(os, {"average latency", times(kPaper.avgLatency),
+             times(geomean(lat_gain))});
+    row(os, {"95th-percentile latency", times(kPaper.tailLatency),
+             times(geomean(tail_gain))});
     os << '\n';
 
     // --- Per-pair throughput (Fig. 18). ---
@@ -120,18 +180,16 @@ writeEvaluationReport(std::ostream &os, const ReportOptions &options)
     row(os, {"pair", "PMT", "V10-Base", "V10-Fair", "V10-Full",
              "Full/PMT"});
     separator(os, 6);
-    for (const auto &p : pairs) {
-        const double pmt = p.byKind.at(SchedulerKind::Pmt).stp();
-        const double full =
-            p.byKind.at(SchedulerKind::V10Full).stp();
-        row(os,
-            {p.label, formatDouble(pmt, 3),
-             formatDouble(p.byKind.at(SchedulerKind::V10Base).stp(),
-                          3),
-             formatDouble(p.byKind.at(SchedulerKind::V10Fair).stp(),
-                          3),
-             formatDouble(full, 3),
-             formatDouble(pmt > 0.0 ? full / pmt : 0.0, 2) + "x"});
+    for (std::size_t p = 0; p < grid.pairs(); ++p) {
+        const double pmt = pmtOf(p).stp();
+        const double full = fullOf(p).stp();
+        row(os, {grid.label(p), formatDouble(pmt, 3),
+                 formatDouble(grid.at(p, SchedulerKind::V10Base).stp(),
+                              3),
+                 formatDouble(grid.at(p, SchedulerKind::V10Fair).stp(),
+                              3),
+                 formatDouble(full, 3),
+                 times(pmt > 0.0 ? full / pmt : 0.0)});
     }
     os << '\n';
 
@@ -141,9 +199,9 @@ writeEvaluationReport(std::ostream &os, const ReportOptions &options)
     row(os, {"pair", "SA", "VU", "HBM", "SA&VU overlap",
              "fairness"});
     separator(os, 6);
-    for (const auto &p : pairs) {
-        const RunStats &full = p.byKind.at(SchedulerKind::V10Full);
-        row(os, {p.label, formatPct(full.saUtil),
+    for (std::size_t p = 0; p < grid.pairs(); ++p) {
+        const RunStats &full = fullOf(p);
+        row(os, {grid.label(p), formatPct(full.saUtil),
                  formatPct(full.vuUtil), formatPct(full.hbmUtil),
                  formatPct(full.overlapBothFrac),
                  formatDouble(full.fairness(), 2)});
@@ -155,12 +213,10 @@ writeEvaluationReport(std::ostream &os, const ReportOptions &options)
     row(os, {"pair", "PMT ovhd", "Full ovhd", "PMT preempts/req",
              "Full preempts/req"});
     separator(os, 5);
-    for (const auto &p : pairs) {
-        const auto &pmt0 =
-            p.byKind.at(SchedulerKind::Pmt).workloads[0];
-        const auto &full0 =
-            p.byKind.at(SchedulerKind::V10Full).workloads[0];
-        row(os, {p.label, formatPct(pmt0.ctxOverheadFrac, 2),
+    for (std::size_t p = 0; p < grid.pairs(); ++p) {
+        const auto &pmt0 = pmtOf(p).workloads[0];
+        const auto &full0 = fullOf(p).workloads[0];
+        row(os, {grid.label(p), formatPct(pmt0.ctxOverheadFrac, 2),
                  formatPct(full0.ctxOverheadFrac, 2),
                  formatDouble(pmt0.preemptsPerRequest(), 1),
                  formatDouble(full0.preemptsPerRequest(), 1)});
@@ -168,40 +224,6 @@ writeEvaluationReport(std::ostream &os, const ReportOptions &options)
     os << '\n';
     os << "Generated by `v10sim report`; see EXPERIMENTS.md for the "
           "full paper-vs-measured discussion.\n";
-
-    // --- Structured JSON companion (--stats-json). ---
-    if (js.is_open()) {
-        JsonWriter w(js);
-        w.beginObject();
-        w.key("manifest");
-        w.beginObject();
-        w.kv("tool", "v10sim report");
-        w.kv("config", options.config.summary());
-        w.kv("requests", options.requests);
-        w.key("schedulers");
-        w.beginArray();
-        for (SchedulerKind kind : kinds)
-            w.value(schedulerKindName(kind));
-        w.endArray();
-        w.endObject();
-        w.key("grid");
-        w.beginObject();
-        for (const auto &p : pairs) {
-            w.key(p.label);
-            w.beginObject();
-            for (const auto &[kind, stats] : p.byKind) {
-                w.key(schedulerKindName(kind));
-                writeRunStatsJson(w, stats);
-            }
-            w.endObject();
-        }
-        w.endObject();
-        w.endObject();
-        js << '\n';
-    }
-    if (js.is_open() && !js)
-        return parseError("short write on stats JSON",
-                          options.statsJsonPath);
     return Status::ok();
 }
 

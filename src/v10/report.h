@@ -13,9 +13,12 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
+#include "metrics/run_stats.h"
 #include "npu/npu_config.h"
+#include "sched/scheduler_factory.h"
 
 namespace v10 {
 
@@ -33,6 +36,38 @@ struct ReportOptions
      * structured JSON document at this path ("--stats-json"). */
     std::string statsJsonPath;
 };
+
+/**
+ * The paper's 11 evaluation pairs (evaluationPairs()) run under a set
+ * of designs: the grid behind `v10sim report` and Figs. 16-21.
+ */
+struct EvaluationGrid
+{
+    std::vector<SchedulerKind> kinds;
+    std::vector<RunStats> cells; ///< pair-major, kind-minor
+
+    /** Number of pairs (rows). */
+    std::size_t pairs() const;
+    /** "BERT+NCF"-style label of pair @p pair. */
+    std::string label(std::size_t pair) const;
+    /** The run of pair @p pair under @p kind (one of kinds). */
+    const RunStats &at(std::size_t pair, SchedulerKind kind) const;
+};
+
+/**
+ * Run the grid under @p kinds with options.config, options.requests
+ * and options.jobs threads (bit-identical for any jobs count). When
+ * options.statsJsonPath is set, also write the grid there as one
+ * JSON document: {"manifest": {tool, config, requests, schedulers[]},
+ * "grid": {"A+B": {"PMT": RunStats, ...}}}.
+ * @param tool the manifest's "tool" value
+ * @return the grid, or an error naming options.statsJsonPath when it
+ *         cannot be written; an unwritable path fails before the
+ *         grid runs
+ */
+Result<EvaluationGrid>
+runEvaluationGrid(const std::vector<SchedulerKind> &kinds,
+                  const ReportOptions &options, const std::string &tool);
 
 /**
  * Run the headline evaluation and write a markdown report.
