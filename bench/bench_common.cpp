@@ -3,16 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 
-#include "common/json.h"
-#include "common/log.h"
 #include "common/parallel_executor.h"
-#include "metrics/run_report.h"
 #include "common/string_util.h"
-#include "v10/sweep.h"
-#include "workload/model_zoo.h"
 
 namespace v10::bench {
 
@@ -29,13 +22,17 @@ BenchOptions::parse(int argc, char **argv, const std::string &what)
             opts.requests = 8;
         } else if (std::strcmp(arg, "--requests") == 0 &&
                    i + 1 < argc) {
-            opts.requests =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            const auto n = parseUint64(argv[++i]);
+            if (!n || *n == 0) {
+                std::fprintf(stderr,
+                             "--requests expects a positive integer, "
+                             "got '%s'\n",
+                             argv[i]);
+                std::exit(2);
+            }
+            opts.requests = *n;
         } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
             opts.jobs = ParallelExecutor::parseJobs(argv[++i]);
-        } else if (std::strcmp(arg, "--stats-json") == 0 &&
-                   i + 1 < argc) {
-            opts.statsJson = argv[++i];
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
             std::printf("%s\n\nOptions:\n"
@@ -46,9 +43,7 @@ BenchOptions::parse(int argc, char **argv, const std::string &what)
                         "  --jobs <n|auto>   threads for independent "
                         "simulations (default 1;\n"
                         "                    results are identical "
-                        "for any value)\n"
-                        "  --stats-json <f>  also dump results as "
-                        "structured JSON\n",
+                        "for any value)\n",
                         what.c_str());
             std::exit(0);
         } else {
@@ -68,126 +63,6 @@ banner(const BenchOptions &opts, const std::string &title,
     std::printf("== %s ==\n(reproduces %s of \"V10: "
                 "Hardware-Assisted NPU Multi-tenancy\", ISCA'23)\n\n",
                 title.c_str(), paperRef.c_str());
-}
-
-std::vector<PairRunSet>
-runEvaluationPairs(ExperimentRunner &runner,
-                   const std::vector<SchedulerKind> &kinds,
-                   std::uint64_t requests, std::size_t jobs)
-{
-    SweepRunner sweep(runner, jobs);
-    std::vector<RunStats> grid =
-        sweep.runPairs(evaluationPairs(), kinds, requests);
-
-    std::vector<PairRunSet> out;
-    std::size_t cell = 0;
-    for (const auto &[a, b] : evaluationPairs()) {
-        PairRunSet set;
-        set.a = a;
-        set.b = b;
-        for (SchedulerKind kind : kinds)
-            set.byKind.emplace(kind, std::move(grid[cell++]));
-        out.push_back(std::move(set));
-    }
-    return out;
-}
-
-std::string
-pairLabel(const PairRunSet &set)
-{
-    return set.a + "+" + set.b;
-}
-
-void
-maybeWriteStatsJson(const BenchOptions &opts, const std::string &tool,
-                    const ExperimentRunner &runner,
-                    const std::vector<PairRunSet> &sets)
-{
-    if (opts.statsJson.empty())
-        return;
-    std::ofstream os(opts.statsJson);
-    if (!os)
-        fatal(tool, ": cannot open stats JSON path '", opts.statsJson,
-              "'");
-    JsonWriter w(os);
-    w.beginObject();
-    w.key("manifest");
-    w.beginObject();
-    w.kv("tool", tool);
-    w.kv("config", runner.config().summary());
-    w.kv("requests", opts.requests);
-    w.key("schedulers");
-    w.beginArray();
-    if (!sets.empty())
-        for (const auto &[kind, stats] : sets.front().byKind)
-            w.value(schedulerKindName(kind));
-    w.endArray();
-    w.endObject();
-    w.key("grid");
-    w.beginObject();
-    for (const PairRunSet &set : sets) {
-        w.key(pairLabel(set));
-        w.beginObject();
-        for (const auto &[kind, stats] : set.byKind) {
-            w.key(schedulerKindName(kind));
-            writeRunStatsJson(w, stats);
-        }
-        w.endObject();
-    }
-    w.endObject();
-    w.endObject();
-    os << '\n';
-}
-
-void
-profileSweepBench(const BenchOptions &opts, const std::string &title,
-                  const std::string &paperRef,
-                  double (*metric)(const SingleProfile &),
-                  bool asPercent)
-{
-    banner(opts, title, paperRef);
-    const NpuConfig config;
-    const auto profiles = profileAllModels(
-        config, opts.quick ? 4 : opts.requests, opts.jobs);
-
-    std::vector<std::string> headers = {"model"};
-    for (int b : standardBatchSweep())
-        headers.push_back("b" + std::to_string(b));
-    TextTable table(headers);
-    CsvWriter csv(std::cout);
-    if (opts.csv)
-        csv.header(headers);
-
-    std::string current;
-    std::vector<std::string> row;
-    auto flush = [&] {
-        if (current.empty())
-            return;
-        if (opts.csv) {
-            csv.row(row);
-        } else {
-            table.addRow();
-            for (const auto &cell : row)
-                table.cell(cell);
-        }
-    };
-    for (const SingleProfile &p : profiles) {
-        if (p.model != current) {
-            flush();
-            current = p.model;
-            row = {current};
-        }
-        if (p.oom) {
-            row.push_back("-");
-        } else {
-            const double v = metric(p);
-            row.push_back(asPercent ? formatPct(v)
-                                    : formatDouble(v, 3));
-        }
-    }
-    flush();
-    if (!opts.csv)
-        table.print();
 }
 
 } // namespace v10::bench

@@ -1,22 +1,20 @@
 /**
  * @file
- * Shared scaffolding for the per-figure bench binaries: common
- * command-line handling (--csv, --requests, --quick), banner
- * printing, and pair-list helpers.
+ * Shared scaffolding for the ablation and extension bench binaries:
+ * common command-line handling (--csv, --requests, --quick, --jobs)
+ * and banner printing. The paper's own figures and tables are
+ * `v10sim figure --id <id>`.
  */
 
 #ifndef V10_BENCH_BENCH_COMMON_H
 #define V10_BENCH_BENCH_COMMON_H
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "common/csv.h"
 #include "common/table.h"
 #include "v10/experiment.h"
-#include "v10/profiler.h"
 
 namespace v10::bench {
 
@@ -29,10 +27,10 @@ struct BenchOptions
     /** --jobs: threads for independent simulations (0/"auto" =
      * hardware threads). Results are identical for any value. */
     std::size_t jobs = 1;
-    /** --stats-json: also dump the results as structured JSON. */
-    std::string statsJson;
 
-    /** Parse argv; exits on --help. @param what banner text. */
+    /** Parse argv; exits 0 on --help and 2 on a bad option or
+     *  value (--requests must be a positive integer).
+     *  @param what banner text. */
     static BenchOptions parse(int argc, char **argv,
                               const std::string &what);
 };
@@ -40,52 +38,6 @@ struct BenchOptions
 /** Print the figure banner unless in CSV mode. */
 void banner(const BenchOptions &opts, const std::string &title,
             const std::string &paperRef);
-
-/** Results of one collocation pair across scheduler designs. */
-struct PairRunSet
-{
-    std::string a;
-    std::string b;
-    std::map<SchedulerKind, RunStats> byKind;
-};
-
-/**
- * Run the paper's 11 evaluation pairs (Figs. 16-21) under the given
- * designs; shared by all pair-based figure benches. With jobs > 1
- * the pair x design grid fans out over a SweepRunner; the returned
- * sets are bit-identical for any jobs count.
- */
-std::vector<PairRunSet>
-runEvaluationPairs(ExperimentRunner &runner,
-                   const std::vector<SchedulerKind> &kinds,
-                   std::uint64_t requests, std::size_t jobs = 1);
-
-/** "BERT+NCF"-style pair label. */
-std::string pairLabel(const PairRunSet &set);
-
-/**
- * When opts.statsJson is set, dump the pair x design grid as one
- * JSON document: {"manifest": {tool, config, requests,
- * schedulers[]}, "grid": {"A+B": {"pmt": RunStats, ...}}}. No-op
- * otherwise. Shared by the pair-based figure benches.
- */
-void maybeWriteStatsJson(const BenchOptions &opts,
-                         const std::string &tool,
-                         const ExperimentRunner &runner,
-                         const std::vector<PairRunSet> &sets);
-
-/**
- * Shared driver for the single-workload characterization figures
- * (Figs. 3/4/5/6/7): profile every model over the batch sweep and
- * print one row per model with one column per batch of
- * @p metric(profile). OOM points print "-". The profiling sweep
- * honours opts.jobs.
- */
-void profileSweepBench(const BenchOptions &opts,
-                       const std::string &title,
-                       const std::string &paperRef,
-                       double (*metric)(const SingleProfile &),
-                       bool asPercent);
 
 } // namespace v10::bench
 
