@@ -566,8 +566,9 @@ TEST(ServeQuarantine, LadderEscalatesToEviction)
     EXPECT_GT(hog.rejected + hog.shed, 0u);
     EXPECT_TRUE(hog.conserved());
     for (const TenantServingStats &t : report.tenants)
-        if (t.name != "t2")
+        if (t.name != "t2") {
             EXPECT_EQ(t.quarantineStage, "healthy") << t.name;
+        }
 }
 
 TEST(ServeQuarantine, RepairsAfterDriftEnds)
@@ -754,9 +755,10 @@ TEST(ServeChaosScenario, EndToEndResilienceAcceptance)
     const double hogPeak = report.tenants[11].peakAntagonistScore;
     EXPECT_GT(hogPeak, 0.7);
     for (std::size_t i = 0; i < report.tenants.size(); ++i)
-        if (i != 11)
+        if (i != 11) {
             EXPECT_LT(report.tenants[i].peakAntagonistScore, 0.7)
                 << report.tenants[i].name;
+        }
 
     // (c) Blast radius: every well-behaved tenant's p99 stays
     // within 1.2x of the same scenario without the antagonists.
