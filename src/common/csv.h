@@ -1,7 +1,7 @@
 /**
  * @file
- * CSV emission for bench binaries (--csv mode) so figure data can be
- * plotted externally.
+ * CSV emission for `v10sim figure --csv 1` and the bench binaries'
+ * --csv mode, so figure data can be plotted externally.
  */
 
 #ifndef V10_COMMON_CSV_H

@@ -1,7 +1,7 @@
 /**
  * @file
- * ASCII table rendering for the bench harness. Every bench binary
- * prints its paper table/figure as rows of a TextTable so the output
+ * ASCII table rendering for `v10sim figure` and the bench binaries.
+ * Each paper table/figure prints as rows of a TextTable so the output
  * can be compared side by side with the paper.
  */
 

@@ -30,7 +30,7 @@ struct RunStats;
  */
 struct RunManifest
 {
-    std::string tool;          ///< "v10sim run", "bench_fig18", ...
+    std::string tool;          ///< "v10sim run", "v10sim figure --id fig18", ...
     std::string scheduler;     ///< "v10-full", "pmt", ...
     std::string configSummary; ///< one-line NpuConfig description
     std::vector<std::string> workloads; ///< tenant labels

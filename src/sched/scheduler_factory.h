@@ -27,7 +27,7 @@ enum class SchedulerKind {
 };
 
 /** The paper's §5.1 designs, in plotting order (excludes the PREMA
- * extension so the figure benches match the paper). */
+ * extension so the figures match the paper). */
 const std::vector<SchedulerKind> &allSchedulerKinds();
 
 /** Display name ("PMT", "V10-Base", ...). */

@@ -74,7 +74,7 @@ class SweepRunner
     /**
      * Convenience pair grid: run every (pair, kind) combination,
      * returned row-major (pair-major, kind-minor) — the layout the
-     * figure benches consume.
+     * evaluation grid (runEvaluationGrid) consumes.
      */
     std::vector<RunStats>
     runPairs(const std::vector<std::pair<std::string, std::string>>
