@@ -462,9 +462,10 @@ TEST(ServeFaults, QuarantineBoundsBlastRadiusUnderFaults)
     // Attribution separates the hog from everyone else.
     EXPECT_GT(chaos.tenants[2].peakAntagonistScore, 0.6);
     for (std::size_t i = 0; i < chaos.tenants.size(); ++i)
-        if (i != 2)
+        if (i != 2) {
             EXPECT_LT(chaos.tenants[i].peakAntagonistScore, 0.6)
                 << chaos.tenants[i].name;
+        }
 
     // Healthy tenants ride out the storm inside the 1.2x envelope
     // of the antagonist-free (but still faulted) baseline.
