@@ -32,7 +32,14 @@ BenchOptions::parse(int argc, char **argv, const std::string &what)
             }
             opts.requests = *n;
         } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-            opts.jobs = ParallelExecutor::parseJobs(argv[++i]);
+            Result<std::size_t> jobs =
+                ParallelExecutor::parseJobs(argv[++i]);
+            if (!jobs) {
+                std::fprintf(stderr, "%s\n",
+                             jobs.error().toString().c_str());
+                std::exit(2);
+            }
+            opts.jobs = jobs.value();
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
             std::printf("%s\n\nOptions:\n"

@@ -4,7 +4,6 @@
 #include <exception>
 #include <memory>
 
-#include "common/log.h"
 #include "common/string_util.h"
 
 namespace v10 {
@@ -46,7 +45,7 @@ ParallelExecutor::hardwareJobs()
     return n == 0 ? 1 : static_cast<std::size_t>(n);
 }
 
-std::size_t
+Result<std::size_t>
 ParallelExecutor::parseJobs(const std::string &value)
 {
     if (value == "auto" || value == "0")
@@ -63,11 +62,14 @@ ParallelExecutor::parseJobs(const std::string &value)
         pos = 0;
     }
     if (!digits || pos != value.size() || n == 0)
-        fatal("--jobs: expected a positive integer or 'auto', got '",
-              value, "'");
+        return parseError("--jobs: expected a positive integer or "
+                          "'auto', got '" +
+                          value + "'");
     constexpr unsigned long kMaxJobs = 1024;
     if (n > kMaxJobs)
-        fatal("--jobs: ", value, " exceeds the limit of ", kMaxJobs);
+        return parseError("--jobs: " + value +
+                          " exceeds the limit of " +
+                          std::to_string(kMaxJobs));
     return static_cast<std::size_t>(n);
 }
 

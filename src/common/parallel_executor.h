@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/result.h"
 
 namespace v10 {
 
@@ -76,10 +77,10 @@ class ParallelExecutor
     static std::size_t hardwareJobs();
 
     /**
-     * Parse a --jobs value: positive integer, or 0/"auto" for
-     * hardwareJobs(). fatal() on garbage.
+     * Parse a --jobs value: positive integer up to 1024, or
+     * 0/"auto" for hardwareJobs(). An error names the bad value.
      */
-    static std::size_t parseJobs(const std::string &value);
+    static Result<std::size_t> parseJobs(const std::string &value);
 
   private:
     struct Batch;

@@ -23,7 +23,7 @@ sanitizeStatSegment(const std::string &label)
         out += ok ? c : '_';
     }
     if (out.empty())
-        out = "_";
+        out.push_back('_');
     return out;
 }
 
@@ -44,23 +44,6 @@ uniqueStatSegments(const std::vector<std::string> &labels)
     return out;
 }
 
-namespace {
-
-/** Copy a victim-major matrix from row stride @p from to @p to. */
-void
-relayout(std::vector<double> &m, std::size_t rows, std::size_t from,
-         std::size_t to)
-{
-    std::vector<double> grown(to * to, 0.0);
-    for (std::size_t v = 0; v < rows; ++v)
-        std::copy_n(m.begin() + static_cast<std::ptrdiff_t>(v * from),
-                    rows,
-                    grown.begin() + static_cast<std::ptrdiff_t>(v * to));
-    m = std::move(grown);
-}
-
-} // namespace
-
 std::size_t
 AttributionCollector::addTenant(WorkloadId id, std::string label)
 {
@@ -73,15 +56,9 @@ AttributionCollector::addTenant(WorkloadId id, std::string label)
             denseOf_[id] = idx;
     }
     labels_.push_back(std::move(label));
+    rows_.emplace_back();
     ctx_.push_back(0.0);
     waitVictims_.emplace_back();
-    if (idx == stride_) {
-        const std::size_t grown = std::max<std::size_t>(4, 2 * stride_);
-        relayout(preempt_, idx, stride_, grown);
-        relayout(hbm_, idx, stride_, grown);
-        relayout(wait_, idx, stride_, grown);
-        stride_ = grown;
-    }
     return idx;
 }
 
@@ -90,6 +67,75 @@ AttributionCollector::indexOf(WorkloadId id) const
 {
     // kNoWorkload is never registered, so it is never in range.
     return id < denseOf_.size() ? denseOf_[id] : kUnknown;
+}
+
+namespace {
+
+/**
+ * Where @p perp's cell is, or would be inserted, in @p row. Rows are
+ * short and a table read mostly misses, so the search narrows with
+ * conditional moves rather than branches.
+ */
+template <typename Cell>
+std::size_t
+slotOf(const std::vector<Cell> &row, std::size_t perp)
+{
+    if (row.empty())
+        return 0;
+    const Cell *base = row.data();
+    for (std::size_t len = row.size(); len > 1;) {
+        const std::size_t half = len / 2;
+        base = base[half].perp <= perp ? base + half : base;
+        len -= half;
+    }
+    // base is the last cell at or below perp, or the first cell.
+    return static_cast<std::size_t>(base - row.data()) +
+           (base->perp < perp ? 1 : 0);
+}
+
+} // namespace
+
+AttributionCollector::Cell &
+AttributionCollector::cellAt(std::size_t victim, std::size_t perp)
+{
+    std::vector<Cell> &row = rows_[victim];
+    const std::size_t at = slotOf(row, perp);
+    if (at < row.size() && row[at].perp == perp)
+        return row[at];
+    Cell fresh;
+    fresh.perp = static_cast<std::uint32_t>(perp);
+    return *row.insert(row.begin() + static_cast<std::ptrdiff_t>(at),
+                       fresh);
+}
+
+const AttributionCollector::Cell *
+AttributionCollector::findCell(std::size_t victim,
+                               std::size_t perp) const
+{
+    const std::vector<Cell> &row = rows_[victim];
+    const std::size_t at = slotOf(row, perp);
+    return at < row.size() && row[at].perp == perp ? &row[at] : nullptr;
+}
+
+double
+AttributionCollector::read(std::size_t victim, std::size_t perp,
+                           double Cell::*value) const
+{
+    const Cell *c = findCell(victim, perp);
+    return c != nullptr ? c->*value : 0.0;
+}
+
+double
+AttributionCollector::rowSum(std::size_t victim,
+                             double Cell::*value) const
+{
+    // The same double as the dense row sum: a sum that starts at
+    // +0.0 never becomes -0.0, so the absent terms (+0.0) would
+    // leave it unchanged.
+    double sum = 0.0;
+    for (const Cell &c : rows_[victim])
+        sum += c.*value;
+    return sum;
 }
 
 void
@@ -101,7 +147,7 @@ AttributionCollector::chargePreemptStall(WorkloadId victim,
     const std::size_t p = indexOf(perp);
     if (v == kUnknown || p == kUnknown)
         return;
-    preempt_[cell(v, p)] += cycles;
+    cellAt(v, p).preempt += cycles;
 }
 
 void
@@ -112,7 +158,7 @@ AttributionCollector::chargeQueueWait(WorkloadId victim,
     const std::size_t p = indexOf(perp);
     if (v == kUnknown || p == kUnknown)
         return;
-    double &wait = wait_[cell(v, p)];
+    double &wait = cellAt(v, p).wait;
     const bool wasZero = wait == 0.0;
     wait += us;
     if (!wasZero || wait == 0.0 || v == p)
@@ -142,21 +188,21 @@ AttributionCollector::onHbmContention(WorkloadId owner,
     const std::size_t p = indexOf(other);
     if (v == kUnknown || p == kUnknown)
         return;
-    hbm_[cell(v, p)] += cycles;
+    cellAt(v, p).hbm += cycles;
 }
 
 double
 AttributionCollector::preemptStall(std::size_t victim,
                                    std::size_t perp) const
 {
-    return preempt_[cell(victim, perp)];
+    return read(victim, perp, &Cell::preempt);
 }
 
 double
 AttributionCollector::hbmContention(std::size_t victim,
                                     std::size_t perp) const
 {
-    return hbm_[cell(victim, perp)];
+    return read(victim, perp, &Cell::hbm);
 }
 
 double
@@ -168,35 +214,26 @@ AttributionCollector::ctxOverhead(std::size_t victim) const
 double
 AttributionCollector::totalPreemptStall(std::size_t victim) const
 {
-    double sum = 0.0;
-    for (std::size_t p = 0; p < labels_.size(); ++p)
-        sum += preemptStall(victim, p);
-    return sum;
+    return rowSum(victim, &Cell::preempt);
 }
 
 double
 AttributionCollector::totalHbmContention(std::size_t victim) const
 {
-    double sum = 0.0;
-    for (std::size_t p = 0; p < labels_.size(); ++p)
-        sum += hbmContention(victim, p);
-    return sum;
+    return rowSum(victim, &Cell::hbm);
 }
 
 double
 AttributionCollector::queueWait(std::size_t victim,
                                 std::size_t perp) const
 {
-    return wait_[cell(victim, perp)];
+    return read(victim, perp, &Cell::wait);
 }
 
 double
 AttributionCollector::totalQueueWait(std::size_t victim) const
 {
-    double sum = 0.0;
-    for (std::size_t p = 0; p < labels_.size(); ++p)
-        sum += queueWait(victim, p);
-    return sum;
+    return rowSum(victim, &Cell::wait);
 }
 
 double
@@ -211,9 +248,13 @@ AttributionCollector::chargedUs(std::size_t perp) const
 void
 AttributionCollector::chargedUsAll(std::vector<double> &out) const
 {
-    out.resize(labels_.size());
-    for (std::size_t p = 0; p < out.size(); ++p)
-        out[p] = chargedUs(p);
+    // One victim-major sweep: each column still adds its cells in
+    // ascending victim order, so out[p] is chargedUs(p) bit for bit.
+    out.assign(labels_.size(), 0.0);
+    for (std::size_t v = 0; v < rows_.size(); ++v)
+        for (const Cell &c : rows_[v])
+            if (c.perp != v)
+                out[c.perp] += c.wait;
 }
 
 void
@@ -258,10 +299,12 @@ AttributionCollector::registerStats(StatRegistry &registry) const
             registry.addTable(
                 base + ".from", axes,
                 [this, v, tenantAt](std::size_t row, std::size_t col) {
-                    const std::uint32_t p = (*tenantAt)[row];
-                    return col == 0   ? hbmContention(v, p)
-                           : col == 1 ? preemptStall(v, p)
-                                      : queueWait(v, p);
+                    const Cell *c = findCell(v, (*tenantAt)[row]);
+                    if (c == nullptr)
+                        return 0.0;
+                    return col == 0   ? c->hbm
+                           : col == 1 ? c->preempt
+                                      : c->wait;
                 },
                 rowOf[v]);
         registry.addFormula(

@@ -13,11 +13,13 @@
  * mirroring the serve-layer sojourn decomposition so both stacks
  * answer "who stole my cycles" with the same vocabulary.
  *
- * The matrices are dense, but a fleet tenant waits behind only the
- * few co-residents of its core: each perpetrator also keeps the
- * ascending list of victims whose queue-wait cell it has made
- * non-zero, so the antagonist detector's column sums (chargedUs())
- * cost the charged pairs, not tenants^2.
+ * The matrices are sparse, since a fleet tenant waits behind only
+ * the few co-residents of its core: each victim keeps the
+ * ascending list of perpetrators it has been charged for, and an
+ * absent cell reads +0.0. Each perpetrator also keeps the ascending
+ * list of victims whose queue-wait cell it has made non-zero, so
+ * the antagonist detector's column sums (chargedUs()) cost the
+ * charged pairs, not tenants^2.
  */
 
 #ifndef V10_TRACE_ATTRIBUTION_H
@@ -47,7 +49,8 @@ std::vector<std::string>
 uniqueStatSegments(const std::vector<std::string> &labels);
 
 /**
- * Per-(victim, perpetrator) cycle attribution matrices.
+ * Per-(victim, perpetrator) cycle attribution matrices, stored
+ * sparse: memory grows with the pairs charged, not tenants^2.
  */
 class AttributionCollector : public HbmContentionObserver
 {
@@ -92,7 +95,7 @@ class AttributionCollector : public HbmContentionObserver
 
     double queueWait(std::size_t victim, std::size_t perp) const;
 
-    /** Row sums over all perpetrators. */
+    /** Row sums over all perpetrators, in ascending order. */
     double totalPreemptStall(std::size_t victim) const;
     double totalHbmContention(std::size_t victim) const;
     double totalQueueWait(std::size_t victim) const;
@@ -125,25 +128,38 @@ class AttributionCollector : public HbmContentionObserver
     /** Dense index for @p id; npos when unknown/kNoWorkload. */
     std::size_t indexOf(WorkloadId id) const;
 
-    /** Cell (victim, perp) of a victim-major matrix. */
-    std::size_t cell(std::size_t victim, std::size_t perp) const
+    /** One charged (victim, perpetrator) pair of a victim's row. */
+    struct Cell
     {
-        return victim * stride_ + perp;
-    }
+        std::uint32_t perp = 0;
+        double preempt = 0.0;
+        double hbm = 0.0;
+        double wait = 0.0; ///< us
+    };
+
+    /** Cell (victim, perp), inserted at +0.0 when absent. */
+    Cell &cellAt(std::size_t victim, std::size_t perp);
+
+    /** Cell (victim, perp); nullptr when absent (every value +0.0). */
+    const Cell *findCell(std::size_t victim, std::size_t perp) const;
+
+    /** A value of cell (victim, perp); +0.0 when absent. */
+    double read(std::size_t victim, std::size_t perp,
+                double Cell::*value) const;
+
+    /** Row sum of @p value over (victim, *), ascending perp. */
+    double rowSum(std::size_t victim, double Cell::*value) const;
 
     static constexpr std::size_t kUnknown = static_cast<std::size_t>(-1);
 
     /// WorkloadId -> dense index; kUnknown for unregistered ids.
     std::vector<std::size_t> denseOf_;
     std::vector<std::string> labels_;
-    /// Row stride of the matrices: a capacity that doubles, so
-    /// adding tenants relays them out O(log n) times in total.
-    std::size_t stride_ = 0;
-    std::vector<double> preempt_;   ///< victim-major stride^2
-    std::vector<double> hbm_;       ///< victim-major stride^2
-    std::vector<double> wait_;      ///< victim-major stride^2 (us)
+    /// Per victim: the cells it has been charged for, ascending
+    /// perp. A cell not in its row reads +0.0.
+    std::vector<std::vector<Cell>> rows_;
     std::vector<double> ctx_;       ///< per victim
-    /// Per perpetrator: the other victims whose wait_ cell it has
+    /// Per perpetrator: the other victims whose wait cell it has
     /// made non-zero, ascending. Every other cell of its column is
     /// +0.0.
     std::vector<std::vector<std::uint32_t>> waitVictims_;

@@ -1,10 +1,12 @@
 #include "v10/figures.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <utility>
 
@@ -12,6 +14,7 @@
 #include "collocate/pca.h"
 #include "collocate/standardizer.h"
 #include "common/csv.h"
+#include "common/parallel_executor.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/string_util.h"
@@ -112,6 +115,19 @@ overPmt(double full, double pmt)
     return pmt > 0.0 ? full / pmt : 0.0;
 }
 
+/** ExperimentRunner::runPair(kind, a, b, 1.0, 1.0, requests) as a
+ *  sweep cell. */
+SweepCell
+pairCell(SchedulerKind kind, const std::string &a, const std::string &b,
+         std::uint64_t requests)
+{
+    SweepCell cell;
+    cell.kind = kind;
+    cell.tenants = {TenantRequest{a, 0, 1.0}, TenantRequest{b, 0, 1.0}};
+    cell.requests = requests;
+    return cell;
+}
+
 // --- Characterization (Figs. 3-9, Table 1) ---------------------------
 
 /** Figs. 3-7: one row per model, one column per batch of
@@ -183,17 +199,20 @@ fig9(const FigureOptions &o)
                  {"VPU total", "vpu_total"}};
     double mxu_sum = 0.0;
     double vpu_sum = 0.0;
-    for (const auto &[a, b] : characterizationPairs()) {
-        const RunStats stats = runner.runPair(SchedulerKind::Pmt, a, b,
-                                              1.0, 1.0, o.requests);
+    const auto &pairs = characterizationPairs();
+    SweepRunner sweep(runner, o.jobs);
+    const std::vector<RunStats> runs = sweep.runPairs(
+        pairs, {SchedulerKind::Pmt}, o.requests);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const RunStats &stats = runs[i];
         const auto &w1 = stats.workloads[0];
         const auto &w2 = stats.workloads[1];
         mxu_sum += stats.saUtil;
         vpu_sum += stats.vuUtil;
-        s.rows.push_back({label(a + "+" + b), pct(w1.saUtil),
-                          pct(w2.saUtil), pct(stats.saUtil),
-                          pct(w1.vuUtil), pct(w2.vuUtil),
-                          pct(stats.vuUtil)});
+        s.rows.push_back({label(pairs[i].first + "+" + pairs[i].second),
+                          pct(w1.saUtil), pct(w2.saUtil),
+                          pct(stats.saUtil), pct(w1.vuUtil),
+                          pct(w2.vuUtil), pct(stats.vuUtil)});
     }
     const double n = static_cast<double>(s.rows.size());
     s.notes = {"", strf("Average under PMT: MXU %.1f%%, VPU %.1f%% — "
@@ -663,14 +682,26 @@ fig22(const FigureOptions &o)
                  {"Full NP1", "full_np1"}, {"Full NP2", "full_np2"},
                  {"PMT NP1", "pmt_np1"},   {"PMT NP2", "pmt_np2"},
                  {"Full STP/PMT", "full_stp_vs_pmt"}};
+    // Per (pair, split): its V10-Full cell, then its PMT cell.
+    std::vector<SweepCell> cells;
     for (const auto &[a, b] : evaluationPairs()) {
         for (const auto &[p1, p2] : splits) {
-            const double pr1 = p1 / 100.0;
-            const double pr2 = p2 / 100.0;
-            const RunStats full = runner.runPair(
-                SchedulerKind::V10Full, a, b, pr1, pr2, o.requests);
-            const RunStats pmt = runner.runPair(SchedulerKind::Pmt, a, b,
-                                                pr1, pr2, o.requests);
+            for (SchedulerKind kind :
+                 {SchedulerKind::V10Full, SchedulerKind::Pmt}) {
+                SweepCell cell = pairCell(kind, a, b, o.requests);
+                cell.tenants[0].priority = p1 / 100.0;
+                cell.tenants[1].priority = p2 / 100.0;
+                cells.push_back(std::move(cell));
+            }
+        }
+    }
+    SweepRunner sweep(runner, o.jobs);
+    const std::vector<RunStats> runs = sweep.run(cells);
+    std::size_t next = 0;
+    for (const auto &[a, b] : evaluationPairs()) {
+        for (const auto &[p1, p2] : splits) {
+            const RunStats &full = runs[next++];
+            const RunStats &pmt = runs[next++];
             s.rows.push_back(
                 {label(a + "+" + b),
                  label(std::to_string(p1) + "%-" + std::to_string(p2) +
@@ -698,17 +729,26 @@ fig23(const FigureOptions &o)
     s.columns = {{"pair", "pair"}};
     for (Cycles c : slices)
         s.columns.push_back({std::to_string(c), std::to_string(c)});
+    // Per pair: its PMT cell, then one V10-Full cell per slice.
+    std::vector<SweepCell> cells;
+    for (const auto &[a, b] : evaluationPairs()) {
+        cells.push_back(pairCell(SchedulerKind::Pmt, a, b, o.requests));
+        for (Cycles c : slices) {
+            SweepCell cell =
+                pairCell(SchedulerKind::V10Full, a, b, o.requests);
+            cell.options.sliceOverride = c;
+            cells.push_back(std::move(cell));
+        }
+    }
+    SweepRunner sweep(runner, o.jobs);
+    const std::vector<RunStats> runs = sweep.run(cells);
+    std::size_t next = 0;
     std::map<Cycles, std::vector<double>> per_slice;
     for (const auto &[a, b] : evaluationPairs()) {
-        const RunStats pmt = runner.runPair(SchedulerKind::Pmt, a, b,
-                                            1.0, 1.0, o.requests);
+        const RunStats &pmt = runs[next++];
         s.rows.push_back({label(a + "+" + b)});
         for (Cycles c : slices) {
-            SchedulerOptions so;
-            so.sliceOverride = c;
-            const RunStats full =
-                runner.runPair(SchedulerKind::V10Full, a, b, 1.0, 1.0,
-                               o.requests, so);
+            const RunStats &full = runs[next++];
             const double ratio = overPmt(full.stp(), pmt.stp());
             per_slice[c].push_back(ratio);
             s.rows.back().push_back(times(ratio));
@@ -736,21 +776,36 @@ fig24(const FigureOptions &o)
     for (Bytes c : capacities)
         s.columns.push_back({"hbm@" + std::to_string(c >> 20) + "MB",
                              "hbm@" + std::to_string(c >> 20) + "MB"});
+    // Each capacity gets its own runner so single-tenant references
+    // see the same vmem; every (pair, capacity, kind) run is a task.
+    std::vector<std::unique_ptr<ExperimentRunner>> runners;
+    for (Bytes cap : capacities) {
+        NpuConfig cfg;
+        cfg.vmemBytes = cap;
+        runners.push_back(std::make_unique<ExperimentRunner>(cfg));
+    }
+    const auto &pairs = evaluationPairs();
+    const std::array<SchedulerKind, 2> kinds = {SchedulerKind::Pmt,
+                                                SchedulerKind::V10Full};
+    ParallelExecutor exec(o.jobs);
+    const std::vector<RunStats> runs = exec.map<RunStats>(
+        pairs.size() * capacities.size() * kinds.size(),
+        [&](std::size_t i) {
+            const auto &[a, b] = pairs[i / kinds.size() /
+                                       capacities.size()];
+            ExperimentRunner &runner =
+                *runners[i / kinds.size() % capacities.size()];
+            return runner.runPair(kinds[i % kinds.size()], a, b, 1.0,
+                                  1.0, o.requests);
+        });
+    std::size_t next = 0;
     std::map<Bytes, std::vector<double>> gains;
-    for (const auto &[a, b] : evaluationPairs()) {
+    for (const auto &[a, b] : pairs) {
         std::vector<FigureCell> hbm_cells;
         s.rows.push_back({label(a + "+" + b)});
         for (Bytes cap : capacities) {
-            NpuConfig cfg;
-            cfg.vmemBytes = cap;
-            // Each capacity gets its own runner so single-tenant
-            // references see the same vmem.
-            ExperimentRunner runner(cfg);
-            const RunStats pmt = runner.runPair(SchedulerKind::Pmt, a, b,
-                                                1.0, 1.0, o.requests);
-            const RunStats full =
-                runner.runPair(SchedulerKind::V10Full, a, b, 1.0, 1.0,
-                               o.requests);
+            const RunStats &pmt = runs[next++];
+            const RunStats &full = runs[next++];
             const double ratio = overPmt(full.stp(), pmt.stp());
             gains[cap].push_back(ratio);
             s.rows.back().push_back(times(ratio));

@@ -1,7 +1,8 @@
 /**
  * @file
  * The ablation and extension benches' shared option parser: a bad
- * or zero --requests is a usage error (exit 2) before anything runs.
+ * or zero --requests, or a bad --jobs, is a usage error (exit 2)
+ * before anything runs.
  */
 
 #include <gtest/gtest.h>
@@ -40,6 +41,14 @@ TEST(BenchOptions, BadOrZeroRequestsExitWithCode2)
     for (const char *value : {"abc", "0", "-3", "4x", ""})
         EXPECT_EXIT(parseArgs({"--requests", value}),
                     ::testing::ExitedWithCode(2), "--requests expects")
+            << "value '" << value << "'";
+}
+
+TEST(BenchOptions, BadJobsExitWithCode2)
+{
+    for (const char *value : {"abc", "-3", "1025"})
+        EXPECT_EXIT(parseArgs({"--jobs", value}),
+                    ::testing::ExitedWithCode(2), "--jobs: ")
             << "value '" << value << "'";
 }
 

@@ -732,6 +732,18 @@ TEST(Cli, ReportUnwritableOutputsExitWithCode2)
     EXPECT_EQ(readFile(out), "");
 }
 
+TEST(Cli, BadJobsExitsWithCode2)
+{
+    // --jobs is checked before any simulation runs.
+    expectUsageError("report --jobs abc",
+                     "--jobs: expected a positive integer or 'auto', "
+                     "got 'abc'");
+    expectUsageError("figure --id fig23 --quick 1 --jobs 1025",
+                     "--jobs: 1025 exceeds the limit of 1024");
+    expectUsageError("advise --models BERT,NCF --jobs -3", "--jobs");
+    expectUsageError("serve --tenants 2 --jobs 4x", "--jobs");
+}
+
 // v10sim figure checks its flags before anything runs: bad input
 // exits 2 with a message naming it, never a panic or exit 1.
 

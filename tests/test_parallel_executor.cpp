@@ -87,20 +87,34 @@ TEST(ParallelExecutor, ZeroCountIsANoop)
 
 TEST(ParallelExecutor, ParseJobs)
 {
-    EXPECT_EQ(ParallelExecutor::parseJobs("1"), 1u);
-    EXPECT_EQ(ParallelExecutor::parseJobs("8"), 8u);
-    EXPECT_EQ(ParallelExecutor::parseJobs("auto"),
+    EXPECT_EQ(ParallelExecutor::parseJobs("1").value(), 1u);
+    EXPECT_EQ(ParallelExecutor::parseJobs("8").value(), 8u);
+    EXPECT_EQ(ParallelExecutor::parseJobs("auto").value(),
               ParallelExecutor::hardwareJobs());
     EXPECT_GE(ParallelExecutor::hardwareJobs(), 1u);
 }
 
-TEST(ParallelExecutorDeathTest, ParseJobsRejectsBadValues)
+TEST(ParallelExecutor, ParseJobsRejectsBadValues)
 {
-    EXPECT_DEATH(ParallelExecutor::parseJobs("abc"), "positive");
-    EXPECT_DEATH(ParallelExecutor::parseJobs("-3"), "positive");
-    EXPECT_DEATH(ParallelExecutor::parseJobs("4x"), "positive");
-    EXPECT_DEATH(ParallelExecutor::parseJobs(""), "positive");
-    EXPECT_DEATH(ParallelExecutor::parseJobs("999999999"), "limit");
+    // A bad value is an error the caller reports, not an abort.
+    const auto rejects = [](const std::string &value,
+                            const std::string &why) {
+        const Result<std::size_t> r = ParallelExecutor::parseJobs(value);
+        ASSERT_FALSE(r.ok()) << value;
+        EXPECT_NE(r.error().message.find(why), std::string::npos)
+            << r.error().message;
+        EXPECT_NE(r.error().message.find("--jobs"), std::string::npos);
+    };
+    rejects("abc", "positive");
+    rejects("-3", "positive");
+    rejects("4x", "positive");
+    rejects("", "positive");
+    rejects("999999999", "limit");
+    rejects("1025", "limit");
+    // 0 means auto; 1024 is the largest pool.
+    EXPECT_EQ(ParallelExecutor::parseJobs("0").value(),
+              ParallelExecutor::hardwareJobs());
+    EXPECT_EQ(ParallelExecutor::parseJobs("1024").value(), 1024u);
 }
 
 // --- Thread-safe logging under ParallelExecutor hammering. ---

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <set>
@@ -454,6 +455,251 @@ TEST(Attribution, SparseColumnSumsMatchDenseReferenceBitForBit)
             EXPECT_TRUE(same(all[p], column)) << p;
             EXPECT_TRUE(same(attrib.totalQueueWait(p), row)) << p;
         }
+    }
+}
+
+/**
+ * The attribution matrices stored dense, as a reference: every cell
+ * of every pair exists, and every sum adds all of them.
+ */
+struct DenseAttribution
+{
+    static constexpr std::size_t kUnknown = static_cast<std::size_t>(-1);
+    enum Kind { kHbm, kPreempt, kWait, kKinds };
+
+    std::vector<std::size_t> denseOf; ///< id -> index
+    std::vector<std::string> labels;
+    /// [victim][perp][kind], in the registry's column order.
+    std::vector<std::vector<std::array<double, kKinds>>> cells;
+    std::vector<double> ctx;
+
+    std::size_t
+    addTenant(WorkloadId id, std::string label)
+    {
+        const std::size_t idx = labels.size();
+        if (id != kNoWorkload) {
+            if (id >= denseOf.size())
+                denseOf.resize(std::size_t{id} + 1, kUnknown);
+            if (denseOf[id] == kUnknown)
+                denseOf[id] = idx;
+        }
+        labels.push_back(std::move(label));
+        for (auto &row : cells)
+            row.push_back({0.0, 0.0, 0.0});
+        cells.emplace_back(idx + 1, std::array<double, kKinds>{});
+        ctx.push_back(0.0);
+        return idx;
+    }
+
+    std::size_t
+    indexOf(WorkloadId id) const
+    {
+        return id < denseOf.size() ? denseOf[id] : kUnknown;
+    }
+
+    /** The cell a charge of @p kind would land in; null if none. */
+    double *
+    cell(WorkloadId victim, WorkloadId perp, Kind kind)
+    {
+        const std::size_t v = indexOf(victim);
+        const std::size_t p = indexOf(perp);
+        if (v == kUnknown || p == kUnknown)
+            return nullptr;
+        return &cells[v][p][kind];
+    }
+
+    double
+    rowSum(std::size_t v, Kind kind) const
+    {
+        double sum = 0.0;
+        for (const auto &c : cells[v])
+            sum += c[kind];
+        return sum;
+    }
+
+    /** Queue wait charged to @p p by the other victims. */
+    double
+    charged(std::size_t p) const
+    {
+        double sum = 0.0;
+        for (std::size_t v = 0; v < cells.size(); ++v)
+            if (v != p)
+                sum += cells[v][p][kWait];
+        return sum;
+    }
+
+    /** Every leaf registerStats() registers, as plain formulas. */
+    void
+    registerStats(StatRegistry &registry) const
+    {
+        const std::size_t n = labels.size();
+        const std::vector<std::string> slugs = uniqueStatSegments(labels);
+        const char *const columns[kKinds] = {"hbm_contention_cycles",
+                                             "preempt_stall_cycles",
+                                             "queue_wait_us"};
+        for (std::size_t v = 0; v < n; ++v) {
+            const std::string base = "serve.tenant." + slugs[v] + ".attrib";
+            registry.addFormula(base + ".charged_us",
+                                [this, v] { return charged(v); });
+            registry.addFormula(base + ".ctx_overhead_cycles",
+                                [this, v] { return ctx[v]; });
+            registry.addFormula(base + ".hbm_contention_cycles",
+                                [this, v] { return rowSum(v, kHbm); });
+            registry.addFormula(base + ".preempt_stall_cycles",
+                                [this, v] { return rowSum(v, kPreempt); });
+            registry.addFormula(base + ".queue_wait_us",
+                                [this, v] { return rowSum(v, kWait); });
+            for (std::size_t p = 0; p < n; ++p) {
+                if (p == v)
+                    continue;
+                for (int k = 0; k < kKinds; ++k)
+                    registry.addFormula(
+                        base + ".from." + slugs[p] + "." + columns[k],
+                        [this, v, p, k] { return cells[v][p][k]; });
+            }
+        }
+    }
+};
+
+std::string
+registryJson(const StatRegistry &registry)
+{
+    std::ostringstream os;
+    {
+        JsonWriter w(os);
+        registry.writeJson(w);
+    }
+    return os.str();
+}
+
+TEST(Attribution, SparseCellsMatchDenseReferenceBitForBit)
+{
+    // Seeded random programs of charges run against the collector and
+    // the dense reference; every read must match bit for bit. The
+    // programs mix all three pair kinds and ctx, self-charges,
+    // unknown ids and kNoWorkload, ids registered twice, tenants that
+    // join between charges, and charges of 0.0, -0.0 and ones that
+    // cancel a cell back to zero.
+    const auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        AttributionCollector attrib;
+        DenseAttribution ref;
+        std::vector<WorkloadId> ids; // per tenant index
+        const auto addTenant = [&] {
+            const std::size_t i = ids.size();
+            // Odd ids, so even ones are unknown; some tenants have
+            // no id, or one an earlier tenant already holds.
+            WorkloadId id = static_cast<WorkloadId>(2 * i + 1);
+            if (rng.bernoulli(0.1))
+                id = kNoWorkload;
+            else if (i > 0 && rng.bernoulli(0.15))
+                id = ids[rng.uniformInt(i)];
+            // Labels collide after sanitizing now and then.
+            const std::string label =
+                std::string(rng.bernoulli(0.5) ? "T#" : "T_") +
+                std::to_string(rng.uniformInt(2 * i + 2));
+            ids.push_back(id);
+            EXPECT_EQ(attrib.addTenant(id, label), i);
+            EXPECT_EQ(ref.addTenant(id, label), i);
+        };
+        const auto pickId = [&](std::size_t near) {
+            const double u = rng.uniform();
+            if (u < 0.05)
+                return kNoWorkload;
+            if (u < 0.1)
+                return static_cast<WorkloadId>(2 * rng.uniformInt(50));
+            // Few perpetrators per victim, as on a fleet core; offset
+            // 0 is a self-charge.
+            return ids[(near + rng.uniformInt(4)) % ids.size()];
+        };
+        for (std::size_t i = 0, n0 = 1 + rng.uniformInt(5); i < n0; ++i)
+            addTenant();
+        const std::size_t steps = 100 + rng.uniformInt(500);
+        for (std::size_t step = 0; step < steps; ++step) {
+            if (rng.bernoulli(0.04)) {
+                addTenant();
+                continue;
+            }
+            const std::size_t near = rng.uniformInt(ids.size());
+            const WorkloadId victim = pickId(near);
+            const WorkloadId perp = pickId(near);
+            const auto kind = static_cast<DenseAttribution::Kind>(
+                rng.uniformInt(DenseAttribution::kKinds + 1));
+            double *target =
+                kind == DenseAttribution::kKinds
+                    ? (ref.indexOf(victim) == ref.kUnknown
+                           ? nullptr
+                           : &ref.ctx[ref.indexOf(victim)])
+                    : ref.cell(victim, perp, kind);
+            const double u = rng.uniform();
+            const double x = u < 0.1    ? 0.0
+                             : u < 0.2  ? -0.0
+                             : u < 0.35 ? (target ? -*target : 1.0)
+                             : u < 0.45 ? -rng.uniform(0.0, 50.0)
+                                        : rng.uniform(0.0, 1e4) / 7.0;
+            switch (kind) {
+            case DenseAttribution::kHbm:
+                attrib.onHbmContention(victim, perp, x);
+                break;
+            case DenseAttribution::kPreempt:
+                attrib.chargePreemptStall(victim, perp, x);
+                break;
+            case DenseAttribution::kWait:
+                attrib.chargeQueueWait(victim, perp, x);
+                break;
+            default:
+                attrib.chargeCtxOverhead(victim, x);
+                break;
+            }
+            if (target != nullptr)
+                *target += x;
+        }
+
+        const std::size_t n = ids.size();
+        ASSERT_EQ(attrib.tenantCount(), n);
+        std::vector<double> all;
+        attrib.chargedUsAll(all);
+        ASSERT_EQ(all.size(), n);
+        for (std::size_t v = 0; v < n; ++v) {
+            EXPECT_EQ(attrib.label(v), ref.labels[v]);
+            EXPECT_TRUE(same(attrib.ctxOverhead(v), ref.ctx[v])) << v;
+            for (std::size_t p = 0; p < n; ++p) {
+                const auto &c = ref.cells[v][p];
+                EXPECT_TRUE(same(attrib.hbmContention(v, p),
+                                 c[DenseAttribution::kHbm]))
+                    << v << ' ' << p;
+                EXPECT_TRUE(same(attrib.preemptStall(v, p),
+                                 c[DenseAttribution::kPreempt]))
+                    << v << ' ' << p;
+                EXPECT_TRUE(same(attrib.queueWait(v, p),
+                                 c[DenseAttribution::kWait]))
+                    << v << ' ' << p;
+            }
+            EXPECT_TRUE(same(attrib.totalHbmContention(v),
+                             ref.rowSum(v, DenseAttribution::kHbm)))
+                << v;
+            EXPECT_TRUE(same(attrib.totalPreemptStall(v),
+                             ref.rowSum(v, DenseAttribution::kPreempt)))
+                << v;
+            EXPECT_TRUE(same(attrib.totalQueueWait(v),
+                             ref.rowSum(v, DenseAttribution::kWait)))
+                << v;
+            EXPECT_TRUE(same(attrib.chargedUs(v), ref.charged(v))) << v;
+            EXPECT_TRUE(same(all[v], ref.charged(v))) << v;
+        }
+
+        StatRegistry registry;
+        attrib.registerStats(registry);
+        StatRegistry expected;
+        ref.registerStats(expected);
+        EXPECT_EQ(registry.size(), expected.size());
+        EXPECT_EQ(registryJson(registry), registryJson(expected));
+        registry.freeze();
+        EXPECT_EQ(registryJson(registry), registryJson(expected));
     }
 }
 

@@ -197,8 +197,8 @@ struct Args
     std::size_t
     jobs() const
     {
-        return has("jobs") ? ParallelExecutor::parseJobs(
-                                 get("jobs", "1"))
+        return has("jobs") ? orUsageError(ParallelExecutor::parseJobs(
+                                 get("jobs", "1")))
                            : 1;
     }
 };
