@@ -111,6 +111,10 @@ template <typename R, typename... Args> class SmallFn<R(Args...)>
          * lets moves skip the indirect call, which matters inside
          * heap sifts that shuffle entries around. */
         bool trivial_relocate;
+        /** True when destruction does nothing (trivially
+         * destructible inline closure) — lets reset() skip the
+         * indirect call when the event queue releases a slot. */
+        bool trivial_destroy;
     };
 
     /** Callable stored directly in the inline buffer. */
@@ -143,7 +147,8 @@ template <typename R, typename... Args> class SmallFn<R(Args...)>
 
         static constexpr Ops ops = {
             &invoke, &relocate, &destroy,
-            std::is_trivially_copyable_v<T>};
+            std::is_trivially_copyable_v<T>,
+            std::is_trivially_destructible_v<T>};
     };
 
     /** Callable spilled to the heap; the buffer holds the pointer. */
@@ -176,7 +181,7 @@ template <typename R, typename... Args> class SmallFn<R(Args...)>
         }
 
         static constexpr Ops ops = {&invoke, &relocate, &destroy,
-                                    true};
+                                    true, false};
     };
 
     template <typename F>
@@ -216,7 +221,8 @@ template <typename R, typename... Args> class SmallFn<R(Args...)>
     reset() noexcept
     {
         if (ops_ != nullptr) {
-            ops_->destroy(storage_);
+            if (!ops_->trivial_destroy)
+                ops_->destroy(storage_);
             ops_ = nullptr;
         }
     }

@@ -1,5 +1,7 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
+
 namespace v10 {
 
 std::size_t
@@ -20,10 +22,10 @@ EventQueue::cancel(EventId id)
     const std::uint32_t slot = heap_[hole].slot;
     fns_[slot] = nullptr;
     free_.push_back(slot);
-    heap_[hole] = heap_.back();
+    const Key last = heap_.back();
     heap_.pop_back();
     if (hole < heap_.size())
-        siftFrom(hole);
+        siftFrom(hole, last);
 }
 
 EventId
@@ -33,46 +35,18 @@ EventQueue::reschedule(EventId id, Cycles when)
     if (i == heap_.size())
         return kNoEvent;
     const EventId fresh = next_id_++;
-    heap_[i].when = when;
-    heap_[i].id = fresh;
-    siftFrom(i);
+    siftFrom(i, Key{when, fresh, heap_[i].slot});
     return fresh;
 }
 
 void
-EventQueue::siftFrom(std::size_t i)
+EventQueue::siftFrom(std::size_t i, const Key &key)
 {
-    // The replaced key either rises or sinks, never both.
-    while (i > 0 && later(heap_[(i - 1) / 2], heap_[i])) {
-        std::swap(heap_[i], heap_[(i - 1) / 2]);
-        i = (i - 1) / 2;
-    }
-    while (true) {
-        std::size_t first = i;
-        const std::size_t left = 2 * i + 1;
-        if (left < heap_.size() && later(heap_[first], heap_[left]))
-            first = left;
-        if (left + 1 < heap_.size() &&
-            later(heap_[first], heap_[left + 1]))
-            first = left + 1;
-        if (first == i)
-            return;
-        std::swap(heap_[i], heap_[first]);
-        i = first;
-    }
-}
-
-Cycles
-EventQueue::takeNext(EventFn &fn)
-{
-    if (heap_.empty())
-        return kCycleMax;
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    const Key key = heap_.back();
-    heap_.pop_back();
-    fn = std::move(fns_[key.slot]);
-    free_.push_back(key.slot);
-    return key.when;
+    // The key either rises or sinks, never both.
+    if (i > 0 && order(key) < order(heap_[(i - 1) / 2]))
+        siftUp(i, key);
+    else
+        siftDown(i, key);
 }
 
 } // namespace v10

@@ -52,19 +52,6 @@ Simulator::cancelEvery(PeriodicId id)
     }
 }
 
-bool
-Simulator::step()
-{
-    EventQueue::EventFn fn;
-    const Cycles next = queue_.takeNext(fn);
-    if (next == kCycleMax)
-        return false;
-    now_ = next;
-    fn();
-    ++events_run_;
-    return true;
-}
-
 Cycles
 Simulator::run()
 {

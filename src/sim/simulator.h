@@ -8,9 +8,12 @@
  * order they were scheduled and every run is deterministic.
  *
  * Scheduling is allocation-free for the common small closure: at() /
- * after() / every() wrap the callback in the queue's SmallFn-based
- * EventFn directly. run() and runUntil() are step() loops, so there
- * is one dispatch path and one event order.
+ * after() / every() build the callback in place in one of the queue's
+ * SmallFn-based EventFn slots. step() is the one dispatch path: the
+ * queue pops the earliest event, sets the clock and runs the callback
+ * in its slot (EventQueue::fireNext), so no callback is moved or
+ * copied on the way to firing. run() and runUntil() are step() loops,
+ * so there is one event order.
  */
 
 #ifndef V10_SIM_SIMULATOR_H
@@ -137,7 +140,14 @@ class V10_DOMAIN_LOCAL Simulator
      * Fire exactly one event (the next by (cycle, insertion seq)).
      * @return true if an event fired, false if the queue is empty.
      */
-    bool step();
+    bool
+    step()
+    {
+        if (!queue_.fireNext(now_))
+            return false;
+        ++events_run_;
+        return true;
+    }
 
     /** True when no events are pending. */
     bool idle() const { return queue_.empty(); }

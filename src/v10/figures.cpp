@@ -139,9 +139,11 @@ profileSweep(const FigureOptions &o, std::string title,
 {
     FigureSection s;
     s.columns = {{"model", "model"}};
-    for (int b : standardBatchSweep())
-        s.columns.push_back({"b" + std::to_string(b),
-                             "b" + std::to_string(b)});
+    for (int b : standardBatchSweep()) {
+        std::string name = "b";
+        name += std::to_string(b);
+        s.columns.push_back({name, name});
+    }
     for (const SingleProfile &p : profileAllModels(
              NpuConfig{}, o.quick ? 4 : o.requests, o.jobs)) {
         if (s.rows.empty() || s.rows.back().front().text != p.model)
@@ -856,8 +858,12 @@ fig25(const FigureOptions &o)
             cell.warmup = 1;
             cells.push_back(std::move(cell));
         }
-        s.rows.push_back({label("(" + std::to_string(fus) + "," +
-                                std::to_string(fus) + ")")});
+        std::string point = "(";
+        point += std::to_string(fus);
+        point += ',';
+        point += std::to_string(fus);
+        point += ')';
+        s.rows.push_back({label(point)});
         SweepRunner sweep(runner, o.jobs);
         for (const RunStats &stats : sweep.run(cells))
             s.rows.back().push_back(times(stats.stp()));

@@ -103,9 +103,12 @@ TEST(Clustering, LearnsSyntheticStructure)
 TEST(Clustering, TrainingLabelsCoverSamples)
 {
     std::vector<WorkloadFeatures> training;
-    for (int i = 0; i < 10; ++i)
-        training.push_back(makeFeatures(
-            "W" + std::to_string(i), 0.1 * i, 1.0 - 0.1 * i, 0.3));
+    for (int i = 0; i < 10; ++i) {
+        std::string name = "W";
+        name += std::to_string(i);
+        training.push_back(
+            makeFeatures(name, 0.1 * i, 1.0 - 0.1 * i, 0.3));
+    }
     ClusteringCollocator::Options opts;
     opts.clusters = 3;
     ClusteringCollocator collocator(opts);

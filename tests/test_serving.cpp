@@ -107,9 +107,11 @@ TEST(ClusterManagerPlacement, RoundRobinCycles)
     ServeConfig cfg = smallConfig(3);
     cfg.policy = PlacementPolicy::RoundRobin;
     ClusterManager manager(cfg);
-    for (int i = 0; i < 7; ++i)
-        ASSERT_TRUE(manager.addTenant(
-            tenant("t" + std::to_string(i), 10.0, 100.0)));
+    for (int i = 0; i < 7; ++i) {
+        std::string name = "t";
+        name += std::to_string(i);
+        ASSERT_TRUE(manager.addTenant(tenant(name, 10.0, 100.0)));
+    }
     const auto placement = manager.place();
     ASSERT_TRUE(placement.ok());
     for (std::size_t i = 0; i < 7; ++i)
@@ -224,10 +226,11 @@ TEST(ClusterManagerRun, ReportIsIdenticalAcrossJobs)
         cfg.jobs = jobs;
         ClusterManager manager(cfg);
         for (int i = 0; i < 12; ++i) {
-            EXPECT_TRUE(manager.addTenant(tenant(
-                "t" + std::to_string(i), 2000.0 + 100.0 * i,
-                120.0,
-                static_cast<ArrivalKind>(i % 3))));
+            std::string name = "t";
+            name += std::to_string(i);
+            EXPECT_TRUE(manager.addTenant(
+                tenant(name, 2000.0 + 100.0 * i, 120.0,
+                       static_cast<ArrivalKind>(i % 3))));
         }
         auto report = manager.run();
         EXPECT_TRUE(report.ok());

@@ -370,9 +370,12 @@ TEST(ServeChurn, JoinLeaveMigrateShapeTheRun)
         EXPECT_TRUE(plan.ok());
         cfg.churn = plan.take();
         ClusterManager manager(cfg);
-        for (int i = 0; i < 4; ++i)
-            EXPECT_TRUE(manager.addTenant(
-                tenant("t" + std::to_string(i), 300.0, 400.0)));
+        for (int i = 0; i < 4; ++i) {
+            std::string name = "t";
+            name += std::to_string(i);
+            EXPECT_TRUE(
+                manager.addTenant(tenant(name, 300.0, 400.0)));
+        }
         auto report = manager.run();
         EXPECT_TRUE(report.ok());
         return report.take();

@@ -9,9 +9,11 @@
 
 #include <array>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/small_fn.h"
+#include "sim/event_queue.h"
 
 namespace v10 {
 namespace {
@@ -180,6 +182,39 @@ TEST(SmallFn, NonTrivialCaptureSurvivesMoves)
     Fn c(std::move(b));
     c();
     EXPECT_EQ(out, std::string(100, 'x'));
+}
+
+TEST(SmallFn, EventQueueDestroysNonTrivialCaptureOnce)
+{
+    static_assert(!std::is_trivially_destructible_v<Tracked>);
+    Tracked::live = 0;
+    {
+        EventQueue q;
+        int fired = 0;
+        q.schedule(1, [t = Tracked{}, &fired] {
+            t();
+            ++fired;
+        });
+        const EventId cancelled = q.schedule(2, [t = Tracked{}] { t(); });
+        // Spills to the heap, so its destroy is the out-of-line one.
+        q.schedule(3, [t = Tracked{}, pad = std::array<char, 64>{}] {
+            t();
+            (void)pad;
+        });
+        EXPECT_EQ(Tracked::live, 3);
+
+        Cycles clock = 0;
+        EXPECT_TRUE(q.fireNext(clock));
+        EXPECT_EQ(fired, 1);
+        EXPECT_EQ(Tracked::live, 2); // released after it ran
+
+        q.cancel(cancelled);
+        EXPECT_EQ(Tracked::live, 1);
+        q.cancel(cancelled);
+        EXPECT_EQ(Tracked::live, 1);
+    }
+    // The last one was still pending when the queue went away.
+    EXPECT_EQ(Tracked::live, 0);
 }
 
 TEST(SmallFnDeath, CallingEmptyPanics)
