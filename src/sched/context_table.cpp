@@ -7,22 +7,10 @@
 
 namespace v10 {
 
-double
-ContextRow::activeRate()
- const
+void
+ContextRow::priorityPanic()
 {
-    if (totalCycles == 0)
-        return 0.0;
-    return static_cast<double>(activeCycles) /
-           static_cast<double>(totalCycles);
-}
-
-double
-ContextRow::activeRateP() const
-{
-    if (priority <= 0.0)
-        panic("ContextRow: non-positive priority");
-    return activeRate() / priority;
+    panic("ContextRow: non-positive priority");
 }
 
 ContextTable::ContextTable(std::uint32_t tenants) : rows_(tenants)
@@ -31,20 +19,10 @@ ContextTable::ContextTable(std::uint32_t tenants) : rows_(tenants)
         V10_PANIC("ContextTable: need at least one tenant");
 }
 
-ContextRow &
-ContextTable::row(WorkloadId tenant)
+void
+ContextTable::rangePanic(WorkloadId tenant)
 {
-    if (tenant >= rows_.size())
-        panic("ContextTable: tenant ", tenant, " out of range");
-    return rows_[tenant];
-}
-
-const ContextRow &
-ContextTable::row(WorkloadId tenant) const
-{
-    if (tenant >= rows_.size())
-        panic("ContextTable: tenant ", tenant, " out of range");
-    return rows_[tenant];
+    panic("ContextTable: tenant ", tenant, " out of range");
 }
 
 void

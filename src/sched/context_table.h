@@ -57,10 +57,26 @@ struct ContextRow
      * active_rate = active_time / total_time: the fraction of its
      * ideal dedicated-core throughput this workload is receiving.
      */
-    double activeRate() const;
+    double
+    activeRate() const
+    {
+        if (totalCycles == 0)
+            return 0.0;
+        return static_cast<double>(activeCycles) /
+               static_cast<double>(totalCycles);
+    }
 
     /** active_rate / priority, Algorithm 1's ranking key. */
-    double activeRateP() const;
+    double
+    activeRateP() const
+    {
+        if (priority <= 0.0)
+            priorityPanic();
+        return activeRate() / priority;
+    }
+
+  private:
+    [[noreturn]] static void priorityPanic();
 };
 
 /**
@@ -73,10 +89,22 @@ class V10_DOMAIN_LOCAL ContextTable
     explicit ContextTable(std::uint32_t tenants);
 
     /** Row of one tenant (mutable). */
-    ContextRow &row(WorkloadId tenant);
+    ContextRow &
+    row(WorkloadId tenant)
+    {
+        if (tenant >= rows_.size())
+            rangePanic(tenant);
+        return rows_[tenant];
+    }
 
     /** Row of one tenant. */
-    const ContextRow &row(WorkloadId tenant) const;
+    const ContextRow &
+    row(WorkloadId tenant) const
+    {
+        if (tenant >= rows_.size())
+            rangePanic(tenant);
+        return rows_[tenant];
+    }
 
     /** Number of rows. */
     std::uint32_t size() const
@@ -108,6 +136,8 @@ class V10_DOMAIN_LOCAL ContextTable
                        std::uint32_t numFus) const;
 
   private:
+    [[noreturn]] static void rangePanic(WorkloadId tenant);
+
     std::vector<ContextRow> rows_;
 };
 
