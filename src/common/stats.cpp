@@ -145,39 +145,6 @@ LogHistogram::LogHistogram(std::size_t subBuckets) : sub_(subBuckets)
 }
 
 void
-LogHistogram::add(double x)
-{
-    if (count_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    sum_ += x;
-    if (!(x > 0.0)) {
-        ++zero_;
-        return;
-    }
-    int exp = 0;
-    const double mant = std::frexp(x, &exp); // mant in [0.5, 1)
-    auto idx = static_cast<std::int64_t>((mant - 0.5) * 2.0 *
-                                         static_cast<double>(sub_));
-    if (idx >= static_cast<std::int64_t>(sub_))
-        idx = static_cast<std::int64_t>(sub_) - 1;
-    if (idx < 0)
-        idx = 0;
-    const auto sub = static_cast<std::int64_t>(sub_);
-    std::int64_t k = (exp - loOctave_) * sub + idx;
-    if (counts_.empty() || k < 0 ||
-        k >= static_cast<std::int64_t>(counts_.size())) {
-        cover(exp, exp);
-        k = (exp - loOctave_) * sub + idx;
-    }
-    ++counts_[static_cast<std::size_t>(k)];
-}
-
-void
 LogHistogram::cover(std::int64_t loOct, std::int64_t hiOct)
 {
     const auto sub = static_cast<std::int64_t>(sub_);

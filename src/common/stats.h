@@ -8,6 +8,8 @@
 #ifndef V10_COMMON_STATS_H
 #define V10_COMMON_STATS_H
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -132,7 +134,38 @@ class LogHistogram
 
     /** Add one sample. O(1), plus a one-off copy of the counts
      * when the sample opens a new lowest or highest octave. */
-    void add(double x);
+    void
+    add(double x)
+    {
+        if (count_ == 0) {
+            min_ = max_ = x;
+        } else {
+            min_ = std::min(min_, x);
+            max_ = std::max(max_, x);
+        }
+        ++count_;
+        sum_ += x;
+        if (!(x > 0.0)) {
+            ++zero_;
+            return;
+        }
+        int exp = 0;
+        const double mant = std::frexp(x, &exp); // mant in [0.5, 1)
+        auto idx = static_cast<std::int64_t>((mant - 0.5) * 2.0 *
+                                             static_cast<double>(sub_));
+        if (idx >= static_cast<std::int64_t>(sub_))
+            idx = static_cast<std::int64_t>(sub_) - 1;
+        if (idx < 0)
+            idx = 0;
+        const auto sub = static_cast<std::int64_t>(sub_);
+        std::int64_t k = (exp - loOctave_) * sub + idx;
+        if (counts_.empty() || k < 0 ||
+            k >= static_cast<std::int64_t>(counts_.size())) {
+            cover(exp, exp);
+            k = (exp - loOctave_) * sub + idx;
+        }
+        ++counts_[static_cast<std::size_t>(k)];
+    }
 
     /** Add every bucket of @p other into this histogram. */
     void merge(const LogHistogram &other);

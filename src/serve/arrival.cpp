@@ -90,7 +90,12 @@ ArrivalSpec::check(const std::string &what) const
 }
 
 ArrivalProcess::ArrivalProcess(ArrivalSpec spec, std::uint64_t seed)
-    : spec_(spec), rng_(seed)
+    : spec_(spec), rng_(seed),
+      lambdaMax_(spec.rps * (1.0 + spec.amplitude)),
+      meanGap_(spec.kind == ArrivalKind::Diurnal ? 1.0 / lambdaMax_
+                                                 : 1.0 / spec.rps),
+      duty_(spec.meanOnSec / (spec.meanOnSec + spec.meanOffSec)),
+      onGap_(1.0 / (spec.rps / duty_))
 {
     if (Status s = spec_.check(); !s)
         V10_PANIC("ArrivalProcess: ", s.error().toString());
@@ -113,43 +118,36 @@ ArrivalProcess::generate(double durationSec)
 }
 
 double
-ArrivalProcess::next()
+ArrivalProcess::nextShaped()
 {
     if (spec_.rps == 0.0)
         return std::numeric_limits<double>::infinity();
     switch (spec_.kind) {
       case ArrivalKind::Poisson:
-        t_ += rng_.exponential(1.0 / spec_.rps);
-        return t_;
+        break; // next() draws Poisson arrivals itself
       case ArrivalKind::Diurnal: {
         // Lewis-Shedler thinning against the envelope rate
         // lambda_max = rps * (1 + amplitude): candidate arrivals come
         // from a homogeneous Poisson process at lambda_max and
         // survive with probability lambda(t) / lambda_max.
-        const double lambda_max =
-            spec_.rps * (1.0 + spec_.amplitude);
-        const double mean_gap = 1.0 / lambda_max;
         while (true) {
-            t_ += rng_.exponential(mean_gap);
+            t_ += rng_.exponential(meanGap_);
             const double lambda_t =
                 spec_.rps *
                 (1.0 + spec_.amplitude *
                            std::sin(kTwoPi * t_ / spec_.periodSec));
-            if (rng_.bernoulli(lambda_t / lambda_max))
+            if (rng_.bernoulli(lambda_t / lambdaMax_))
                 return t_;
         }
       }
       case ArrivalKind::Bursty: {
         // Two-state MMPP: exponential dwells in on/off states; the
         // on-state rate is rps / duty so the long-run mean stays rps.
-        const double duty =
-            spec_.meanOnSec / (spec_.meanOnSec + spec_.meanOffSec);
-        const double on_gap = 1.0 / (spec_.rps / duty);
         if (!started_) {
             // Start in the stationary state distribution so the
             // stream has no startup transient.
             started_ = true;
-            on_ = rng_.bernoulli(duty);
+            on_ = rng_.bernoulli(duty_);
             stateEnd_ = rng_.exponential(on_ ? spec_.meanOnSec
                                              : spec_.meanOffSec);
         }
@@ -161,7 +159,7 @@ ArrivalProcess::next()
                 stateEnd_ = t_ + rng_.exponential(spec_.meanOnSec);
                 continue;
             }
-            const double next = t_ + rng_.exponential(on_gap);
+            const double next = t_ + rng_.exponential(onGap_);
             if (next >= stateEnd_) {
                 // The burst ended before the next arrival fired.
                 t_ = stateEnd_;
@@ -174,7 +172,7 @@ ArrivalProcess::next()
         }
       }
     }
-    panic("ArrivalProcess::next: bad kind");
+    panic("ArrivalProcess::nextShaped: bad kind");
 }
 
 ArrivalFeed::ArrivalFeed(ArrivalProcess base, double horizonSec,
@@ -184,18 +182,9 @@ ArrivalFeed::ArrivalFeed(ArrivalProcess base, double horizonSec,
 {
 }
 
-double
-ArrivalFeed::next()
+void
+ArrivalFeed::drawFloods()
 {
-    if (pending_ > 0) {
-        --pending_;
-        return last_;
-    }
-    if (last_ >= horizon_)
-        return std::numeric_limits<double>::infinity();
-    last_ = base_.next();
-    if (last_ >= horizon_)
-        return std::numeric_limits<double>::infinity();
     // One draw per live source per base arrival, hit or not and
     // capped or not, so the draw sequence is stable under rate and
     // cap changes.
@@ -212,7 +201,6 @@ ArrivalFeed::next()
         --st.quota;
         pending_ += s.burst;
     }
-    return last_;
 }
 
 ArrivalPlan::ArrivalPlan(std::vector<ArrivalSpec> specs,

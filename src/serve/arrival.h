@@ -23,6 +23,7 @@
 #define V10_SERVE_ARRIVAL_H
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -102,11 +103,26 @@ class ArrivalProcess
      * 0). The values below any horizon d are exactly generate(d) of
      * a fresh process: the stream is a duration-prefix function.
      */
-    double next();
+    double
+    next()
+    {
+        if (spec_.kind != ArrivalKind::Poisson || spec_.rps == 0.0)
+            return nextShaped();
+        t_ += rng_.exponential(meanGap_);
+        return t_;
+    }
 
   private:
+    /** next() for rate 0 and the Diurnal and Bursty kinds. */
+    double nextShaped();
+
     ArrivalSpec spec_;
     Rng rng_;
+    // Per-stream constants, fixed at construction.
+    double lambdaMax_; ///< Diurnal: rps * (1 + amplitude)
+    double meanGap_;   ///< Poisson: 1/rps; Diurnal: 1/lambda_max
+    double duty_;      ///< Bursty: on / (on + off)
+    double onGap_;     ///< Bursty: mean gap in the on state
     double t_ = 0.0;       ///< latest candidate or arrival time
     bool started_ = false; ///< Bursty: initial state drawn
     bool on_ = false;      ///< Bursty: in the burst state
@@ -148,7 +164,22 @@ class ArrivalFeed
   public:
     /** Next arrival time (ascending); +infinity once the horizon is
      * reached. */
-    double next();
+    double
+    next()
+    {
+        if (pending_ > 0) {
+            --pending_;
+            return last_;
+        }
+        if (last_ >= horizon_)
+            return std::numeric_limits<double>::infinity();
+        last_ = base_.next();
+        if (last_ >= horizon_)
+            return std::numeric_limits<double>::infinity();
+        if (!stages_.empty())
+            drawFloods();
+        return last_;
+    }
 
   private:
     friend class ArrivalPlan;
@@ -164,6 +195,9 @@ class ArrivalFeed
 
     ArrivalFeed(ArrivalProcess base, double horizonSec, Rng flood,
                 std::vector<Stage> stages);
+
+    /** The flood draws of the base arrival last_. */
+    void drawFloods();
 
     ArrivalProcess base_;
     double horizon_;

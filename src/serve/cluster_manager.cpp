@@ -508,9 +508,10 @@ struct ServeRun
             gate.configure(i, tenants[i].arrival.rps);
             TenantFlow &f = flows.emplace_back(arrivals.feed(i));
             f.tenant = static_cast<std::uint32_t>(i);
-            f.soloMeanSec = serviceUs[i] * 1e-6;
-            f.serviceMeanSec =
-                f.soloMeanSec / placement.tenantSpeed[i];
+            const double soloMeanSec = serviceUs[i] * 1e-6;
+            f.serviceMeanSec = soloMeanSec / placement.tenantSpeed[i];
+            if (f.serviceMeanSec > 0.0)
+                f.soloSpeed = soloMeanSec / f.serviceMeanSec;
             f.weight = tenants[i].slo.weight;
             f.sloTargetUs = tenants[i].slo.latencyTargetUs;
             f.bucket = gate.bucket(i);

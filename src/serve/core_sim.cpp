@@ -55,22 +55,14 @@ CoreSim::kickIdle(double now)
 }
 
 void
-CoreSim::advanceTime(double now)
+CoreSim::sampleTicksUpTo(double now)
 {
-    // Time-weighted occupancy accounting plus the optional fixed
-    // sim-time tick series; called with the state still describing
-    // (lastT, now].
-    if (now < lastT)
-        return;
-    while (sampleTicks > 0 && nextTick <= sampleTicks &&
+    while (nextTick <= sampleTicks &&
            static_cast<double>(nextTick) * tickSec <= now) {
         depthSamples.push_back(static_cast<double>(waiting));
         inflightSamples.push_back(busy ? 1.0 : 0.0);
         ++nextTick;
     }
-    depthArea += static_cast<double>(waiting) * (now - lastT);
-    busyArea += (busy ? 1.0 : 0.0) * (now - lastT);
-    lastT = now;
 }
 
 double
@@ -103,8 +95,9 @@ CoreSim::startNext(double now)
     // lowest tenant index) goes into service.
     if (backlog_.empty())
         return;
+    // The picked flow stays at the top of backlog_ until it is
+    // re-keyed (or dropped, once drained) below.
     const std::uint32_t picked = backlog_.top().tenant;
-    backlog_.pop();
     TenantFlow &f = flow(picked);
     servedTenant = f.tenant;
     const Waiting w = f.pop();
@@ -136,15 +129,15 @@ CoreSim::startNext(double now)
     vclock = std::max(vclock, f.vtime);
     f.vtime = vclock + service / f.weight;
     if (f.queued() > 0)
-        backlog_.push(f.vtime, picked);
+        backlog_.replaceTop(f.vtime);
+    else
+        backlog_.pop();
     busy = true;
     servedStart = now;
     busyUntil = now + service;
     busySec += service;
     servedSloTargetUs = f.sloTargetUs;
-    servedSpeed = f.serviceMeanSec > 0.0
-                      ? f.soloMeanSec / f.serviceMeanSec
-                      : 1.0;
+    servedSpeed = f.soloSpeed;
 }
 
 void

@@ -15,16 +15,6 @@ SloMonitor::SloMonitor(std::size_t tenants, double durationSec,
         V10_PANIC("SloMonitor: duration must be positive");
 }
 
-std::size_t
-SloMonitor::bucketOf(double timeSec) const
-{
-    if (timeSec <= 0.0)
-        return 0;
-    auto b = static_cast<std::size_t>(timeSec / duration_ *
-                                      static_cast<double>(kBuckets));
-    return std::min(b, kBuckets - 1);
-}
-
 void
 SloMonitor::record(std::size_t tenant, double timeSec, bool violated)
 {
@@ -37,14 +27,10 @@ SloMonitor::record(std::size_t tenant, double timeSec, bool violated)
 }
 
 void
-SloMonitor::addBucket(std::size_t tenant, std::size_t bucket,
-                      std::uint64_t done, std::uint64_t violations)
+SloMonitor::badBucket(std::size_t tenant, std::size_t bucket)
 {
-    if (tenant >= tenants_ || bucket >= kBuckets)
-        V10_PANIC("SloMonitor: addBucket(", tenant, ", ", bucket,
-                  ") out of range");
-    done_[tenant * kBuckets + bucket] += done;
-    violations_[tenant * kBuckets + bucket] += violations;
+    V10_PANIC("SloMonitor: addBucket(", tenant, ", ", bucket,
+              ") out of range");
 }
 
 void

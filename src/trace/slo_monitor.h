@@ -17,8 +17,9 @@
 #ifndef V10_TRACE_SLO_MONITOR_H
 #define V10_TRACE_SLO_MONITOR_H
 
-#include <cstdint>
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace v10 {
@@ -68,8 +69,15 @@ class SloMonitor
      * Bulk-add pre-binned counts (the per-core outcome merge path;
      * bucket grids must use kBuckets over the same duration).
      */
-    void addBucket(std::size_t tenant, std::size_t bucket,
-                   std::uint64_t done, std::uint64_t violations);
+    void
+    addBucket(std::size_t tenant, std::size_t bucket,
+              std::uint64_t done, std::uint64_t violations)
+    {
+        if (tenant >= tenants_ || bucket >= kBuckets)
+            badBucket(tenant, bucket);
+        done_[tenant * kBuckets + bucket] += done;
+        violations_[tenant * kBuckets + bucket] += violations;
+    }
 
     /** Map a sim time to its bucket index (clamped to the grid). */
     std::size_t bucketIndex(double timeSec) const
@@ -103,7 +111,19 @@ class SloMonitor
     const SloPolicy &policy() const { return policy_; }
 
   private:
-    std::size_t bucketOf(double timeSec) const;
+    std::size_t
+    bucketOf(double timeSec) const
+    {
+        if (timeSec <= 0.0)
+            return 0;
+        auto b = static_cast<std::size_t>(timeSec / duration_ *
+                                          static_cast<double>(kBuckets));
+        return std::min(b, kBuckets - 1);
+    }
+
+    /** The panic of an addBucket outside the grid. */
+    [[noreturn, gnu::cold]] static void badBucket(std::size_t tenant,
+                                                  std::size_t bucket);
 
     std::size_t tenants_;
     double duration_;

@@ -4,7 +4,7 @@
  * moments against theory, diurnal periodicity, bursty
  * over-dispersion, seeded determinism, duration-prefix stability,
  * disjoint-stream independence, the lazy feeds' equality with the
- * eager streams, and the per-core arrival heap order
+ * eager streams, and the per-core heap order against a linear scan
  * (docs/SERVING.md).
  */
 
@@ -15,6 +15,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/rng.h"
 #include "serve/arrival.h"
 #include "serve/core_sim.h"
 
@@ -474,6 +475,72 @@ TEST(TenantHeap, OrdersByTimeThenTenantThenSeq)
         EXPECT_EQ(feed[i].tenant, want[i].tenant) << i;
         EXPECT_EQ(feed[i].seq, want[i].seq) << i;
     }
+}
+
+TEST(TenantHeap, MatchesLinearScanOnRandomPrograms)
+{
+    // Seeded programs of push / pop / replaceTop over 1-64 tenants,
+    // at most one entry per tenant, with keys from a five-value set
+    // so ties are common. After every step top() must be what a scan
+    // over ascending tenants that keeps the first strict minimum
+    // picks.
+    const double keys[] = {0.0, 0.5, 1.0, 1.5, 2.0};
+    std::size_t rekeyedUp = 0;
+    std::size_t rekeyedDown = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        Rng rng(seed);
+        const std::size_t tenants = 1 + rng.uniformInt(64);
+        TenantHeap heap;
+        // ref[t]: tenant t's key, or NaN when t is not in the heap.
+        std::vector<double> ref(tenants,
+                                std::numeric_limits<double>::quiet_NaN());
+        auto scanTop = [&]() -> std::size_t {
+            std::size_t best = tenants;
+            for (std::size_t t = 0; t < tenants; ++t) {
+                if (!std::isnan(ref[t]) &&
+                    (best == tenants || ref[t] < ref[best]))
+                    best = t;
+            }
+            return best;
+        };
+        for (int step = 0; step < 400; ++step) {
+            const std::size_t top = scanTop();
+            const double key = keys[rng.uniformInt(5)];
+            const std::uint64_t op = rng.uniformInt(3);
+            if (op == 0 || top == tenants) {
+                std::vector<std::uint32_t> absent;
+                for (std::uint32_t t = 0; t < tenants; ++t) {
+                    if (std::isnan(ref[t]))
+                        absent.push_back(t);
+                }
+                if (absent.empty())
+                    continue;
+                const std::uint32_t t =
+                    absent[rng.uniformInt(absent.size())];
+                heap.push(key, t);
+                ref[t] = key;
+            } else if (op == 1) {
+                heap.pop();
+                ref[top] = std::numeric_limits<double>::quiet_NaN();
+            } else {
+                rekeyedUp += key > ref[top];
+                rekeyedDown += key < ref[top];
+                heap.replaceTop(key);
+                ref[top] = key;
+            }
+            const std::size_t want = scanTop();
+            ASSERT_EQ(heap.empty(), want == tenants)
+                << "seed " << seed << " step " << step;
+            if (want == tenants)
+                continue;
+            ASSERT_EQ(heap.top().tenant, want)
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(heap.top().key, ref[want])
+                << "seed " << seed << " step " << step;
+        }
+    }
+    EXPECT_GT(rekeyedUp, 1000u);
+    EXPECT_GT(rekeyedDown, 1000u);
 }
 
 TEST(ArrivalKind, NamesRoundTrip)

@@ -1169,6 +1169,11 @@ usage()
         "[--policy round-robin|least-loaded|advisor]\n"
         "               [--slo target[:weight][,...]] "
         "[--queue-cap N] [--service det|exp|lognormal]\n"
+        "               [--cv C] [--models BERT,NCF,...] "
+        "[--amplitude A] [--period secs] [--on secs] [--off secs]\n"
+        "               (lognormal service cv; tenant model mix; "
+        "diurnal amplitude and period;\n"
+        "               bursty mean on/off dwells)\n"
         "               [--service-us U] [--seed N] [--jobs N|auto] "
         "[--stats-json out.json] [--detail 1]\n"
         "               [--trace-out spans.jsonl] [--trace-sample "
