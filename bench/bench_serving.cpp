@@ -159,7 +159,8 @@ class NullBuffer : public std::streambuf
 };
 
 /** The blame matrix of a state.range(0)-tenant fleet in a
- * stats-json: register it in a fresh registry and write the JSON. */
+ * stats-json: register it in a fresh registry and write the JSON.
+ * 500 is the perfbench fleet-chaos size. */
 void
 BM_AttributionStatsJson(benchmark::State &state)
 {
@@ -187,7 +188,10 @@ BM_AttributionStatsJson(benchmark::State &state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(leaves));
 }
-BENCHMARK(BM_AttributionStatsJson)->Arg(200)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AttributionStatsJson)
+    ->Arg(200)
+    ->Arg(500)
+    ->Unit(benchmark::kMillisecond);
 
 /** The antagonist detector's per-epoch read: every tenant's
  * chargedUs() column sum over a state.range(0)-tenant fleet whose

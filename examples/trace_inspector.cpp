@@ -62,8 +62,12 @@ main(int argc, char **argv)
 
     const std::string path = "/tmp/" + wl.profile().abbrev +
                              "_trace.txt";
-    saveTraceFile(path, TraceHeader{wl.profile().abbrev, wl.batch()},
-                  trace);
+    if (Status s = saveTraceFile(
+            path, TraceHeader{wl.profile().abbrev, wl.batch()}, trace);
+        !s) {
+        std::fprintf(stderr, "%s\n", s.error().toString().c_str());
+        return 2;
+    }
     std::printf("\nfull trace written to %s (replayable via "
                 "Workload::fromTraceFile)\n",
                 path.c_str());

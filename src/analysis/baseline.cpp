@@ -190,6 +190,7 @@ Baseline::save(const std::string &path) const
     if (!os)
         return parseError("cannot write baseline file", path);
     os << toJson();
+    os.flush();
     if (!os)
         return parseError("short write on baseline file", path);
     return Status::ok();

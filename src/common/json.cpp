@@ -100,6 +100,7 @@ jsonNumber(double v)
 JsonWriter::JsonWriter(std::ostream &os, int indentWidth)
     : os_(os), indent_(indentWidth)
 {
+    out_.reserve(kBufferBytes);
 }
 
 JsonWriter::~JsonWriter()
@@ -225,7 +226,7 @@ void
 JsonWriter::tableRows(
     std::size_t rows, const std::vector<std::string> &columns,
     const std::function<std::string_view(std::size_t)> &rowName,
-    const std::function<double(std::size_t, std::size_t)> &cell)
+    const std::function<void(std::size_t, double *)> &readRow)
 {
     if (stack_.empty() || stack_.back() != Scope::Object)
         panic("JsonWriter: tableRows() outside an object");
@@ -246,6 +247,13 @@ JsonWriter::tableRows(
         keys[c] += colon;
     }
     const std::string close = (columns.empty() ? "" : rowBreak) + '}';
+    // The body of a row whose cells are all +0.0, the common row of a
+    // sparse table, rendered once.
+    std::string zeroBody;
+    for (const std::string &k : keys)
+        zeroBody.append(k).append(1, '0');
+    zeroBody += close;
+    std::vector<double> cells(columns.size());
     char buf[40];
     for (std::size_t r = 0; r < rows; ++r) {
         if (has_items_.back())
@@ -255,11 +263,19 @@ JsonWriter::tableRows(
         appendQuoted(out_, rowName(r));
         out_ += colon;
         out_ += '{';
-        for (std::size_t c = 0; c < columns.size(); ++c) {
-            out_ += keys[c];
-            out_ += formatNumber(cell(r, c), buf);
+        readRow(r, cells.data());
+        // -0.0 prints "-0", so the test is on the bits, not == 0.
+        if (std::all_of(cells.begin(), cells.end(), [](double v) {
+                return v == 0.0 && !std::signbit(v);
+            })) {
+            out_ += zeroBody;
+        } else {
+            for (std::size_t c = 0; c < columns.size(); ++c) {
+                out_ += keys[c];
+                out_ += formatNumber(cells[c], buf);
+            }
+            out_ += close;
         }
-        out_ += close;
         emit();
     }
 }

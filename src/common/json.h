@@ -13,8 +13,9 @@
  * and writes it to the stream in blocks, and in full once the
  * top-level value closes: write raw bytes to the stream only after
  * that. tableRows() writes a rows x columns block of numbers (the
- * stats registry's tables) with its key fragments rendered once per
- * block instead of once per leaf.
+ * stats registry's tables), reading one row per call, with its key
+ * fragments and its all-zero row body rendered once per block
+ * instead of once per leaf.
  */
 
 #ifndef V10_COMMON_JSON_H
@@ -84,14 +85,16 @@ class JsonWriter
 
     /**
      * Write @p rows members into the open object, the same bytes as
-     * key(rowName(r)), beginObject(), kv(columns[c], cell(r, c)) for
-     * every column and endObject() for each row r in turn. The
-     * quoted, indented column keys are rendered once per call.
+     * key(rowName(r)), beginObject(), kv(columns[c], cells[c]) for
+     * every column and endObject() for each row r in turn, where
+     * readRow(r, cells) fills cells[0, columns.size()). One call
+     * per row; the quoted, indented column keys and the body of a
+     * row whose cells are all +0.0 are rendered once per call.
      */
     void tableRows(
         std::size_t rows, const std::vector<std::string> &columns,
         const std::function<std::string_view(std::size_t)> &rowName,
-        const std::function<double(std::size_t, std::size_t)> &cell);
+        const std::function<void(std::size_t, double *)> &readRow);
 
     /** Nesting depth (0 once every container is closed). */
     std::size_t depth() const { return stack_.size(); }
@@ -111,8 +114,12 @@ class JsonWriter
     /** Write out_ to the stream and clear it. */
     void flush();
 
-    /// Buffer size that triggers a write to the stream.
-    static constexpr std::size_t kFlushBytes = 8192;
+    /// Capacity reserved for out_ once, at construction.
+    static constexpr std::size_t kBufferBytes = 32 * 1024;
+    /// Buffer size that triggers a write to the stream. A call
+    /// appends at most one value or table row past it, so out_
+    /// outgrows its reserve only for a value longer than the slack.
+    static constexpr std::size_t kFlushBytes = kBufferBytes - 4096;
 
     std::ostream &os_;
     int indent_;

@@ -157,6 +157,7 @@ IntervalSampler::writeCsvFile(const std::string &path) const
     if (!os)
         return parseError("cannot open samples CSV for writing", path);
     writeCsv(os);
+    os.flush();
     if (!os)
         return parseError("short write on samples CSV", path);
     return Status::ok();

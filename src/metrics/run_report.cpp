@@ -157,6 +157,7 @@ writeRunReportJsonFile(const std::string &path,
     if (!os)
         return parseError("cannot open stats JSON for writing", path);
     writeRunReportJson(os, manifest, stats, registry, sampler);
+    os.flush();
     if (!os)
         return parseError("short write on stats JSON", path);
     return Status::ok();

@@ -97,10 +97,13 @@ StatRegistry::Table::rows() const
     return axes->rows.size() - (skipRow == kNoRow ? 0 : 1);
 }
 
-double
-StatRegistry::Table::cell(std::size_t r, std::size_t c) const
+void
+StatRegistry::Table::readRow(std::size_t r, double *out) const
 {
-    return cells ? cells(axisRow(r), c) : frozen[r * columns() + c];
+    if (reader)
+        reader(axisRow(r), out);
+    else
+        std::copy_n(&frozen[r * columns()], columns(), out);
 }
 
 bool
@@ -198,15 +201,19 @@ StatRegistry::addFormula(std::string path, Formula formula,
 void
 StatRegistry::addTable(std::string path,
                        std::shared_ptr<const TableAxes> axes,
-                       CellReader cells, std::size_t skipRow)
+                       RowReader rows, std::size_t skipRow)
 {
-    if (!axes || !cells)
-        V10_PANIC("StatRegistry: null axes or cell reader for table '",
+    if (!axes || !rows)
+        V10_PANIC("StatRegistry: null axes or row reader for table '",
                   path, "'");
     // Tables usually share their axes: check each copy once.
     if (axes != checkedAxes_) {
         validateAxis(path, "row", axes->rows);
         validateAxis(path, "column", axes->columns);
+        if (axes->columns.size() > kMaxTableColumns)
+            V10_PANIC("StatRegistry: table '", path, "' has ",
+                      axes->columns.size(), " columns, more than ",
+                      kMaxTableColumns);
         if (axes->descriptions.size() != axes->columns.size())
             V10_PANIC("StatRegistry: table '", path, "' has ",
                       axes->descriptions.size(), " descriptions for ",
@@ -219,7 +226,7 @@ StatRegistry::addTable(std::string path,
     auto table = std::make_unique<Table>();
     table->axes = std::move(axes);
     table->skipRow = skipRow;
-    table->cells = std::move(cells);
+    table->reader = std::move(rows);
     const std::size_t leaves = table->rows() * table->columns();
     if (leaves == 0)
         V10_PANIC("StatRegistry: table '", path, "' has no leaves");
@@ -278,8 +285,11 @@ StatRegistry::value(const std::string &path) const
     const Leaf leaf = findLeaf(path);
     if (leaf.stat == nullptr)
         V10_PANIC("StatRegistry: unknown stat path '", path, "'");
-    return leaf.table ? leaf.table->cell(leaf.row, leaf.col)
-                      : scalarOf(*leaf.stat);
+    if (leaf.table == nullptr)
+        return scalarOf(*leaf.stat);
+    double row[kMaxTableColumns];
+    leaf.table->readRow(leaf.row, row);
+    return row[leaf.col];
 }
 
 const std::string &
@@ -319,13 +329,11 @@ StatRegistry::freeze()
             const double value = (*f)();
             stat.data.emplace<Gauge>().set(value);
         } else if (Table *table = tableOf(stat)) {
-            std::vector<double> cells;
-            cells.reserve(table->rows() * table->columns());
+            std::vector<double> cells(table->rows() * table->columns());
             for (std::size_t r = 0; r < table->rows(); ++r)
-                for (std::size_t c = 0; c < table->columns(); ++c)
-                    cells.push_back(table->cell(r, c));
+                table->readRow(r, &cells[r * table->columns()]);
             table->frozen = std::move(cells);
-            table->cells = nullptr;
+            table->reader = nullptr;
         }
     }
     frozen_ = true;
@@ -338,9 +346,12 @@ StatRegistry::snapshot() const
     out.reserve(leaves_);
     for (const auto &[path, stat] : stats_) {
         if (const Table *table = tableOf(stat)) {
+            double row[kMaxTableColumns];
             table->forEachLeaf(path, [&](const std::string &leaf,
                                          std::size_t r, std::size_t c) {
-                out.emplace_back(leaf, table->cell(r, c));
+                if (c == 0)
+                    table->readRow(r, row);
+                out.emplace_back(leaf, row[c]);
             });
         } else if (const auto *d =
                        std::get_if<Distribution>(&stat.data)) {
@@ -426,8 +437,8 @@ StatRegistry::writeJson(JsonWriter &writer) const
                 [table](std::size_t r) -> std::string_view {
                     return table->rowName(r);
                 },
-                [table](std::size_t r, std::size_t c) {
-                    return table->cell(r, c);
+                [table](std::size_t r, double *out) {
+                    table->readRow(r, out);
                 });
         } else {
             writer.kv(rest, scalarOf(stat));

@@ -11,7 +11,9 @@
  * formula leaves `<path>.<row>.<col>` (the attribution matrix's
  * per-perpetrator cells). Every query sees its leaves exactly as if
  * each had been registered with addFormula(); only the storage is
- * one entry instead of rows x columns.
+ * one entry instead of rows x columns, and the table is read a row
+ * at a time: one reader call fills every column of a row, so the
+ * JSON rendering and freeze() cost one call per row, not per cell.
  *
  * Lifecycle: one registry per simulated run. Components register at
  * run start; formulas and tables read live component state (by
@@ -97,8 +99,9 @@ class V10_DOMAIN_LOCAL StatRegistry
 
     /**
      * The axes of a table: sorted, unique row and column names, each
-     * one path segment ([A-Za-z0-9_]), and one description per
-     * column. Tables over the same rows share one copy.
+     * one path segment ([A-Za-z0-9_]), at most kMaxTableColumns
+     * columns, and one description per column. Tables over the same
+     * rows share one copy.
      */
     struct TableAxes
     {
@@ -107,9 +110,16 @@ class V10_DOMAIN_LOCAL StatRegistry
         std::vector<std::string> descriptions;
     };
 
-    /** Deferred read of a table cell; indices into the axes. */
-    using CellReader = std::function<double(std::size_t row,
-                                            std::size_t col)>;
+    /**
+     * Deferred read of one table row: fill out[c] for every column c
+     * of axes row @p row (an index into the axes, never the skipped
+     * row).
+     */
+    using RowReader = std::function<void(std::size_t row, double *out)>;
+
+    /** The most columns a table may have, so that one row fits in a
+     * buffer on the stack. */
+    static constexpr std::size_t kMaxTableColumns = 8;
 
     /** addTable() without a left-out row. */
     static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
@@ -136,14 +146,14 @@ class V10_DOMAIN_LOCAL StatRegistry
     /**
      * Register a table at @p path: the leaf `path.<row>.<col>` for
      * every row of @p axes except @p skipRow (an index into
-     * axes->rows, or kNoRow) and every column, read through
-     * @p cells, described by its column's description. The table
-     * must hold at least one leaf. Panics on invalid axes and on the
-     * conflicts addFormula() would find for its leaves.
+     * axes->rows, or kNoRow) and every column, read a row at a time
+     * through @p rows, described by its column's description. The
+     * table must hold at least one leaf. Panics on invalid axes and
+     * on the conflicts addFormula() would find for its leaves.
      */
     void addTable(std::string path,
                   std::shared_ptr<const TableAxes> axes,
-                  CellReader cells, std::size_t skipRow = kNoRow);
+                  RowReader rows, std::size_t skipRow = kNoRow);
 
     /** True when @p path names a registered statistic. */
     bool has(const std::string &path) const;
@@ -198,7 +208,7 @@ class V10_DOMAIN_LOCAL StatRegistry
     {
         std::shared_ptr<const TableAxes> axes;
         std::size_t skipRow = kNoRow;
-        CellReader cells;           ///< released by freeze()
+        RowReader reader;           ///< released by freeze()
         std::vector<double> frozen; ///< rows() x columns(), row-major
 
         std::size_t rows() const;
@@ -211,7 +221,8 @@ class V10_DOMAIN_LOCAL StatRegistry
         {
             return axes->rows[axisRow(r)];
         }
-        double cell(std::size_t r, std::size_t c) const;
+        /** Fill out[0, columns()) with visible row @p r. */
+        void readRow(std::size_t r, double *out) const;
         /** Locate leaf "<row>.<col>"; false when it is not one. */
         bool find(std::string_view rest, std::size_t &r,
                   std::size_t &c) const;

@@ -117,6 +117,7 @@ TimelineTracer::writeChromeTraceFile(const std::string &path) const
     if (!os)
         return parseError("cannot open timeline for writing", path);
     writeChromeTrace(os);
+    os.flush();
     if (!os)
         return parseError("short write on timeline", path);
     return Status::ok();

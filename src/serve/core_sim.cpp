@@ -169,11 +169,12 @@ CoreSim::finish()
         // flow (not per queued request) keeps the perpetrator score
         // proportional to the blocker's server occupancy — a
         // flooder's deep self-inflicted queue must not inflate its
-        // victims' columns.
-        for (std::uint32_t ti : residents) {
-            if (ti == servedTenant || flow(ti).queued() == 0)
-                continue;
-            charges.push_back(WaitCharge{ti, servedTenant, serviceUs});
+        // victims' columns. backlog_ holds exactly the queued flows;
+        // its order does not matter (core_sim.h).
+        for (const TenantHeap::Entry &e : backlog_.entries()) {
+            if (e.tenant != servedTenant)
+                charges.push_back(
+                    WaitCharge{e.tenant, servedTenant, serviceUs});
         }
     }
     if (RequestSpan *span = sampledSpan(servedTenant, servedSeq,

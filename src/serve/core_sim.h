@@ -16,6 +16,16 @@
  * place (a drawn arrival, the served flow's new virtual time): one
  * hole-based sift down from the root, not a pop and a push.
  *
+ * The backlog heap holds exactly the residents with a queue: it is
+ * rebuilt from them at every epoch start and kickIdle, an arrival
+ * pushes its flow when the queue goes from empty to one, and
+ * startNext pops the flow once its queue drains. A completion's
+ * head-of-line charges walk that heap, not every resident: one
+ * charge per queued co-resident, in heap order. Each lands on a
+ * different (victim, server) cell, and the blame matrix's cells and
+ * victim lists are sorted inserts, so the order leaves every sum and
+ * every output byte as the ascending walk left them.
+ *
  * Memory is O(live requests): arrivals are drawn lazily, each queue
  * holds at most its capacity, and completions fold into their
  * tenant's accumulators inside the core's worker.
@@ -124,6 +134,8 @@ class TenantHeap
 
     bool empty() const { return heap_.empty(); }
     const Entry &top() const { return heap_.front(); }
+    /** Every entry, in heap order (not sorted). */
+    const std::vector<Entry> &entries() const { return heap_; }
     void clear() { heap_.clear(); }
 
     void
@@ -393,7 +405,8 @@ class V10_DOMAIN_LOCAL CoreSim
                              double arrivalSec, double sloTargetUs);
 
     TenantHeap arrivals_; ///< (next arrival, tenant), active flows
-    TenantHeap backlog_;  ///< (vtime, tenant), flows with a queue
+    /// (vtime, tenant), exactly the residents with a queue
+    TenantHeap backlog_;
     bool anyThrash_ = false; ///< a resident has thrash windows
 };
 

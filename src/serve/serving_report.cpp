@@ -1,5 +1,6 @@
 #include "serve/serving_report.h"
 
+#include <fstream>
 #include <sstream>
 
 #include "common/json.h"
@@ -233,6 +234,22 @@ writeServingDocumentJson(std::ostream &os,
         w.valueNull();
     w.endObject();
     os << '\n';
+}
+
+Status
+writeServingDocumentFile(const std::string &path,
+                         const ServeManifest &manifest,
+                         const ServingReport &report,
+                         const StatRegistry *registry)
+{
+    std::ofstream os(path);
+    if (!os)
+        return parseError("cannot open stats JSON for writing", path);
+    writeServingDocumentJson(os, manifest, report, registry);
+    os.flush();
+    if (!os)
+        return parseError("short write on stats JSON", path);
+    return Status::ok();
 }
 
 void

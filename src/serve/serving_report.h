@@ -225,6 +225,13 @@ void writeServingDocumentJson(std::ostream &os,
                               const ServingReport &report,
                               const StatRegistry *registry);
 
+/** writeServingDocumentJson() to a path; an error Status if the file
+ * cannot be opened or a write fails. */
+Status writeServingDocumentFile(const std::string &path,
+                                const ServeManifest &manifest,
+                                const ServingReport &report,
+                                const StatRegistry *registry);
+
 /**
  * Register the report's fleet aggregates and per-core gauges under
  * "serve.*" in @p registry (idempotent per fresh registry; panics

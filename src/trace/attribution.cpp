@@ -298,13 +298,11 @@ AttributionCollector::registerStats(StatRegistry &registry) const
         if (n > 1)
             registry.addTable(
                 base + ".from", axes,
-                [this, v, tenantAt](std::size_t row, std::size_t col) {
+                [this, v, tenantAt](std::size_t row, double *out) {
                     const Cell *c = findCell(v, (*tenantAt)[row]);
-                    if (c == nullptr)
-                        return 0.0;
-                    return col == 0   ? c->hbm
-                           : col == 1 ? c->preempt
-                                      : c->wait;
+                    out[0] = c != nullptr ? c->hbm : 0.0;
+                    out[1] = c != nullptr ? c->preempt : 0.0;
+                    out[2] = c != nullptr ? c->wait : 0.0;
                 },
                 rowOf[v]);
         registry.addFormula(

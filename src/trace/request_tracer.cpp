@@ -52,6 +52,7 @@ RequestTracer::writeJsonlFile(const std::string &path) const
     if (!os)
         return parseError("cannot open trace output for writing", path);
     writeJsonl(os);
+    os.flush();
     if (!os)
         return parseError("short write on trace output", path);
     return Status::ok();

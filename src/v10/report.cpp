@@ -111,6 +111,7 @@ runEvaluationGrid(const std::vector<SchedulerKind> &kinds,
     w.endObject();
     w.endObject();
     js << '\n';
+    js.flush();
     if (!js)
         return parseError("short write on stats JSON",
                           options.statsJsonPath);
@@ -236,6 +237,7 @@ writeEvaluationReportFile(const std::string &path,
         return parseError("cannot open report for writing", path);
     if (Status s = writeEvaluationReport(os, options); !s)
         return s;
+    os.flush();
     if (!os)
         return parseError("short write on report", path);
     return Status::ok();

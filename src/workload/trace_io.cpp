@@ -3,7 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/log.h"
 #include "workload/model_zoo.h"
 
 namespace v10 {
@@ -137,14 +136,18 @@ parseTraceFile(const std::string &path, TraceHeader &header)
     return parseTrace(is, header, path);
 }
 
-void
+Status
 saveTraceFile(const std::string &path, const TraceHeader &header,
               const RequestTrace &trace)
 {
     std::ofstream os(path);
     if (!os)
-        fatal("saveTraceFile: cannot open ", path);
+        return parseError("cannot open trace file for writing", path);
     saveTrace(os, header, trace);
+    os.flush();
+    if (!os)
+        return parseError("short write on trace file", path);
+    return Status::ok();
 }
 
 } // namespace v10

@@ -57,9 +57,10 @@ Result<RequestTrace> parseTrace(std::istream &is, TraceHeader &header,
 Result<RequestTrace> parseTraceFile(const std::string &path,
                                     TraceHeader &header);
 
-/** saveTrace() to a file path; fatal() if unwritable. */
-void saveTraceFile(const std::string &path, const TraceHeader &header,
-                   const RequestTrace &trace);
+/** saveTrace() to a file path; an error Status if the file cannot be
+ * opened or a write fails. */
+Status saveTraceFile(const std::string &path, const TraceHeader &header,
+                     const RequestTrace &trace);
 
 } // namespace v10
 

@@ -146,10 +146,10 @@ TEST(WorkloadFromTraceFile, RoundTrip)
     const Workload original = Workload::fromName("NCF", 0, cfg);
     const std::string path =
         ::testing::TempDir() + "/v10_wl_roundtrip.txt";
-    saveTraceFile(path,
-                  TraceHeader{original.profile().abbrev,
-                              original.batch()},
-                  original.trace());
+    ASSERT_TRUE(saveTraceFile(path,
+                              TraceHeader{original.profile().abbrev,
+                                          original.batch()},
+                              original.trace()));
     const Workload loaded = Workload::fromTraceFile(path).take();
     EXPECT_EQ(loaded.label(), original.label());
     EXPECT_EQ(loaded.computeCycles(), original.computeCycles());

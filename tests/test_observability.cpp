@@ -8,11 +8,15 @@
  * run-report JSON has its documented schema.
  */
 
+#include <atomic>
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
@@ -29,6 +33,36 @@
 #include "sim/fault_plan.h"
 #include "sim/simulator.h"
 #include "v10/experiment.h"
+
+namespace {
+
+/// Every operator new of this test binary, so that a test can check
+/// that a call allocates nothing.
+std::atomic<std::size_t> gAllocations{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    gAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+// Out of line, so that GCC does not see free() meet operator new.
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace v10 {
 namespace {
@@ -276,8 +310,9 @@ struct TableFixture
             addNeighbours(reg, v);
             reg.addTable(
                 tablePath(v), axes,
-                [this, v](std::size_t r, std::size_t c) {
-                    return at(v, r, c);
+                [this, v](std::size_t r, double *out) {
+                    for (std::size_t c = 0; c < axes->columns.size(); ++c)
+                        out[c] = at(v, r, c);
                 },
                 skip[v]);
         }
@@ -427,11 +462,60 @@ TEST(StatRegistryTable, JsonNestsRowsAtTheTablePlace)
     reg.addCounter("m.from0").set(9);
     reg.addTable(
         "m.from", axes,
-        [](std::size_t r, std::size_t c) { return 10.0 * r + c; }, 1);
+        [](std::size_t r, double *out) {
+            out[0] = 10.0 * r;
+            out[1] = 10.0 * r + 1;
+        },
+        1);
     EXPECT_EQ(reg.size(), 5u);
     EXPECT_EQ(jsonOf(reg, 0),
               "{\"m\":{\"from\":{\"a\":{\"x\":0,\"y\":1},"
               "\"b\":{\"x\":20,\"y\":21}},\"from0\":9}}");
+}
+
+TEST(StatRegistryTable, ValueAndFreezeReadWholeRowsWithoutPerCellAllocations)
+{
+    auto axes = std::make_shared<StatRegistry::TableAxes>();
+    for (char r = 'a'; r <= 'z'; ++r)
+        axes->rows.emplace_back(1, r);
+    axes->columns = {"x", "y", "z"};
+    axes->descriptions = {"", "", ""};
+    std::size_t calls = 0;
+    StatRegistry reg;
+    reg.addTable(
+        "t", axes,
+        [&calls](std::size_t row, double *out) {
+            ++calls;
+            out[0] = static_cast<double>(row);
+            out[1] = -0.0;
+            out[2] = 0.5 * static_cast<double>(row);
+        },
+        7);
+    const std::string leaf = "t.m.z"; // axes row 12
+    const std::string negZero = "t.a.y";
+
+    calls = 0;
+    std::size_t before = gAllocations.load();
+    const double live = reg.value(leaf);
+    EXPECT_EQ(gAllocations.load() - before, 0u);
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(live, 6.0);
+
+    // One reader call per visible row, and one block for the table.
+    calls = 0;
+    before = gAllocations.load();
+    reg.freeze();
+    EXPECT_EQ(gAllocations.load() - before, 1u);
+    EXPECT_EQ(calls, axes->rows.size() - 1);
+
+    calls = 0;
+    before = gAllocations.load();
+    EXPECT_EQ(reg.value(leaf), 6.0);
+    EXPECT_TRUE(std::signbit(reg.value(negZero)));
+    EXPECT_EQ(gAllocations.load() - before, 0u);
+    EXPECT_EQ(calls, 0u);
+    const std::string head = "{\"t\":{\"a\":{\"x\":0,\"y\":-0,\"z\":0},";
+    EXPECT_EQ(jsonOf(reg, 0).substr(0, head.size()), head);
 }
 
 TEST(StatRegistryTableDeathTest, RejectsBadAxesAndLeavesUnderTables)
@@ -443,7 +527,7 @@ TEST(StatRegistryTableDeathTest, RejectsBadAxesAndLeavesUnderTables)
         axes->descriptions = {"d"};
         return axes;
     };
-    const auto zero = [](std::size_t, std::size_t) { return 0.0; };
+    const auto zero = [](std::size_t, double *out) { out[0] = 0.0; };
     StatRegistry reg;
     EXPECT_DEATH(reg.addTable("p", axesOf({"b", "a"}), zero),
                  "out of order");
@@ -455,6 +539,10 @@ TEST(StatRegistryTableDeathTest, RejectsBadAxesAndLeavesUnderTables)
                  "not a path segment");
     EXPECT_DEATH(reg.addTable("p", axesOf({"a"}), zero, 0),
                  "no leaves");
+    auto wide = axesOf({"a"});
+    wide->columns = {"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"};
+    wide->descriptions.resize(wide->columns.size());
+    EXPECT_DEATH(reg.addTable("p", wide, zero), "more than 8");
     reg.addTable("p", axesOf({"a", "b"}), zero);
     EXPECT_DEATH(reg.addCounter("p.a.c"), "extends existing leaf");
     EXPECT_DEATH(reg.addCounter("p.z"), "extends existing leaf");
@@ -743,19 +831,42 @@ struct RowsCase
     std::size_t skip; ///< an index into rows, or rows.size() for none
 };
 
+/** Cell (r, col) of a table whose rows cycle, from @p shift, through
+ * the kinds the zero-row check must tell apart: all +0.0, a single
+ * -0.0 among +0.0, NaN and infinities (null), a subnormal among
+ * +0.0, and ordinary numbers. */
+double
+rowsCell(std::size_t r, std::size_t col, std::size_t shift)
+{
+    const double x = static_cast<double>(r * 7 + col);
+    switch ((r + shift) % 6) {
+    case 0:
+    case 5: return 0.0;
+    case 1: return col == r % 3 ? -0.0 : 0.0;
+    case 2:
+        return col % 3 == 0   ? std::numeric_limits<double>::quiet_NaN()
+               : col % 3 == 1 ? std::numeric_limits<double>::infinity()
+                              : -std::numeric_limits<double>::infinity();
+    case 3:
+        return col + 1 == 3 ? std::numeric_limits<double>::denorm_min()
+                            : 0.0;
+    default: return col % 3 == 0 ? x : col % 3 == 1 ? x / 3.0 : -x;
+    }
+}
+
 /** Write @p c at @p depth (objects open around its rows) with the
  * generic calls, or with tableRows() when @p bulk. */
 std::string
-tableJson(const RowsCase &c, int indent, std::size_t depth,
-          bool before, bool bulk)
+tableJson(const RowsCase &c, std::size_t shift, int indent,
+          std::size_t depth, bool before, bool bulk)
 {
     const std::size_t shown = c.rows.size() - (c.skip < c.rows.size());
     const auto rowName = [&](std::size_t r) -> std::string_view {
         return c.rows[r < c.skip ? r : r + 1];
     };
-    const auto cell = [](std::size_t r, std::size_t col) {
-        const double x = static_cast<double>(r * 7 + col);
-        return col % 3 == 0 ? x : col % 3 == 1 ? x / 3.0 : -x;
+    const auto readRow = [&](std::size_t r, double *out) {
+        for (std::size_t col = 0; col < c.columns.size(); ++col)
+            out[col] = rowsCell(r, col, shift);
     };
     std::ostringstream os;
     {
@@ -769,13 +880,13 @@ tableJson(const RowsCase &c, int indent, std::size_t depth,
         if (before)
             w.kv("first", 1.5);
         if (bulk) {
-            w.tableRows(shown, c.columns, rowName, cell);
+            w.tableRows(shown, c.columns, rowName, readRow);
         } else {
             for (std::size_t r = 0; r < shown; ++r) {
                 w.key(rowName(r));
                 w.beginObject();
                 for (std::size_t col = 0; col < c.columns.size(); ++col)
-                    w.kv(c.columns[col], cell(r, col));
+                    w.kv(c.columns[col], rowsCell(r, col, shift));
                 w.endObject();
             }
         }
@@ -796,6 +907,8 @@ TEST(Json, TableRowsMatchGenericWriterCalls)
     for (std::size_t skip = 0; skip <= rows.size(); ++skip)
         cases.push_back({rows, columns, skip});
     cases.push_back({rows, {"only"}, 2});
+    cases.push_back({rows, {"only"}, 0});
+    cases.push_back({rows, {"only"}, rows.size() - 1});
     cases.push_back({{"solo"}, columns, 1});
     cases.push_back({{"x", "solo"}, columns, 0});
     cases.push_back({{"q\"uote", "back\\slash", "tab\tnl\n\x01"},
@@ -803,22 +916,39 @@ TEST(Json, TableRowsMatchGenericWriterCalls)
                      3});
     cases.push_back({rows, {}, 1});
     for (const RowsCase &c : cases) {
-        for (const int indent : {0, 2}) {
-            for (std::size_t depth = 1; depth <= 4; ++depth) {
-                for (const bool before : {false, true}) {
-                    SCOPED_TRACE(::testing::Message()
-                                 << c.rows.front() << " skip " << c.skip
-                                 << " indent " << indent << " depth "
-                                 << depth << " before " << before);
-                    const std::string generic =
-                        tableJson(c, indent, depth, before, false);
-                    EXPECT_EQ(tableJson(c, indent, depth, before, true),
-                              generic);
-                    EXPECT_TRUE(JsonValue::parse(generic));
+        for (std::size_t shift = 0; shift < 6; ++shift) {
+            for (const int indent : {0, 2}) {
+                for (std::size_t depth = 1; depth <= 4; ++depth) {
+                    for (const bool before : {false, true}) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << c.rows.front() << " skip "
+                                     << c.skip << " columns "
+                                     << c.columns.size() << " shift "
+                                     << shift << " indent " << indent
+                                     << " depth " << depth << " before "
+                                     << before);
+                        const std::string generic = tableJson(
+                            c, shift, indent, depth, before, false);
+                        EXPECT_EQ(tableJson(c, shift, indent, depth,
+                                            before, true),
+                                  generic);
+                        EXPECT_TRUE(JsonValue::parse(generic));
+                    }
                 }
             }
         }
     }
+    // The cases reach every kind of row: all +0.0, -0.0, null and a
+    // subnormal (the four-row case without a skipped row).
+    const std::string all =
+        tableJson(cases[rows.size()], 0, 0, 1, false, true);
+    EXPECT_NE(all.find(":-0"), std::string::npos);
+    EXPECT_NE(all.find(":null"), std::string::npos);
+    EXPECT_NE(all.find("4.9406564584124654e-324"), std::string::npos);
+    EXPECT_NE(all.find("{\"hbm_contention_cycles\":0,"
+                       "\"preempt_stall_cycles\":0,"
+                       "\"queue_wait_us\":0}"),
+              std::string::npos);
 }
 
 TEST(Json, ParserReportsErrors)

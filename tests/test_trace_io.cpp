@@ -62,7 +62,7 @@ TEST(TraceIo, FileRoundTrip)
     const RequestTrace original = generateTrace(m, 8, cfg);
     const std::string path =
         ::testing::TempDir() + "/v10_trace_test.txt";
-    saveTraceFile(path, TraceHeader{m.abbrev, 8}, original);
+    ASSERT_TRUE(saveTraceFile(path, TraceHeader{m.abbrev, 8}, original));
     TraceHeader header;
     const RequestTrace loaded = parseTraceFile(path, header).take();
     EXPECT_EQ(header.model, "MNST");

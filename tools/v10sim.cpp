@@ -711,9 +711,9 @@ cmdGenTraces(const Args &args)
         const std::string path =
             dir + "/" + m.abbrev + "_b" +
             std::to_string(m.refBatch) + ".txt";
-        saveTraceFile(path,
-                      TraceHeader{m.abbrev, m.refBatch},
-                      wl.trace());
+        orUsageError(saveTraceFile(path,
+                                   TraceHeader{m.abbrev, m.refBatch},
+                                   wl.trace()));
         std::printf("%-24s %5zu ops -> %s\n", wl.label().c_str(),
                     wl.trace().ops.size(), path.c_str());
     }
@@ -788,6 +788,9 @@ cmdAdvise(const Args &args)
         w.endArray();
         w.endObject();
         js << '\n';
+        js.flush();
+        if (!js)
+            usageError("advise: short write on stats JSON '", path, "'");
         std::printf("stats JSON written to %s\n", path.c_str());
     }
     return 0;
@@ -1031,10 +1034,8 @@ writeServeOutputs(const Args &args, const ServeConfig &cfg,
     manifest.durationSec = cfg.durationSec;
     manifest.seed = cfg.seed;
     const std::string path = args.get("stats-json", "");
-    std::ofstream js(path);
-    if (!js)
-        usageError("serve: cannot open stats JSON path '", path, "'");
-    writeServingDocumentJson(js, manifest, report, obs.registry.get());
+    orUsageError(writeServingDocumentFile(path, manifest, report,
+                                          obs.registry.get()));
     std::printf("stats JSON written to %s\n", path.c_str());
 }
 
@@ -1075,9 +1076,8 @@ cmdTrace(const Args &args)
     const Workload wl = Workload::fromName(model, batch, cfg);
     const std::string out = args.get(
         "out", wl.profile().abbrev + "_trace.txt");
-    saveTraceFile(out,
-                  TraceHeader{wl.profile().abbrev, wl.batch()},
-                  wl.trace());
+    orUsageError(saveTraceFile(
+        out, TraceHeader{wl.profile().abbrev, wl.batch()}, wl.trace()));
     std::printf("%s: %zu operators, %.2f ms compute -> %s\n",
                 wl.label().c_str(), wl.trace().ops.size(),
                 cfg.cyclesToUs(wl.computeCycles()) / 1000.0,
