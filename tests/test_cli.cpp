@@ -520,6 +520,26 @@ TEST(Cli, ServeDenseChaosStatsJsonMatchesGolden)
               golden("serve_dense_chaos_stats.json"));
 }
 
+TEST(Cli, ServeFinalSplitStatsJsonMatchesGolden)
+{
+    // NCF#5 migrates at the last control boundary while its old core
+    // is serving it: that request completes on the old core in the
+    // final epoch, so the tenant's final-epoch completions fold
+    // serially after the drain, not inside a core's worker.
+    const std::string json =
+        ::testing::TempDir() + "/cli_golden_final_split.json";
+    ASSERT_EQ(runCli("serve --tenants 12 --cores 4 --duration 1 "
+                     "--util 0.9 --arrivals mixed --slo 25x:1,50x:2 "
+                     "--service-us 400 --seed 5 "
+                     "--churn migrate:tenant=NCF#5:at=0.984375:core=0 "
+                     "--stats-json " +
+                     json)
+                  .first,
+              0);
+    EXPECT_EQ(stripWallSeconds(readFile(json)),
+              golden("serve_final_split_stats.json"));
+}
+
 TEST(Cli, RunStatsJsonHasSchemaAndAgreesWithItself)
 {
     const std::string path =
