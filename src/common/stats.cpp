@@ -138,6 +138,34 @@ SampleSet::reset()
     dirty_ = false;
 }
 
+void
+CountCarries::carry(std::int64_t key, std::uint64_t high)
+{
+    const auto it = std::lower_bound(
+        high_.begin(), high_.end(), key,
+        [](const auto &e, std::int64_t k) { return e.first < k; });
+    if (it != high_.end() && it->first == key)
+        it->second += high;
+    else
+        high_.insert(it, {key, high});
+}
+
+std::uint64_t
+CountCarries::highOf(std::int64_t key) const
+{
+    const auto it = std::lower_bound(
+        high_.begin(), high_.end(), key,
+        [](const auto &e, std::int64_t k) { return e.first < k; });
+    return it != high_.end() && it->first == key ? it->second : 0;
+}
+
+void
+CountCarries::merge(const CountCarries &other)
+{
+    for (const auto &[key, high] : other.high_)
+        carry(key, high);
+}
+
 LogHistogram::LogHistogram(std::size_t subBuckets) : sub_(subBuckets)
 {
     if (subBuckets == 0)
@@ -160,7 +188,7 @@ LogHistogram::cover(std::int64_t loOct, std::int64_t hiOct)
     const std::int64_t hi = std::max(hiOct, oldHi);
     if (lo == loOctave_ && hi == oldHi)
         return;
-    std::vector<std::uint64_t> wider(
+    std::vector<std::uint32_t> wider(
         static_cast<std::size_t>((hi - lo + 1) * sub), 0);
     std::copy(counts_.begin(), counts_.end(),
               wider.begin() + (loOctave_ - lo) * sub);
@@ -193,8 +221,12 @@ LogHistogram::merge(const LogHistogram &other)
               static_cast<std::int64_t>(other.counts_.size()) / sub - 1);
     const std::size_t offset =
         static_cast<std::size_t>((other.loOctave_ - loOctave_) * sub);
+    const std::int64_t base = other.loOctave_ * sub;
     for (std::size_t k = 0; k < other.counts_.size(); ++k)
-        counts_[offset + k] += other.counts_[k];
+        carries_.add(counts_[offset + k],
+                     base + static_cast<std::int64_t>(k),
+                     other.counts_[k]);
+    carries_.merge(other.carries_);
 }
 
 double
@@ -238,7 +270,8 @@ LogHistogram::percentile(double p) const
     const std::int64_t base =
         loOctave_ * static_cast<std::int64_t>(sub_);
     for (std::size_t k = 0; k < counts_.size(); ++k) {
-        cum += counts_[k];
+        cum += carries_.value(counts_[k],
+                              base + static_cast<std::int64_t>(k));
         if (target < cum)
             return std::clamp(
                 bucketMid(base + static_cast<std::int64_t>(k)), min_,
@@ -250,7 +283,8 @@ LogHistogram::percentile(double p) const
 void
 LogHistogram::reset()
 {
-    counts_.clear();
+    counts_ = std::vector<std::uint32_t>(); // frees, unlike clear()
+    carries_.clear();
     loOctave_ = 0;
     zero_ = 0;
     count_ = 0;

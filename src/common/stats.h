@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace v10 {
@@ -110,6 +111,59 @@ class SampleSet
 };
 
 /**
+ * The high words of exact 64-bit counters kept as 32-bit words. A
+ * counter's word holds its low 32 bits; this list holds (key, high
+ * 32 bits) for each counter that has passed 2^32 - 1, sorted by key.
+ * Short of four billion events in one counter the list stays empty,
+ * so a counter costs 4 bytes, not 8, and stays exact past any bound.
+ * The key is whatever index the owner gives its counter.
+ */
+class CountCarries
+{
+  public:
+    /** Add one to the counter (@p word, @p key). */
+    void
+    increment(std::uint32_t &word, std::int64_t key)
+    {
+        if (++word == 0) [[unlikely]]
+            carry(key, 1);
+    }
+
+    /** Add @p v to the counter (@p word, @p key). */
+    void
+    add(std::uint32_t &word, std::int64_t key, std::uint64_t v)
+    {
+        const std::uint64_t low =
+            std::uint64_t{word} + (v & 0xffffffffu);
+        word = static_cast<std::uint32_t>(low);
+        const std::uint64_t high = (v >> 32) + (low >> 32);
+        if (high != 0) [[unlikely]]
+            carry(key, high);
+    }
+
+    /** The exact value of the counter (@p word, @p key). */
+    std::uint64_t
+    value(std::uint32_t word, std::int64_t key) const
+    {
+        return high_.empty() ? word : word + (highOf(key) << 32);
+    }
+
+    /** Add every high word of @p other (the words' sums are the
+     * owner's, through add()). */
+    void merge(const CountCarries &other);
+
+    /** Drop every high word. */
+    void clear() { high_.clear(); }
+
+  private:
+    /** Add @p high to key's high word (a sorted insert). */
+    [[gnu::cold]] void carry(std::int64_t key, std::uint64_t high);
+    std::uint64_t highOf(std::int64_t key) const;
+
+    std::vector<std::pair<std::int64_t, std::uint64_t>> high_;
+};
+
+/**
  * HDR-style log-bucketed histogram with O(1) insertion and bounded
  * relative quantile error. Positive samples land in a bucket keyed by
  * (binary octave, linear sub-bucket within the octave); with S
@@ -119,8 +173,9 @@ class SampleSet
  * into a single zero bucket. Exact count/sum/min/max are kept on the
  * side, and quantile results are clamped to [min, max]. The counts
  * live in one dense array over the whole octaves touched so far, so
- * memory is S counters per octave between the smallest and largest
- * positive sample.
+ * memory is S 32-bit counters per octave between the smallest and
+ * largest positive sample; a bucket past 2^32 - 1 keeps its high
+ * word in a CountCarries list, so counts stay exact.
  *
  * Merging is plain bucket-count addition, so merged results are
  * independent of merge order — safe for deterministic parallel
@@ -164,7 +219,8 @@ class LogHistogram
             cover(exp, exp);
             k = (exp - loOctave_) * sub + idx;
         }
-        ++counts_[static_cast<std::size_t>(k)];
+        carries_.increment(counts_[static_cast<std::size_t>(k)],
+                           exp * sub + idx);
     }
 
     /** Add every bucket of @p other into this histogram. */
@@ -194,7 +250,8 @@ class LogHistogram
     /** Sub-buckets per octave. */
     std::size_t subBuckets() const { return sub_; }
 
-    /** Reset to the empty state (keeps the bucket resolution). */
+    /** Reset to the empty state and free the counts (keeps the bucket
+     * resolution). */
     void reset();
 
   private:
@@ -205,10 +262,12 @@ class LogHistogram
     void cover(std::int64_t loOct, std::int64_t hiOct);
 
     std::size_t sub_;
-    /** counts_[k] = samples with key loOctave_ * sub_ + k, where
-     * key = octave * sub_ + subIndex; empty until the first positive
-     * sample. */
-    std::vector<std::uint64_t> counts_;
+    /** counts_[k] = low 32 bits of the samples with key
+     * loOctave_ * sub_ + k, where key = octave * sub_ + subIndex;
+     * empty until the first positive sample. */
+    std::vector<std::uint32_t> counts_;
+    /** The high words, by key (so cover() leaves them alone). */
+    CountCarries carries_;
     std::int64_t loOctave_ = 0;
     std::uint64_t zero_ = 0;
     std::uint64_t count_ = 0;

@@ -606,6 +606,11 @@ struct ServeRun
             for (const WaitCharge &ch : sim.charges)
                 attrib->chargeQueueWait(ch.victim, ch.perp, ch.us);
         }
+        // The drain took every other tenant's latency figures.
+        if (isFinal) {
+            for (std::uint32_t t : splitTenants)
+                flows[t].acc.takeLatencyFigures();
+        }
     }
 
     void
@@ -852,11 +857,11 @@ struct ServeRun
         ts.goodputRps =
             static_cast<double>(ts.completed - ts.sloViolations) /
             config.durationSec;
-        ts.meanUs = a.latencyUs.mean();
-        ts.p50Us = a.latencyUs.percentile(50.0);
-        ts.p99Us = a.latencyUs.percentile(99.0);
-        ts.p999Us = a.latencyUs.percentile(99.9);
-        ts.maxUs = a.latencyUs.max();
+        ts.meanUs = a.latency.meanUs;
+        ts.p50Us = a.latency.p50Us;
+        ts.p99Us = a.latency.p99Us;
+        ts.p999Us = a.latency.p999Us;
+        ts.maxUs = a.latency.maxUs;
         ts.attribQueueUs = a.queueUs;
         ts.attribServiceUs = a.serviceUs;
         ts.attribSoloUs = a.soloUs;

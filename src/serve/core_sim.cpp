@@ -272,6 +272,14 @@ CoreSim::runEpoch(double epochEnd, bool isFinal)
         inflightSamples.push_back(0.0);
         ++nextTick;
     }
+    // Every completion of a resident that folds in place has landed.
+    // A split tenant still has completions in other cores' buffers:
+    // the manager takes its figures after the serial fold.
+    for (std::uint32_t t : residents) {
+        TenantFlow &f = flow(t);
+        if (!f.foldSerially)
+            f.acc.takeLatencyFigures();
+    }
 }
 
 } // namespace v10

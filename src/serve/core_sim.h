@@ -28,7 +28,14 @@
  *
  * Memory is O(live requests): arrivals are drawn lazily, each queue
  * holds at most its capacity, and completions fold into their
- * tenant's accumulators inside the core's worker.
+ * tenant's accumulators inside the core's worker. A tenant's latency
+ * histogram (about 18 octaves of 64 32-bit buckets for exponential
+ * service, about 4.6 KB) lives only while the tenant can still
+ * complete requests: the final epoch's drain takes the five figures
+ * the report reads (mean, p50, p99, p999, max) and frees it, for
+ * each resident whose completions fold in place; the manager does
+ * the same for a split tenant after its serial fold. With a single
+ * epoch, only the residents of the cores being simulated hold one.
  */
 
 #ifndef V10_SERVE_CORE_SIM_H
@@ -53,15 +60,43 @@ namespace v10 {
 /** Per-core service-time distribution (cluster_manager.h). */
 enum class ServiceDist;
 
+/** The latency figures of a tenant's report row. */
+struct LatencyFigures
+{
+    double meanUs = 0.0;
+    double p50Us = 0.0;
+    double p99Us = 0.0;
+    double p999Us = 0.0;
+    double maxUs = 0.0;
+};
+
 /** Per-tenant results, filled by the completion fold. */
 struct TenantAccum
 {
+    /** Every completion's latency. It lives until the tenant's last
+     * completion has folded, at the drain of the final epoch; then
+     * takeLatencyFigures() reads the report's figures out of it and
+     * frees it. */
     LogHistogram latencyUs;
+    LatencyFigures latency; ///< set by takeLatencyFigures()
     std::uint64_t completed = 0;
     std::uint64_t violations = 0;
     double queueUs = 0.0;
     double serviceUs = 0.0;
     double soloUs = 0.0;
+
+    /** Take the report's figures from latencyUs and free it: once,
+     * after the tenant's last completion. */
+    void
+    takeLatencyFigures()
+    {
+        latency = LatencyFigures{latencyUs.mean(),
+                                 latencyUs.percentile(50.0),
+                                 latencyUs.percentile(99.0),
+                                 latencyUs.percentile(99.9),
+                                 latencyUs.max()};
+        latencyUs.reset();
+    }
 };
 
 /** One completion, buffered only when its tenant's completions come
@@ -367,7 +402,9 @@ class V10_DOMAIN_LOCAL CoreSim
      * Advance to @p epochEnd. Non-final epochs process arrivals
      * strictly before the boundary and defer completions landing on
      * or past it; the final epoch consumes every remaining arrival
-     * and drains all queues (completions past the horizon allowed).
+     * and drains all queues (completions past the horizon allowed),
+     * then takes the latency figures of every resident whose
+     * completions fold in place (not foldSerially).
      */
     void runEpoch(double epochEnd, bool isFinal);
 

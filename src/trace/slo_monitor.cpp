@@ -21,9 +21,10 @@ SloMonitor::record(std::size_t tenant, double timeSec, bool violated)
     if (tenant >= tenants_)
         V10_PANIC("SloMonitor: tenant ", tenant, " out of range");
     const std::size_t idx = tenant * kBuckets + bucketOf(timeSec);
-    ++done_[idx];
+    const auto key = static_cast<std::int64_t>(idx);
+    doneHigh_.increment(done_[idx], key);
     if (violated)
-        ++violations_[idx];
+        violationsHigh_.increment(violations_[idx], key);
 }
 
 void
@@ -39,9 +40,12 @@ SloMonitor::merge(const SloMonitor &other)
     if (other.tenants_ != tenants_ || other.duration_ != duration_)
         V10_PANIC("SloMonitor: merge shape mismatch");
     for (std::size_t i = 0; i < done_.size(); ++i) {
-        done_[i] += other.done_[i];
-        violations_[i] += other.violations_[i];
+        const auto key = static_cast<std::int64_t>(i);
+        doneHigh_.add(done_[i], key, other.done_[i]);
+        violationsHigh_.add(violations_[i], key, other.violations_[i]);
     }
+    doneHigh_.merge(other.doneHigh_);
+    violationsHigh_.merge(other.violationsHigh_);
 }
 
 double
@@ -56,8 +60,10 @@ SloMonitor::violationRate(std::size_t tenant, double windowSec,
     std::uint64_t done = 0;
     std::uint64_t viol = 0;
     for (std::size_t b = lo; b <= hi; ++b) {
-        done += done_[tenant * kBuckets + b];
-        viol += violations_[tenant * kBuckets + b];
+        const std::size_t i = tenant * kBuckets + b;
+        const auto key = static_cast<std::int64_t>(i);
+        done += doneHigh_.value(done_[i], key);
+        viol += violationsHigh_.value(violations_[i], key);
     }
     if (done == 0)
         return 0.0;

@@ -9,7 +9,7 @@
  * faster than the threshold (multi-window, so a single stray
  * violation cannot page and a sustained breach cannot hide).
  *
- * Bucket counts are plain integers and merging is addition, so
+ * Bucket counts are exact integers and merging is addition, so
  * per-core monitors merge into a cluster-wide one independent of
  * worker count or merge order — deterministic across `--jobs N`.
  */
@@ -21,6 +21,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "common/stats.h"
 
 namespace v10 {
 
@@ -75,8 +77,10 @@ class SloMonitor
     {
         if (tenant >= tenants_ || bucket >= kBuckets)
             badBucket(tenant, bucket);
-        done_[tenant * kBuckets + bucket] += done;
-        violations_[tenant * kBuckets + bucket] += violations;
+        const std::size_t i = tenant * kBuckets + bucket;
+        doneHigh_.add(done_[i], static_cast<std::int64_t>(i), done);
+        violationsHigh_.add(violations_[i], static_cast<std::int64_t>(i),
+                            violations);
     }
 
     /** Map a sim time to its bucket index (clamped to the grid). */
@@ -128,9 +132,12 @@ class SloMonitor
     std::size_t tenants_;
     double duration_;
     SloPolicy policy_;
-    /** tenant-major: tenants_ x kBuckets. */
-    std::vector<std::uint64_t> done_;
-    std::vector<std::uint64_t> violations_;
+    /** tenant-major: tenants_ x kBuckets, the low 32 bits of each
+     * count; the high words live in the carries, by cell index. */
+    std::vector<std::uint32_t> done_;
+    std::vector<std::uint32_t> violations_;
+    CountCarries doneHigh_;
+    CountCarries violationsHigh_;
 };
 
 } // namespace v10

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <set>
@@ -222,6 +223,29 @@ TEST(SloMonitor, MergeIsOrderIndependent)
         EXPECT_DOUBLE_EQ(ab.status(tenant).longBurn,
                          bulk.status(tenant).longBurn);
     }
+}
+
+TEST(SloMonitor, CountsStayExactPastThirtyTwoBits)
+{
+    // The bucket counts are 32-bit words with carried high words:
+    // every way a count passes 2^32 - 1 (record(), a large
+    // addBucket(), a merge) must keep it exact.
+    constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+    SloMonitor monitor(1, 64.0); // one-second buckets
+    monitor.addBucket(0, 0, k32 - 1, k32 - 1);
+    monitor.record(0, 0.5, true); // both words wrap
+    monitor.addBucket(0, 0, 7, 0);
+    monitor.addBucket(0, 1, 3 * k32 + 5, k32);
+    SloMonitor other(1, 64.0);
+    other.addBucket(0, 0, k32 - 1, 0);
+    monitor.merge(other); // 7 + (2^32 - 1) wraps
+    const std::uint64_t done0 = 2 * k32 + 6;
+    const std::uint64_t done1 = 3 * k32 + 5;
+    EXPECT_EQ(monitor.violationRate(0, 1.0, 0.5),
+              static_cast<double>(k32) / static_cast<double>(done0));
+    EXPECT_EQ(monitor.violationRate(0, 1.0, 1.5),
+              static_cast<double>(2 * k32) /
+                  static_cast<double>(done0 + done1));
 }
 
 // ---------------------------------------------------------------

@@ -352,6 +352,79 @@ TEST(TenantFlow, QueueStaysFifoAcrossCompaction)
     EXPECT_EQ(f.queued(), 0u);
 }
 
+/** Three tenants at 800 req/s, 400 us service, all resident on one
+ * core; @p splitTenant folds serially (its completions buffered, as
+ * when another core is still serving it). */
+struct DrainRig
+{
+    ArrivalPlan plan;
+    std::vector<TenantFlow> flows;
+    SloMonitor monitor{3, 1.0};
+    CoreSim sim;
+
+    explicit DrainRig(std::uint32_t splitTenant)
+        : plan(std::vector<ArrivalSpec>(3, ArrivalSpec{
+                   ArrivalKind::Poisson, 800.0}),
+               3, 1.0, {})
+    {
+        for (std::uint32_t t = 0; t < 3; ++t) {
+            TenantFlow &f = flows.emplace_back(plan.feed(t));
+            f.tenant = t;
+            f.serviceMeanSec = 400e-6;
+            f.foldSerially = t == splitTenant;
+        }
+        sim.rng = Rng(Rng::deriveStream(3, 99));
+        sim.dist = ServiceDist::Exponential;
+        sim.endSec = 1.0;
+        sim.flowTable = &flows;
+        sim.monitor = &monitor;
+        for (std::uint32_t t = 0; t < 3; ++t)
+            sim.addResident(t);
+    }
+};
+
+TEST(CoreSim, FinalEpochTakesInPlaceResidentsLatencyFigures)
+{
+    // Tenant 2 folds serially; an earlier epoch left one completion
+    // in its histogram.
+    DrainRig rig(2);
+    rig.flows[2].acc.latencyUs.add(123.0);
+    rig.sim.runEpoch(1.0, true);
+    // The buffered completions are tenant 2's, and the drain left
+    // its results alone for the manager's serial fold.
+    ASSERT_FALSE(rig.sim.completions.empty());
+    for (const CompletionRec &r : rig.sim.completions)
+        EXPECT_EQ(r.tenant, 2u);
+    const TenantAccum &split = rig.flows[2].acc;
+    EXPECT_EQ(split.latencyUs.count(), 1u);
+    EXPECT_EQ(split.latency.p99Us, 0.0);
+    EXPECT_EQ(split.latency.maxUs, 0.0);
+
+    // The same run with every tenant buffered: folding tenants 0 and
+    // 1 serially rebuilds the histograms the drain read.
+    DrainRig ref(3);
+    for (TenantFlow &f : ref.flows)
+        f.foldSerially = true;
+    ref.sim.runEpoch(1.0, true);
+    for (const CompletionRec &r : ref.sim.completions)
+        foldCompletion(r, ref.flows[r.tenant].acc, ref.monitor);
+    for (std::uint32_t t = 0; t < 2; ++t) {
+        const TenantAccum &got = rig.flows[t].acc;
+        TenantAccum &want = ref.flows[t].acc;
+        ASSERT_GT(want.latencyUs.count(), 100u) << t;
+        EXPECT_EQ(got.completed, want.completed) << t;
+        want.takeLatencyFigures();
+        EXPECT_EQ(got.latencyUs.count(), 0u) << t;
+        EXPECT_EQ(want.latencyUs.count(), 0u) << t;
+        EXPECT_GT(got.latency.p50Us, 0.0) << t;
+        EXPECT_EQ(got.latency.meanUs, want.latency.meanUs) << t;
+        EXPECT_EQ(got.latency.p50Us, want.latency.p50Us) << t;
+        EXPECT_EQ(got.latency.p99Us, want.latency.p99Us) << t;
+        EXPECT_EQ(got.latency.p999Us, want.latency.p999Us) << t;
+        EXPECT_EQ(got.latency.maxUs, want.latency.maxUs) << t;
+    }
+}
+
 TEST(ParseSloSpec, GrammarAndErrors)
 {
     const auto relative = parseSloSpec("25x");

@@ -463,6 +463,52 @@ TEST(LogHistogram, DisjointMergesAgreeInBothOrders)
     EXPECT_EQ(hilo.max(), bulk.max());
 }
 
+TEST(LogHistogram, BucketsStayExactPastThirtyTwoBits)
+{
+    // Bucket counts are 32-bit words with carried high words. Doubling
+    // by merging a copy drives buckets past 2^32 - 1 without four
+    // billion add() calls. Bucket a goes 1, 3, 7, ..., 2^32 - 1 (merge,
+    // then add), so the next add() wraps its word; the others only
+    // double, so a merge's word sum wraps. The 64-bit map reference
+    // takes the same steps.
+    LogHistogram h;
+    MapLogHistogram ref;
+    const double a = 1500.0;
+    const double b = 3.0e5;
+    const double c = 0.25;
+    for (double x : {a, b, c, 0.0}) {
+        h.add(x);
+        ref.add(x);
+    }
+    const auto doubleUp = [&](bool addA) {
+        const LogHistogram hCopy = h;
+        h.merge(hCopy);
+        const MapLogHistogram refCopy = ref;
+        ref.merge(refCopy);
+        if (addA) {
+            h.add(a);
+            ref.add(a);
+        }
+    };
+    for (int i = 0; i < 31; ++i)
+        doubleUp(true);
+    h.add(a); // a: 2^32 - 1 -> 2^32 through add()
+    ref.add(a);
+    expectSameAsReference(h, ref, "add carry");
+    doubleUp(false); // b, c: 2^31 -> 2^32 through merge()
+    doubleUp(false); // and both carried buckets double again
+    expectSameAsReference(h, ref, "merge carry");
+    // zero, c, a, b hold 2^33, 2^33, 2^34, 2^33 samples.
+    EXPECT_EQ(h.count(), std::uint64_t{5} << 33);
+    const double bound =
+        1.0 / (2.0 * static_cast<double>(h.subBuckets())) + 1e-12;
+    EXPECT_EQ(h.percentile(10.0), 0.0);
+    EXPECT_NEAR(h.percentile(30.0), c, bound * c);
+    EXPECT_NEAR(h.percentile(50.0), a, bound * a);
+    EXPECT_NEAR(h.percentile(79.0), a, bound * a);
+    EXPECT_NEAR(h.percentile(81.0), b, bound * b);
+}
+
 TEST(LogHistogram, ResetThenReuseMatchesAFreshHistogram)
 {
     LogHistogram h;
