@@ -376,6 +376,24 @@ TEST(Cli, WideCoreRunStatsJsonMatchesGolden)
               golden("run_wide_core_stats.json"));
 }
 
+TEST(Cli, RunSamplesMatchGolden)
+{
+    // An interval that does not divide the run, so the last row is a
+    // partial one off the tick grid; the rows mix +0 cells, cells that
+    // repeat the row above and non-integer rates.
+    const std::string dir = ::testing::TempDir();
+    const std::string json = dir + "/cli_golden_samples.json";
+    const std::string csv = dir + "/cli_golden_samples.csv";
+    ASSERT_EQ(runCli("run --models MNST,NCF --requests 2 "
+                     "--sample-interval 7919 --stats-json " +
+                     json + " --samples-csv " + csv)
+                  .first,
+              0);
+    EXPECT_EQ(stripWallSeconds(readFile(json)),
+              golden("run_samples_stats.json"));
+    EXPECT_EQ(readFile(csv), golden("run_samples.csv"));
+}
+
 TEST(Cli, ServeChaosStatsJsonMatchesGolden)
 {
     // A small fleet under every resilience mechanism at once: the
