@@ -93,6 +93,13 @@ jsonNumber(double v)
     return std::string(formatNumber(v, buf));
 }
 
+void
+appendJsonNumber(std::string &out, double v)
+{
+    char buf[40];
+    out += formatNumber(v, buf);
+}
+
 // ------------------------------------------------------------------
 // JsonWriter
 // ------------------------------------------------------------------
@@ -276,6 +283,48 @@ JsonWriter::tableRows(
             }
             out_ += close;
         }
+        emit();
+    }
+}
+
+void
+JsonWriter::numberRows(
+    std::size_t rows, std::size_t width,
+    const std::function<std::uint64_t(std::size_t, double *)> &readRow)
+{
+    if (stack_.empty() || stack_.back() != Scope::Array)
+        panic("JsonWriter: numberRows() outside an array");
+    // What preValue(), beginArray(), value() and endArray() would
+    // append around the numbers.
+    std::string open;
+    appendLineBreak(open, stack_.size());
+    open += '[';
+    appendLineBreak(open, stack_.size() + 1);
+    std::string sep = ",";
+    appendLineBreak(sep, stack_.size() + 1);
+    const std::string zero = sep + '0';
+    std::string close;
+    appendLineBreak(close, stack_.size());
+    close += ']';
+    std::vector<double> cells(width);
+    char buf[40];
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::uint64_t lead = readRow(r, cells.data());
+        if (has_items_.back())
+            out_ += ',';
+        has_items_.back() = true;
+        out_ += open;
+        out_.append(buf, std::to_chars(buf, std::end(buf), lead).ptr);
+        for (const double v : cells) {
+            // -0.0 prints "-0", so the test is on the bits, not == 0.
+            if (v == 0.0 && !std::signbit(v)) {
+                out_ += zero;
+            } else {
+                out_ += sep;
+                out_ += formatNumber(v, buf);
+            }
+        }
+        out_ += close;
         emit();
     }
 }

@@ -15,7 +15,8 @@
  * that. tableRows() writes a rows x columns block of numbers (the
  * stats registry's tables), reading one row per call, with its key
  * fragments and its all-zero row body rendered once per block
- * instead of once per leaf.
+ * instead of once per leaf. numberRows() writes arrays of numbers
+ * (the interval sampler's rows) the same way, one row per call.
  */
 
 #ifndef V10_COMMON_JSON_H
@@ -38,6 +39,9 @@ std::string jsonEscape(std::string_view s);
 
 /** Render a double as a JSON number token (null if not finite). */
 std::string jsonNumber(double v);
+
+/** Append jsonNumber(@p v) to @p out without a temporary string. */
+void appendJsonNumber(std::string &out, double v);
 
 /**
  * Streaming JSON writer with automatic comma/indent management.
@@ -95,6 +99,18 @@ class JsonWriter
         std::size_t rows, const std::vector<std::string> &columns,
         const std::function<std::string_view(std::size_t)> &rowName,
         const std::function<void(std::size_t, double *)> &readRow);
+
+    /**
+     * Write @p rows arrays into the open array, the same bytes as
+     * beginArray(), value(lead), value(cells[c]) for every c in
+     * [0, width) and endArray() for each row r in turn, where
+     * lead = readRow(r, cells) fills cells[0, width). One call per
+     * row; the separators and indents are rendered once per call.
+     */
+    void numberRows(
+        std::size_t rows, std::size_t width,
+        const std::function<std::uint64_t(std::size_t, double *)>
+            &readRow);
 
     /** Nesting depth (0 once every container is closed). */
     std::size_t depth() const { return stack_.size(); }

@@ -254,30 +254,60 @@ LogHistogram::bucketMid(std::int64_t key) const
 double
 LogHistogram::percentile(double p) const
 {
-    if (count_ == 0)
-        return 0.0;
-    if (p <= 0.0)
-        return min_;
-    if (p >= 100.0)
-        return max_;
-    // Target the same rank convention as SampleSet::percentile.
-    const double rank =
-        p / 100.0 * static_cast<double>(count_ - 1);
-    const auto target = static_cast<std::uint64_t>(rank);
-    std::uint64_t cum = zero_;
-    if (target < cum)
-        return std::clamp(0.0, min_, max_);
+    double out = 0.0;
+    percentiles({&p, 1}, {&out, 1});
+    return out;
+}
+
+void
+LogHistogram::percentiles(std::span<const double> ps,
+                          std::span<double> out) const
+{
+    if (out.size() != ps.size())
+        panic("LogHistogram::percentiles: ", ps.size(),
+              " percentiles into ", out.size(), " slots");
     const std::int64_t base =
         loOctave_ * static_cast<std::int64_t>(sub_);
-    for (std::size_t k = 0; k < counts_.size(); ++k) {
-        cum += carries_.value(counts_[k],
-                              base + static_cast<std::int64_t>(k));
-        if (target < cum)
-            return std::clamp(
-                bucketMid(base + static_cast<std::int64_t>(k)), min_,
-                max_);
+    // cum counts the samples below bucket k: the walk only moves
+    // forward, since the targets ascend.
+    std::uint64_t cum = zero_;
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        const double p = ps[i];
+        if (i > 0 && p < ps[i - 1])
+            panic("LogHistogram::percentiles: not ascending");
+        if (count_ == 0) {
+            out[i] = 0.0;
+            continue;
+        }
+        if (p <= 0.0) {
+            out[i] = min_;
+            continue;
+        }
+        if (p >= 100.0) {
+            out[i] = max_;
+            continue;
+        }
+        // Target the same rank convention as SampleSet::percentile.
+        const double rank =
+            p / 100.0 * static_cast<double>(count_ - 1);
+        const auto target = static_cast<std::uint64_t>(rank);
+        if (target < zero_) {
+            out[i] = std::clamp(0.0, min_, max_);
+            continue;
+        }
+        while (!(target < cum) && k < counts_.size()) {
+            cum += carries_.value(counts_[k],
+                                  base + static_cast<std::int64_t>(k));
+            ++k;
+        }
+        out[i] = target < cum
+                     ? std::clamp(bucketMid(base +
+                                            static_cast<std::int64_t>(k) -
+                                            1),
+                                  min_, max_)
+                     : max_;
     }
-    return max_;
 }
 
 void

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -246,6 +247,11 @@ class LogHistogram
      * walk; relative error bounded by the sub-bucket width.
      */
     double percentile(double p) const;
+
+    /** percentile(ps[i]) into out[i] for every i, in one bucket walk;
+     * @p ps must be ascending. */
+    void percentiles(std::span<const double> ps,
+                     std::span<double> out) const;
 
     /** Sub-buckets per octave. */
     std::size_t subBuckets() const { return sub_; }

@@ -1,5 +1,7 @@
 #include "metrics/interval_sampler.h"
 
+#include <bit>
+#include <charconv>
 #include <fstream>
 #include <ostream>
 
@@ -47,8 +49,9 @@ IntervalSampler::appendRow(Cycles cycle,
     if (values.size() != probes_.size())
         V10_PANIC("IntervalSampler: appendRow() with ", values.size(),
                   " values for ", probes_.size(), " columns");
-    cycles_.push_back(cycle);
-    values_.insert(values_.end(), values.begin(), values.end());
+    beginRow(cycle);
+    for (std::size_t p = 0; p < values.size(); ++p)
+        appendCell(p, values[p]);
 }
 
 void
@@ -86,19 +89,20 @@ IntervalSampler::stop()
     tick_ = kNoPeriodic;
     // Final partial-interval sample, unless a tick already recorded
     // this cycle.
-    if (cycles_.empty() || cycles_.back() != sim_->now())
+    if (rows_ == 0 || lastCycle() != sim_->now())
         record(sim_->now());
 }
 
 void
 IntervalSampler::record(Cycles now)
 {
-    const Cycles prevCycle = cycles_.empty() ? 0 : cycles_.back();
+    const Cycles prevCycle = rows_ == 0 ? 0 : lastCycle();
     const double span =
         now > prevCycle ? static_cast<double>(now - prevCycle)
                         : static_cast<double>(interval_);
-    cycles_.push_back(now);
-    for (auto &entry : probes_) {
+    beginRow(now);
+    for (std::size_t p = 0; p < probes_.size(); ++p) {
+        ProbeEntry &entry = probes_[p];
         const double cur = entry.probe();
         double sample = cur;
         switch (entry.mode) {
@@ -112,8 +116,51 @@ IntervalSampler::record(Cycles now)
             break;
         }
         entry.prev = cur;
-        values_.push_back(sample);
+        appendCell(p, sample);
     }
+}
+
+Cycles
+IntervalSampler::lastCycle() const
+{
+    const CycleRun &run = cycleRuns_.back();
+    return run.first + run.step * (run.count - 1);
+}
+
+void
+IntervalSampler::beginRow(Cycles cycle)
+{
+    if (rows_++ == 0)
+        last_.assign(probes_.size(), 0.0);
+    if (!cycleRuns_.empty()) {
+        CycleRun &run = cycleRuns_.back();
+        if (run.count == 1)
+            run.step = cycle - run.first;
+        if (run.first + run.step * run.count == cycle) {
+            ++run.count;
+            return;
+        }
+    }
+    cycleRuns_.push_back(CycleRun{cycle, 0, 1});
+}
+
+void
+IntervalSampler::appendCell(std::size_t probe, double value)
+{
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    std::uint64_t cls = kStored;
+    if (bits == 0)
+        cls = kZero;
+    else if (rows_ > 1 &&
+             bits == std::bit_cast<std::uint64_t>(last_[probe]))
+        cls = kRepeat;
+    else
+        stored_.push_back(value);
+    last_[probe] = value;
+    const std::size_t cell = (rows_ - 1) * probes_.size() + probe;
+    if (cell % kCellsPerWord == 0)
+        classes_.push_back(0);
+    classes_[cell / kCellsPerWord] |= cls << (2 * (cell % kCellsPerWord));
 }
 
 std::vector<std::string>
@@ -126,28 +173,76 @@ IntervalSampler::probeNames() const
     return out;
 }
 
-double
-IntervalSampler::sample(std::size_t rowIdx, std::size_t probeIdx) const
+IntervalSampler::RowCursor::RowCursor(const IntervalSampler &sampler)
+    : s_(sampler), values_(sampler.probeCount(), 0.0)
 {
-    if (rowIdx >= rowCount() || probeIdx >= probes_.size())
-        V10_PANIC("IntervalSampler: sample(", rowIdx, ", ", probeIdx,
-                  ") out of range");
-    return values_[rowIdx * probes_.size() + probeIdx];
 }
+
+bool
+IntervalSampler::RowCursor::next()
+{
+    if (row_ == s_.rows_)
+        return false;
+    const CycleRun &run = s_.cycleRuns_[run_];
+    cycle_ = run.first + run.step * inRun_;
+    if (++inRun_ == run.count) {
+        ++run_;
+        inRun_ = 0;
+    }
+    const std::size_t width = values_.size();
+    std::size_t cell = row_ * width;
+    for (std::size_t p = 0; p < width; ++p, ++cell) {
+        const std::uint64_t cls =
+            (s_.classes_[cell / kCellsPerWord] >>
+             (2 * (cell % kCellsPerWord))) &
+            3;
+        if (cls == kZero)
+            values_[p] = 0.0;
+        else if (cls == kStored)
+            values_[p] = s_.stored_[stored_++];
+        // kRepeat keeps the row above's value.
+    }
+    ++row_;
+    return true;
+}
+
+namespace {
+
+/// Text buffered before a write to the stream.
+constexpr std::size_t kFlushBytes = 32 * 1024;
+
+/** Write @p buf to @p os once it passes kFlushBytes (or always, when
+ * @p force), and clear it. */
+void
+drain(std::ostream &os, std::string &buf, bool force)
+{
+    if (!force && buf.size() < kFlushBytes)
+        return;
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+}
+
+} // namespace
 
 void
 IntervalSampler::writeCsv(std::ostream &os) const
 {
-    os << "cycle";
+    std::string buf = "cycle";
+    buf.reserve(kFlushBytes + 4096);
     for (const auto &entry : probes_)
-        os << ',' << entry.name;
-    os << '\n';
-    for (std::size_t row = 0; row < rowCount(); ++row) {
-        os << cycles_[row];
-        for (std::size_t p = 0; p < probes_.size(); ++p)
-            os << ',' << jsonNumber(sample(row, p));
-        os << '\n';
+        buf.append(1, ',').append(entry.name);
+    buf += '\n';
+    char num[24];
+    for (auto row = rows(); row.next();) {
+        buf.append(num, std::to_chars(num, std::end(num), row.cycle()).ptr);
+        for (std::size_t p = 0; p < probes_.size(); ++p) {
+            buf += ',';
+            appendJsonNumber(buf, row.values()[p]);
+        }
+        buf += '\n';
+        drain(os, buf, false);
     }
+    drain(os, buf, true);
 }
 
 Status
@@ -168,20 +263,33 @@ IntervalSampler::writeCounterEvents(std::ostream &os,
                                     double cyclesPerUs,
                                     bool needComma) const
 {
+    // Each event is head[p], the row's timestamp, kValue, the cell's
+    // value and "}}".
+    std::vector<std::string> heads;
+    for (const auto &entry : probes_)
+        heads.push_back(" {\"name\": \"" + jsonEscape(entry.name) +
+                        "\", \"ph\": \"C\", \"ts\": ");
+    static constexpr std::string_view kValue =
+        ", \"pid\": 0, \"args\": {\"value\": ";
+    std::string buf;
+    buf.reserve(kFlushBytes + 4096);
+    std::string ts;
     bool wrote = false;
-    for (std::size_t row = 0; row < rowCount(); ++row) {
-        const double ts =
-            static_cast<double>(cycles_[row]) / cyclesPerUs;
+    for (auto row = rows(); row.next();) {
+        ts.clear();
+        appendJsonNumber(ts, static_cast<double>(row.cycle()) /
+                                 cyclesPerUs);
         for (std::size_t p = 0; p < probes_.size(); ++p) {
             if (needComma || wrote)
-                os << ",\n";
-            os << " {\"name\": \"" << jsonEscape(probes_[p].name)
-               << "\", \"ph\": \"C\", \"ts\": " << jsonNumber(ts)
-               << ", \"pid\": 0, \"args\": {\"value\": "
-               << jsonNumber(sample(row, p)) << "}}";
+                buf += ",\n";
+            buf.append(heads[p]).append(ts).append(kValue);
+            appendJsonNumber(buf, row.values()[p]);
+            buf += "}}";
             wrote = true;
         }
+        drain(os, buf, false);
     }
+    drain(os, buf, true);
     return wrote;
 }
 

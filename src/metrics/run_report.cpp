@@ -1,5 +1,6 @@
 #include "metrics/run_report.h"
 
+#include <algorithm>
 #include <fstream>
 #include <ostream>
 
@@ -111,13 +112,14 @@ writeSamples(JsonWriter &w, const IntervalSampler *sampler)
     w.endArray();
     w.key("rows");
     w.beginArray();
-    for (std::size_t row = 0; row < sampler->rowCount(); ++row) {
-        w.beginArray();
-        w.value(sampler->rowCycles()[row]);
-        for (std::size_t p = 0; p < sampler->probeCount(); ++p)
-            w.value(sampler->sample(row, p));
-        w.endArray();
-    }
+    const std::size_t width = sampler->probeCount();
+    auto row = sampler->rows();
+    w.numberRows(sampler->rowCount(), width,
+                 [&row, width](std::size_t, double *cells) {
+                     row.next();
+                     std::copy_n(row.values(), width, cells);
+                     return row.cycle();
+                 });
     w.endArray();
     w.endObject();
 }

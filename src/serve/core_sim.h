@@ -90,10 +90,10 @@ struct TenantAccum
     void
     takeLatencyFigures()
     {
-        latency = LatencyFigures{latencyUs.mean(),
-                                 latencyUs.percentile(50.0),
-                                 latencyUs.percentile(99.0),
-                                 latencyUs.percentile(99.9),
+        static constexpr double kPs[] = {50.0, 99.0, 99.9};
+        double q[3];
+        latencyUs.percentiles(kPs, q);
+        latency = LatencyFigures{latencyUs.mean(), q[0], q[1], q[2],
                                  latencyUs.max()};
         latencyUs.reset();
     }

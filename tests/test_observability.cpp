@@ -555,6 +555,26 @@ TEST(StatRegistryTableDeathTest, RejectsBadAxesAndLeavesUnderTables)
 
 // --- IntervalSampler. ---
 
+/** One decoded sampler row. */
+struct SampleRow
+{
+    Cycles cycle;
+    std::vector<double> values;
+};
+
+/** Every row of @p sampler, read through its cursor. */
+std::vector<SampleRow>
+decodeRows(const IntervalSampler &sampler)
+{
+    std::vector<SampleRow> out;
+    for (auto row = sampler.rows(); row.next();)
+        out.push_back(SampleRow{
+            row.cycle(),
+            std::vector<double>(row.values(),
+                                row.values() + sampler.probeCount())});
+    return out;
+}
+
 TEST(IntervalSampler, LevelRateDeltaSemantics)
 {
     Simulator sim;
@@ -579,16 +599,18 @@ TEST(IntervalSampler, LevelRateDeltaSemantics)
     ASSERT_GE(sampler.rowCount(), 4u);
     EXPECT_EQ(sampler.probeNames(),
               (std::vector<std::string>{"level", "rate", "delta"}));
+    const std::vector<SampleRow> rows = decodeRows(sampler);
+    ASSERT_EQ(rows.size(), sampler.rowCount());
     // Row 0 at cycle 100: accum has seen one +10 (at cycle 50).
-    EXPECT_EQ(sampler.rowCycles()[0], 100u);
-    EXPECT_DOUBLE_EQ(sampler.sample(0, 0), 10.0); // level: raw
-    EXPECT_DOUBLE_EQ(sampler.sample(0, 1), 0.1);  // rate: 10/100
-    EXPECT_DOUBLE_EQ(sampler.sample(0, 2), 10.0); // delta
+    EXPECT_EQ(rows[0].cycle, 100u);
+    EXPECT_DOUBLE_EQ(rows[0].values[0], 10.0); // level: raw
+    EXPECT_DOUBLE_EQ(rows[0].values[1], 0.1);  // rate: 10/100
+    EXPECT_DOUBLE_EQ(rows[0].values[2], 10.0); // delta
     // Row 1 at cycle 200: one more +10.
-    EXPECT_EQ(sampler.rowCycles()[1], 200u);
-    EXPECT_DOUBLE_EQ(sampler.sample(1, 0), 20.0);
-    EXPECT_DOUBLE_EQ(sampler.sample(1, 1), 0.1);
-    EXPECT_DOUBLE_EQ(sampler.sample(1, 2), 10.0);
+    EXPECT_EQ(rows[1].cycle, 200u);
+    EXPECT_DOUBLE_EQ(rows[1].values[0], 20.0);
+    EXPECT_DOUBLE_EQ(rows[1].values[1], 0.1);
+    EXPECT_DOUBLE_EQ(rows[1].values[2], 10.0);
 }
 
 TEST(IntervalSampler, StopRecordsFinalPartialInterval)
@@ -605,9 +627,12 @@ TEST(IntervalSampler, StopRecordsFinalPartialInterval)
     sampler.stop();
 
     // Ticks at 100 and 200, plus the final partial row at 249.
-    ASSERT_EQ(sampler.rowCount(), 3u);
-    EXPECT_EQ(sampler.rowCycles().back(), 249u);
-    EXPECT_DOUBLE_EQ(sampler.sample(2, 0), 5.0);
+    const std::vector<SampleRow> rows = decodeRows(sampler);
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows[0].cycle, 100u);
+    EXPECT_EQ(rows[1].cycle, 200u);
+    EXPECT_EQ(rows[2].cycle, 249u);
+    EXPECT_DOUBLE_EQ(rows[2].values[0], 5.0);
 }
 
 TEST(IntervalSampler, CsvHasHeaderAndOneLinePerRow)

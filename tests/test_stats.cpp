@@ -544,3 +544,49 @@ TEST(Geomean, KnownValues)
 
 } // namespace
 } // namespace v10
+
+namespace v10 {
+namespace {
+
+TEST(LogHistogram, PercentilesInOneWalkMatchSingleCalls)
+{
+    const std::vector<double> ps = {0.0, 0.5, 50.0, 50.0, 99.0,
+                                    99.9, 99.99, 100.0};
+    const auto expectSame = [&](const LogHistogram &h,
+                                const std::string &what) {
+        std::vector<double> out(ps.size());
+        h.percentiles(ps, out);
+        for (std::size_t i = 0; i < ps.size(); ++i)
+            EXPECT_EQ(out[i], h.percentile(ps[i]))
+                << what << " p" << ps[i];
+    };
+    expectSame(LogHistogram(), "empty");
+    Rng rng(28);
+    for (int shape = 0; shape < 40; ++shape) {
+        LogHistogram h(1 + rng.uniformInt(64));
+        const std::uint64_t n = 1 + rng.uniformInt(3000);
+        const double scale = std::ldexp(1.0, static_cast<int>(
+                                                 rng.uniformInt(40)) -
+                                                 20);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const std::uint64_t kind = rng.uniformInt(8);
+            h.add(kind == 0 ? 0.0 : scale * rng.exponential(1.0) *
+                                        (kind == 1 ? 1e4 : 1.0));
+        }
+        std::string what = "shape ";
+        what += std::to_string(shape);
+        expectSame(h, what);
+        // Doubling by merging a copy drives the buckets past 2^32,
+        // so the walk reads carried high words.
+        if (shape % 8 == 0) {
+            for (int d = 0; d < 33; ++d) {
+                const LogHistogram copy = h;
+                h.merge(copy);
+            }
+            expectSame(h, what + " carried");
+        }
+    }
+}
+
+} // namespace
+} // namespace v10
